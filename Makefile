@@ -9,7 +9,7 @@ build:
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/doccheck -strict . -strict ./internal/obs -strict ./internal/serve -strict ./internal/ooc -strict ./internal/perfgate -strict ./internal/shard -strict ./internal/dyn ./internal/... ./cmd/... ./examples/...
+	$(GO) run ./cmd/doccheck -strict . -strict ./internal/obs -strict ./internal/serve -strict ./internal/ooc -strict ./internal/perfgate -strict ./internal/shard -strict ./internal/dyn -strict ./internal/core -strict ./internal/walk ./internal/... ./cmd/... ./examples/...
 
 test:
 	$(GO) test -shuffle=on ./...

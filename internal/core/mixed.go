@@ -10,7 +10,7 @@ import (
 	"flashmob/internal/algo"
 	"flashmob/internal/graph"
 	"flashmob/internal/obs"
-	"flashmob/internal/rng"
+	"flashmob/internal/part"
 	"flashmob/internal/walk"
 )
 
@@ -63,12 +63,8 @@ type MixedResult struct {
 	Walkers uint64
 	// TotalSteps is the sum of the cohorts' walker-steps.
 	TotalSteps uint64
-	// Duration is total wall time; SampleTime and ShuffleTime are the
-	// stage splits, OtherTime the remainder (init, output).
-	Duration, SampleTime, ShuffleTime, OtherTime time.Duration
-	// ShuffleFwdTime and ShuffleRevTime split ShuffleTime into the forward
-	// scatter and the reverse gather pass.
-	ShuffleFwdTime, ShuffleRevTime time.Duration
+	// StageTimes is the run's wall time split by pipeline stage.
+	StageTimes
 	// VPSteps[i] counts walker-steps sampled in partition i across all
 	// cohorts.
 	VPSteps []uint64
@@ -115,12 +111,13 @@ func (e *Engine) newCohortState() *cohortState {
 	return cs
 }
 
-// bind arms the slot for one run of spec: the kernel table is rebuilt for
-// the spec's weighting, the PS buffers are reset to empty, and the
-// context is pointed at them — making every run's cohort state
-// indistinguishable from a freshly built one, the same discipline as
-// Session.rebind.
-func (cs *cohortState) bind(e *Engine, spec *algo.Spec) {
+// bind arms the slot for one run of spec on session s: the kernel table
+// is rebuilt for the spec's weighting, the PS buffers are reset to empty,
+// and the context is pointed at them and at the session's overlay —
+// making every run's cohort state indistinguishable from a freshly built
+// one, the same discipline as Session.rebind.
+func (cs *cohortState) bind(s *Session, spec *algo.Spec) {
+	e := s.e
 	var ws *algo.WeightedSampler
 	if spec.Weighted {
 		ws = e.weighted
@@ -146,7 +143,7 @@ func (cs *cohortState) bind(e *Engine, spec *algo.Spec) {
 		cs.kern[i].st = st
 	}
 	cs.cx = cohortCtx{e: e, spec: spec, kern: cs.kern, ps: cs.ps,
-		weighted: ws, class: classifySpec(spec)}
+		weighted: ws, ov: s.ov, class: classifySpec(spec)}
 }
 
 // ResolveCohorts validates cohorts against the build and resolves their
@@ -271,29 +268,28 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 	// Per-cohort sampling state: private PS buffers, kernel tables bound
 	// to them, the cohort's spec and seed.
 	slots := s.cohortSlots(len(order))
+	cxs := make([]*cohortCtx, len(order))
 	for k, i := range order {
-		slots[k].bind(e, &resolved[i].Spec)
-		slots[k].cx.ov = s.ov
+		slots[k].bind(s, &resolved[i].Spec)
+		cxs[k] = &slots[k].cx
 	}
 
 	res := &MixedResult{
 		Cohorts: make([]CohortResult, len(resolved)),
 		Walkers: totalWalkers,
-		VPSteps: make([]uint64, e.plan.NumVPs()),
 	}
 	start := time.Now()
 
-	w := make([]graph.VID, totalWalkers)
-	sw := make([]graph.VID, totalWalkers)
-	wNext := make([]graph.VID, totalWalkers)
-	auxW := make([][]graph.VID, channels)
-	auxSW := make([][]graph.VID, channels)
-	auxNext := make([][]graph.VID, channels)
-	for c := 0; c < channels; c++ {
-		auxW[c] = make([]graph.VID, totalWalkers)
-		auxSW[c] = make([]graph.VID, totalWalkers)
-		auxNext[c] = make([]graph.VID, totalWalkers)
+	st, err := s.newStepper(int(totalWalkers), channels)
+	if err != nil {
+		return nil, err
 	}
+	w, wNext := make([]graph.VID, totalWalkers), make([]graph.VID, totalWalkers)
+	auxW, auxNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
+	for c := range auxW {
+		auxW[c], auxNext[c] = make([]graph.VID, totalWalkers), make([]graph.VID, totalWalkers)
+	}
+	views, viewsNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
 
 	// Per-cohort init, the exact solo formula at episode 0: a cohort's
 	// start placement depends only on its own seed and segment length.
@@ -301,8 +297,7 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 	for k, i := range order {
 		c := &resolved[i]
 		seg := w[offs[k]:offs[k+1]]
-		initSrc := rng.NewXorShift1024Star(rng.Mix64(c.Seed ^ 0x9e3779b97f4a7c15))
-		e.initWalkers(seg, initSrc)
+		e.initEpisode(c.Seed, 0, seg)
 		for ch := 0; ch < auxChannelsFor(&c.Spec); ch++ {
 			copy(auxW[ch][offs[k]:offs[k+1]], seg)
 		}
@@ -320,41 +315,19 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 			maxSteps = c.Steps
 		}
 	}
-
-	// Per-(partition, cohort) walker counts, recomputed each step from the
-	// pre-shuffle walker array: the shuffle is stable (walkers of one
-	// partition keep ascending walker-array order), so a cohort's walkers
-	// form one contiguous subrange of every partition chunk, located by
-	// these counts.
-	lk := e.plan.Lookup()
-	nvp := e.plan.NumVPs()
-	cohCounts := make([][]uint32, len(order))
-	for k := range cohCounts {
-		cohCounts[k] = make([]uint32, nvp)
-	}
-	// occ[vp*occWords+w] holds bit k of word w set iff cohort k has
-	// walkers in partition vp this step: most (partition, cohort) cells
-	// are empty once walkers spread out, so sampleMixed walks the set
-	// bits instead of scanning every active cohort at every occupied
-	// partition.
-	occWords := (len(order) + 63) / 64
-	occ := make([]uint64, nvp*occWords)
+	lay := newCohortLayout(len(order), e.plan.NumVPs())
+	prefixes := make([]uint64, len(order))
 
 	if s.m != nil {
 		s.m.episodes.Inc()
 	}
-
-	var shuffler *walk.Shuffler
-	fwdW, fwdSW := make([][]graph.VID, channels), make([][]graph.VID, channels)
-	revSW, revNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
 	active := len(order)
-	curWalkers := -1
 	for step := 0; step < maxSteps; step++ {
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Retire cohorts whose walks completed: the active set is the
-		// prefix still owing steps.
+		// prefix still owing steps, and the stepper shrinks to it in place.
 		for active > 0 && resolved[order[active-1]].Steps <= step {
 			active--
 		}
@@ -362,75 +335,19 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 		if aw == 0 {
 			break
 		}
-		if aw != curWalkers {
-			// Build the shuffler once at full size; retirements shrink it in
-			// place (its scratch is plan-sized, so Resize allocates nothing —
-			// a graph-sized rebuild mid-run would dwarf the steps it serves).
-			if shuffler == nil {
-				var err error
-				shuffler, err = walk.NewShufflerPool(e.plan, aw, e.pool)
-				if err != nil {
-					return nil, err
-				}
-				if s.m != nil {
-					shuffler.SetPprofLabels(true)
-					shuffler.SetPoolMetrics(s.m.pool)
-				}
-			} else if err := shuffler.Resize(aw); err != nil {
-				return nil, err
-			}
-			for c := 0; c < channels; c++ {
-				fwdW[c], fwdSW[c] = auxW[c][:aw], auxSW[c][:aw]
-				revSW[c], revNext[c] = auxSW[c][:aw], auxNext[c][:aw]
-			}
-			curWalkers = aw
-		}
-
-		// Reset only the cells the previous step touched — occ still holds
-		// them, and they number ~active walkers, far fewer than the dense
-		// active×NumVPs clear.
-		for vp := 0; vp < nvp; vp++ {
-			base := vp * occWords
-			for wd := 0; wd < occWords; wd++ {
-				m := occ[base+wd]
-				for m != 0 {
-					k := wd<<6 + bits.TrailingZeros64(m)
-					m &= m - 1
-					cohCounts[k][vp] = 0
-				}
-			}
-		}
-		clear(occ)
 		for k := 0; k < active; k++ {
-			counts := cohCounts[k]
-			bit := uint64(1) << (uint(k) & 63)
-			wd := k >> 6
-			for _, v := range w[offs[k]:offs[k+1]] {
-				vp := lk.VPOf(v)
-				counts[vp]++
-				occ[vp*occWords+wd] |= bit
-			}
+			prefixes[k] = SampleSeedPrefix(resolved[order[k]].Seed, 0, step)
 		}
-
-		t0 := time.Now()
-		if err := shuffler.ForwardMulti(w[:aw], sw[:aw], fwdW, fwdSW); err != nil {
+		var l *cohortLayout
+		if active > 1 {
+			lay.count(e.plan.Lookup(), w, offs[:active+1])
+			l = lay
+		}
+		for c := range views {
+			views[c], viewsNext[c] = auxW[c][:aw], auxNext[c][:aw]
+		}
+		if err := st.step(w[:aw], wNext[:aw], views, viewsNext, cxs[:active], prefixes[:active], l); err != nil {
 			return nil, err
-		}
-		t1 := time.Now()
-		s.sampleMixed(step, shuffler.VPStart(), sw[:aw], fwdSW, resolved, order[:active], offs, cohCounts, occ, occWords, res.VPSteps)
-		t2 := time.Now()
-		if err := shuffler.ReverseMulti(w[:aw], sw[:aw], wNext[:aw], revSW, revNext); err != nil {
-			return nil, err
-		}
-		t3 := time.Now()
-		res.ShuffleFwdTime += t1.Sub(t0)
-		res.SampleTime += t2.Sub(t1)
-		res.ShuffleRevTime += t3.Sub(t2)
-		if m := s.m; m != nil {
-			m.steps.Inc()
-			m.shuffleFwdStepNS.Observe(uint64(t1.Sub(t0)))
-			m.sampleStepNS.Observe(uint64(t2.Sub(t1)))
-			m.shuffleRevStepNS.Observe(uint64(t3.Sub(t2)))
 		}
 
 		if e.cfg.StepSink != nil {
@@ -441,11 +358,6 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 		}
 		w, wNext = wNext, w
 		auxW, auxNext = auxNext, auxW
-		for c := 0; c < channels; c++ {
-			// The swapped channel views must follow their backing arrays.
-			fwdW[c] = auxW[c][:aw]
-			revNext[c] = auxNext[c][:aw]
-		}
 		if e.cfg.RecordHistory {
 			for k := 0; k < active; k++ {
 				if err := histories[k].Append(w[offs[k]:offs[k+1]]); err != nil {
@@ -465,9 +377,9 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 		}
 		res.TotalSteps += res.Cohorts[i].TotalSteps
 	}
-	res.Duration = time.Since(start)
-	res.ShuffleTime = res.ShuffleFwdTime + res.ShuffleRevTime
-	res.OtherTime = res.Duration - res.SampleTime - res.ShuffleTime
+	res.VPSteps = st.vpSteps
+	res.StageTimes = st.times
+	res.finish(start)
 	if m := s.m; m != nil {
 		m.runs.Inc()
 		m.mixedRuns.Inc()
@@ -478,81 +390,55 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 	return res, nil
 }
 
-// sampleMixed runs one mixed sample stage: each partition chunk is cut
-// into per-cohort subranges (located by the stable-shuffle counts) and
-// every subrange becomes a work item carrying its cohort's context and a
-// seed derived from the cohort's own seed — the same
-// (seed, episode=0, step, vp, sub) discipline as a solo run, so a
-// cohort's draws are independent of its neighbors, the worker count, and
-// the claim order. The occ bitmask narrows the per-partition cohort scan
-// to exactly the cohorts present in the chunk; set bits are visited in
-// ascending cohort order, so the item list (and the offset accumulation)
-// is identical to the dense scan's.
-func (s *Session) sampleMixed(step int, vpStart []uint64, sw []graph.VID, auxSW [][]graph.VID, resolved []Cohort, activeOrder []int, offs []uint64, cohCounts [][]uint32, occ []uint64, occWords int, vpSteps []uint64) {
-	e := s.e
-	t := &s.sample
-	items := t.items[:0]
-	subShards := 0
-	// Each cohort's per-step seed prefix is constant across the partition
-	// sweep; fold it once per cohort instead of per (partition, cohort)
-	// item.
-	prefixes := t.prefixes[:0]
-	for _, i := range activeOrder {
-		prefixes = append(prefixes, SampleSeedPrefix(resolved[i].Seed, 0, step))
+// cohortLayout locates several cohorts' walkers inside every partition
+// chunk of one step. The shuffle is stable — walkers of one partition
+// keep ascending walker-array order — so with cohorts laid out as
+// contiguous segments of the walker array, cohort k's walkers form one
+// contiguous subrange of every chunk, whose length is counts[k][vp].
+type cohortLayout struct {
+	counts [][]uint32
+	// occ[vp*words+w] holds bit k of word w set iff cohort k has walkers
+	// in partition vp this step: most (partition, cohort) cells are empty
+	// once walkers spread out, so the item builder walks the set bits
+	// instead of scanning every active cohort at every partition.
+	occ   []uint64
+	words int
+}
+
+// newCohortLayout allocates a layout for up to cohorts cohorts over nvp
+// partitions.
+func newCohortLayout(cohorts, nvp int) *cohortLayout {
+	l := &cohortLayout{counts: make([][]uint32, cohorts), words: (cohorts + 63) / 64}
+	for k := range l.counts {
+		l.counts[k] = make([]uint32, nvp)
 	}
-	t.prefixes = prefixes
-	for vp := 0; vp < e.plan.NumVPs(); vp++ {
-		lo, hi := vpStart[vp], vpStart[vp+1]
-		if lo == hi {
-			continue
-		}
-		acc := lo
-		base := vp * occWords
-		for wd := 0; wd < occWords; wd++ {
-			m := occ[base+wd]
-			for m != 0 {
-				k := wd<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				i := activeOrder[k]
-				nk := uint64(cohCounts[k][vp])
-				clo, chi := acc, acc+nk
-				acc = chi
-				c := &resolved[i]
-				cx := &s.cohorts[k].cx
-				// Only stateless first-order chunks can split, exactly as in
-				// the solo path; sub-shard boundaries are cohort-local so they
-				// match the solo run of the same cohort.
-				shardable := c.Spec.Order == 1 && c.Spec.History == nil
-				if !shardable || nk < 2*SubShardSize || cx.kern[vp].st != nil {
-					items = append(items, sampleItem{vp: int32(vp), lo: clo, hi: chi,
-						seed: SampleSeedAt(prefixes[k], vp, 0), cx: cx})
-					continue
-				}
-				a := clo
-				for sub := 0; a < chi; sub++ {
-					b := a + SubShardSize
-					if b >= chi || chi-b < SubShardSize {
-						b = chi // absorb the ragged tail into the last piece
-					}
-					items = append(items, sampleItem{vp: int32(vp), lo: a, hi: b,
-						seed: SampleSeedAt(prefixes[k], vp, sub), cx: cx})
-					a = b
-					subShards++
-				}
+	l.occ = make([]uint64, nvp*l.words)
+	return l
+}
+
+// count recomputes the layout from the pre-shuffle walker array w, in
+// which cohort k occupies w[offs[k]:offs[k+1]]. It is one pass over the
+// active walkers.
+func (l *cohortLayout) count(lk *part.Lookup, w []graph.VID, offs []uint64) {
+	// Reset only the cells the previous step touched — occ still holds
+	// them, and they number ~active walkers, far fewer than the dense
+	// cohorts×partitions clear.
+	for vp := 0; vp < len(l.occ)/l.words; vp++ {
+		for wd, m := range l.occ[vp*l.words : (vp+1)*l.words] {
+			for ; m != 0; m &= m - 1 {
+				l.counts[wd<<6+bits.TrailingZeros64(m)][vp] = 0
 			}
 		}
 	}
-	t.items = items
-	t.sw, t.auxSW = sw, auxSW
-	t.vpSteps = vpSteps
-	t.next.Store(-1)
-	if m := s.m; m != nil {
-		m.sampleItems.Observe(uint64(len(items)))
-		m.sampleSubShards.Add(uint64(subShards))
-		e.pool.Submit(t, 0, m.sampleCtx, m.pool)
-	} else {
-		e.pool.Submit(t, 0, nil, nil)
+	clear(l.occ)
+	for k := 0; k+1 < len(offs); k++ {
+		counts := l.counts[k]
+		bit := uint64(1) << (uint(k) & 63)
+		wd := k >> 6
+		for _, v := range w[offs[k]:offs[k+1]] {
+			vp := lk.VPOf(v)
+			counts[vp]++
+			l.occ[vp*l.words+wd] |= bit
+		}
 	}
-	t.sw, t.auxSW = nil, nil
-	t.vpSteps = nil
 }

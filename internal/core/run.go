@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime/pprof"
 	"sync/atomic"
 	"time"
@@ -13,8 +14,26 @@ import (
 	"flashmob/internal/walk"
 )
 
-// Result reports a run's outcome and stage timing breakdown (the split the
-// paper shows in Figure 9a).
+// StageTimes is a run's wall time split by pipeline stage (the split the
+// paper shows in Figure 9a). Result and MixedResult embed it.
+type StageTimes struct {
+	// Duration is total wall time; SampleTime and ShuffleTime are the
+	// stage splits, OtherTime the remainder (init, output).
+	Duration, SampleTime, ShuffleTime, OtherTime time.Duration
+	// ShuffleFwdTime and ShuffleRevTime split ShuffleTime into the forward
+	// scatter and the reverse gather pass.
+	ShuffleFwdTime, ShuffleRevTime time.Duration
+}
+
+// finish closes the split for a run that began at start: Duration is the
+// wall time since, ShuffleTime the two passes, OtherTime the rest.
+func (t *StageTimes) finish(start time.Time) {
+	t.Duration = time.Since(start)
+	t.ShuffleTime = t.ShuffleFwdTime + t.ShuffleRevTime
+	t.OtherTime = t.Duration - t.SampleTime - t.ShuffleTime
+}
+
+// Result reports a run's outcome and stage timing breakdown.
 type Result struct {
 	// Walkers is the total number of walkers advanced.
 	Walkers uint64
@@ -24,12 +43,8 @@ type Result struct {
 	TotalSteps uint64
 	// Episodes is how many memory-budgeted rounds the run took.
 	Episodes int
-	// Duration is total wall time; SampleTime and ShuffleTime are the
-	// stage splits, OtherTime the remainder (init, output).
-	Duration, SampleTime, ShuffleTime, OtherTime time.Duration
-	// ShuffleFwdTime and ShuffleRevTime split ShuffleTime into the forward
-	// scatter and the reverse gather pass.
-	ShuffleFwdTime, ShuffleRevTime time.Duration
+	// StageTimes is the run's wall time split by pipeline stage.
+	StageTimes
 	// History holds the recorded W_i arrays of the last episode when
 	// Config.RecordHistory is set.
 	History *walk.History
@@ -84,6 +99,12 @@ func (s *Session) Run(totalWalkers uint64, steps int) (*Result, error) {
 // walks on one shared engine. Runs after the first on the same session
 // see the PS buffers the earlier runs left behind; acquire a new session
 // when reproducibility matters.
+//
+// The run is an episode loop over one Stepper: each memory-resident
+// episode places its walkers, then steps the session's primary context
+// with the episode index in the sample-seed schedule. All per-run state
+// is allocated before the first step; the steps themselves allocate
+// nothing and create no goroutines.
 func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -94,7 +115,6 @@ func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Resul
 			return nil, err
 		}
 	}
-	s.runSeed = seed
 	if totalWalkers == 0 {
 		totalWalkers = uint64(e.g.NumVertices())
 	}
@@ -104,121 +124,85 @@ func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Resul
 	if steps < 0 {
 		return nil, fmt.Errorf("core: negative step count")
 	}
-	res := &Result{Steps: steps, VPSteps: make([]uint64, e.plan.NumVPs())}
+	res := &Result{Steps: steps}
 	start := time.Now()
-	remaining := totalWalkers
-	for remaining > 0 {
+
+	// The first episode is the largest: size everything for it, and let
+	// a ragged last episode step a prefix.
+	maxEp := int(e.EpisodeWalkers(totalWalkers))
+	channels := e.auxChannels()
+	st, err := s.newStepper(maxEp, channels)
+	if err != nil {
+		return nil, err
+	}
+	w, wNext := make([]graph.VID, maxEp), make([]graph.VID, maxEp)
+	auxW, auxNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
+	for c := range auxW {
+		auxW[c], auxNext[c] = make([]graph.VID, maxEp), make([]graph.VID, maxEp)
+	}
+	views, viewsNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
+	st.cxs[0] = &s.cx
+
+	for remaining := totalWalkers; remaining > 0; {
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
 		ep := e.EpisodeWalkers(remaining)
-		if err := s.runEpisode(res.Episodes, int(ep), steps, res); err != nil {
-			return nil, err
+		n, episode := int(ep), res.Episodes
+		// Mix the episode index into the init seed so episodes decorrelate
+		// (identical per-episode seeds would replay the same start
+		// placement and walk randomness every round).
+		e.initEpisode(seed, episode, w[:n])
+		for c := range auxW {
+			// Predecessors start as the walker's own start vertex, which
+			// makes the first higher-order step uniform over neighbours.
+			copy(auxW[c][:n], w[:n])
+		}
+		if e.cfg.RecordHistory {
+			res.History = walk.NewHistory(n)
+			if err := res.History.Append(w[:n]); err != nil {
+				return nil, err
+			}
+		}
+		if s.m != nil {
+			s.m.episodes.Inc()
+		}
+		for step := 0; step < steps; step++ {
+			if err := s.ctx.Err(); err != nil {
+				return nil, err
+			}
+			st.prefixes[0] = SampleSeedPrefix(seed, episode, step)
+			for c := range views {
+				views[c], viewsNext[c] = auxW[c][:n], auxNext[c][:n]
+			}
+			if err := st.step(w[:n], wNext[:n], views, viewsNext, st.cxs, st.prefixes, nil); err != nil {
+				return nil, err
+			}
+			if e.cfg.StepSink != nil {
+				e.cfg.StepSink(step, w[:n], wNext[:n])
+			}
+			w, wNext = wNext, w
+			auxW, auxNext = auxNext, auxW
+			if e.cfg.RecordHistory {
+				if err := res.History.Append(w[:n]); err != nil {
+					return nil, err
+				}
+			}
 		}
 		remaining -= ep
 		res.Episodes++
 		res.Walkers += ep
 	}
 	res.TotalSteps = res.Walkers * uint64(steps)
-	res.Duration = time.Since(start)
-	res.ShuffleTime = res.ShuffleFwdTime + res.ShuffleRevTime
-	res.OtherTime = res.Duration - res.SampleTime - res.ShuffleTime
+	res.VPSteps = st.vpSteps
+	res.StageTimes = st.times
+	res.finish(start)
 	if m := s.m; m != nil {
 		m.runs.Inc()
 		m.walkers.Add(res.Walkers)
 		res.Report = m.reg.Snapshot()
 	}
 	return res, nil
-}
-
-// runEpisode executes one memory-resident round of the pipeline:
-//
-//	W --forward shuffle--> SW --sample (in place)--> SW' --reverse--> W'
-//
-// appending each W_i to the history when recording. All per-episode state
-// is allocated here, before the step loop: the loop itself allocates
-// nothing and creates no goroutines (every stage runs on the engine's
-// persistent pool, multiplexed across sessions).
-func (s *Session) runEpisode(episode, walkers, steps int, res *Result) error {
-	e := s.e
-	w := make([]graph.VID, walkers)
-	sw := make([]graph.VID, walkers)
-	wNext := make([]graph.VID, walkers)
-	// One aux channel per carried predecessor: 1 for node2vec, k-1 for
-	// order-k history transitions, 0 otherwise.
-	channels := e.auxChannels()
-	var auxW, auxSW, auxNext [][]graph.VID
-	for c := 0; c < channels; c++ {
-		auxW = append(auxW, make([]graph.VID, walkers))
-		auxSW = append(auxSW, make([]graph.VID, walkers))
-		auxNext = append(auxNext, make([]graph.VID, walkers))
-	}
-
-	// Mix the episode index into the init seed so episodes decorrelate
-	// (identical per-episode seeds would replay the same start placement
-	// and walk randomness every round).
-	initSrc := rng.NewXorShift1024Star(rng.Mix64(s.runSeed^0x9e3779b97f4a7c15) + uint64(episode))
-	e.initWalkers(w, initSrc)
-	for c := range auxW {
-		// Predecessors start as the walker's own start vertex, which makes
-		// the first higher-order step uniform over neighbours.
-		copy(auxW[c], w)
-	}
-
-	if e.cfg.RecordHistory {
-		res.History = walk.NewHistory(walkers)
-		if err := res.History.Append(w); err != nil {
-			return err
-		}
-	}
-
-	shuffler, err := walk.NewShufflerPool(e.plan, walkers, e.pool)
-	if err != nil {
-		return err
-	}
-	if s.m != nil {
-		s.m.episodes.Inc()
-		shuffler.SetPprofLabels(true)
-		shuffler.SetPoolMetrics(s.m.pool)
-	}
-
-	for step := 0; step < steps; step++ {
-		if err := s.ctx.Err(); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		if err := shuffler.ForwardMulti(w, sw, auxW, auxSW); err != nil {
-			return err
-		}
-		t1 := time.Now()
-		s.sampleAll(episode, step, shuffler.VPStart(), sw, auxSW, res.VPSteps)
-		t2 := time.Now()
-		if err := shuffler.ReverseMulti(w, sw, wNext, auxSW, auxNext); err != nil {
-			return err
-		}
-		t3 := time.Now()
-		res.ShuffleFwdTime += t1.Sub(t0)
-		res.SampleTime += t2.Sub(t1)
-		res.ShuffleRevTime += t3.Sub(t2)
-		if m := s.m; m != nil {
-			m.steps.Inc()
-			m.shuffleFwdStepNS.Observe(uint64(t1.Sub(t0)))
-			m.sampleStepNS.Observe(uint64(t2.Sub(t1)))
-			m.shuffleRevStepNS.Observe(uint64(t3.Sub(t2)))
-		}
-
-		if e.cfg.StepSink != nil {
-			e.cfg.StepSink(step, w, wNext)
-		}
-		w, wNext = wNext, w
-		auxW, auxNext = auxNext, auxW
-		if e.cfg.RecordHistory {
-			if err := res.History.Append(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // sampleItem is one unit of sample-stage work: a partition's whole walker
@@ -248,6 +232,20 @@ type sampleItem struct {
 // its chunks on exactly these boundaries to stay bitwise-identical to the
 // in-memory engine.
 var SubShardSize = uint64(1) << 16
+
+// SubShardEnd returns the end of the sub-shard that starts at a in a
+// splittable chunk ending at hi. Pieces are SubShardSize walkers, and the
+// ragged tail is absorbed into the last piece, so a chunk shorter than
+// twice SubShardSize is one piece. Cutting from a chunk's start with
+// sub = 0, 1, … gives the (partition, sub-shard) coordinates of the item
+// seeds (SampleSeedAt); internal/ooc cuts its chunks through this too.
+func SubShardEnd(a, hi uint64) uint64 {
+	b := a + SubShardSize
+	if b >= hi || hi-b < SubShardSize {
+		return hi // absorb the ragged tail into the last piece
+	}
+	return b
+}
 
 // sampleSeed derives one work item's RNG seed. Chained Mix64 rounds
 // avalanche every coordinate, so distinct (episode, step, partition,
@@ -288,9 +286,6 @@ type sampleTask struct {
 	sw      []graph.VID
 	auxSW   [][]graph.VID
 	vpSteps []uint64
-	// prefixes[k] is active cohort k's folded per-step seed prefix
-	// (mixed runs; see SampleSeedPrefix).
-	prefixes []uint64
 }
 
 // itemClaim is how many work items one shared-counter claim covers:
@@ -336,58 +331,47 @@ func (t *sampleTask) RunShard(_, worker, _ int) {
 	}
 }
 
-// sampleAll runs the sample stage of a solo run: one cohort — the
-// session's primary context — occupying the whole walker array.
-func (s *Session) sampleAll(episode, step int, vpStart []uint64, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64) {
-	s.sampleCohort(SampleSeedPrefix(s.runSeed, episode, step), &s.cx, vpStart, sw, auxSW, vpSteps)
-}
-
-// sampleCohort runs the sample stage for one cohort occupying the whole
-// walker array: build the work item list — splitting oversized DS chunks
-// into sub-shards — then let pool workers claim items off the shared
-// counter. The caller picks the sampling context and the folded per-step
-// seed prefix, which is what makes the stage reusable beyond solo runs:
-// the sharded topology's per-step driver (Stepper) samples each cohort's
-// local walkers under the cohort's own context and seed schedule, and
-// because sub-shard boundaries are cut from the chunk-local offsets, a
-// shard's (partition, sub) items — and therefore its seeds — match the
-// single-engine run's exactly.
-func (s *Session) sampleCohort(prefix uint64, cx *cohortCtx, vpStart []uint64, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64) {
-	e := s.e
-	t := &s.sample
+// run executes one sample stage over the shuffled walkers sw: build the
+// work-item list, then let pool workers claim items off the shared
+// counter. cxs and prefixes are the active cohorts' sampling contexts and
+// folded per-step seed prefixes, in walker-array order. A single cohort
+// owns every partition chunk whole; with several, lay locates each
+// cohort's subrange of each chunk — the shuffle is stable, so a cohort's
+// walkers are contiguous in every chunk. The lay.occ bitmask narrows the
+// per-partition cohort scan to the cohorts present; set bits are visited
+// in ascending cohort order, so subranges follow walker-array order.
+//
+// Sub-shard boundaries are cut from each subrange's start, so a cohort's
+// (partition, sub-shard) items — and their seeds — are the same whether
+// it runs alone, beside other cohorts, or as one shard's local walkers.
+func (t *sampleTask) run(vpStart []uint64, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) {
+	e := t.s.e
 	items := t.items[:0]
 	subShards := 0
-	// Only stateless first-order chunks can split: PS partitions share
-	// mutable buffer state across the whole chunk, and higher-order paths
-	// batch over the full chunk.
-	shardable := cx.spec.Order == 1 && cx.spec.History == nil
 	for vp := 0; vp < e.plan.NumVPs(); vp++ {
 		lo, hi := vpStart[vp], vpStart[vp+1]
 		if lo == hi {
 			continue
 		}
-		if !shardable || hi-lo < 2*SubShardSize || cx.kern[vp].st != nil {
-			items = append(items, sampleItem{vp: int32(vp), lo: lo, hi: hi,
-				seed: SampleSeedAt(prefix, vp, 0), cx: cx})
+		if len(cxs) == 1 {
+			items = cutChunk(items, &subShards, cxs[0], prefixes[0], vp, lo, hi)
 			continue
 		}
-		a := lo
-		for sub := 0; a < hi; sub++ {
-			b := a + SubShardSize
-			if b >= hi || hi-b < SubShardSize {
-				b = hi // absorb the ragged tail into the last piece
+		base := vp * lay.words
+		for wd := 0; wd < lay.words; wd++ {
+			for m := lay.occ[base+wd]; m != 0; m &= m - 1 {
+				k := wd<<6 + bits.TrailingZeros64(m)
+				n := uint64(lay.counts[k][vp])
+				items = cutChunk(items, &subShards, cxs[k], prefixes[k], vp, lo, lo+n)
+				lo += n
 			}
-			items = append(items, sampleItem{vp: int32(vp), lo: a, hi: b,
-				seed: SampleSeedAt(prefix, vp, sub), cx: cx})
-			a = b
-			subShards++
 		}
 	}
 	t.items = items
 	t.sw, t.auxSW = sw, auxSW
 	t.vpSteps = vpSteps
 	t.next.Store(-1)
-	if m := s.m; m != nil {
+	if m := t.m; m != nil {
 		m.sampleItems.Observe(uint64(len(items)))
 		m.sampleSubShards.Add(uint64(subShards))
 		e.pool.Submit(t, 0, m.sampleCtx, m.pool)
@@ -396,6 +380,29 @@ func (s *Session) sampleCohort(prefix uint64, cx *cohortCtx, vpStart []uint64, s
 	}
 	t.sw, t.auxSW = nil, nil
 	t.vpSteps = nil
+}
+
+// cutChunk appends the work items for one cohort's walkers [lo, hi) of
+// partition vp. Only stateless first-order chunks split into sub-shards:
+// PS partitions share mutable buffer state across the whole chunk, and
+// higher-order paths batch over the full chunk. Pieces of a chunk that
+// actually split are added to *subShards.
+func cutChunk(items []sampleItem, subShards *int, cx *cohortCtx, prefix uint64, vp int, lo, hi uint64) []sampleItem {
+	split := cx.spec.Order == 1 && cx.spec.History == nil && cx.kern[vp].st == nil
+	sub := 0
+	for a := lo; a < hi; sub++ {
+		b := hi
+		if split {
+			b = SubShardEnd(a, hi)
+		}
+		items = append(items, sampleItem{vp: int32(vp), lo: a, hi: b,
+			seed: SampleSeedAt(prefix, vp, sub), cx: cx})
+		a = b
+	}
+	if sub > 1 {
+		*subShards += sub
+	}
+	return items
 }
 
 // sliceAux views each aux channel's [lo, hi) range, reusing the worker's

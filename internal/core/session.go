@@ -75,11 +75,6 @@ type Session struct {
 	// registry per acquisition sharing the engine's pprof label contexts.
 	m *engineMetrics
 
-	// runSeed is the seed of the run in progress: Config.Seed for Run,
-	// the caller's override for RunSeeded. Set at the top of every run,
-	// never read outside one.
-	runSeed uint64
-
 	closed bool
 }
 

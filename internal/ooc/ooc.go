@@ -412,22 +412,14 @@ func (t *oocSampleTask) RunShard(_, worker, _ int) {
 }
 
 // appendItems cuts one partition's walker chunk into work items exactly
-// the way internal/core does — same sub-shard boundaries, same seeds
-// (core.SubShardSize / core.SampleSeedAt) — which is what keeps ooc
-// trajectories bitwise-identical to the in-memory engine. Every ooc
-// chunk is shardable in core's sense: first-order walks, no history
+// the way internal/core does — same sub-shard boundaries
+// (core.SubShardEnd), same seeds (core.SampleSeedAt) — which is what
+// keeps ooc trajectories bitwise-identical to the in-memory engine. Every
+// ooc chunk is splittable in core's sense: first-order walks, no history
 // transition, and DS partitions carry no PS state.
 func appendItems(items []oocItem, vp int, lo, hi uint64, prefix uint64, buf []graph.VID, base uint64) []oocItem {
-	if hi-lo < 2*core.SubShardSize {
-		return append(items, oocItem{buf: buf, base: base, lo: lo, hi: hi,
-			seed: core.SampleSeedAt(prefix, vp, 0)})
-	}
-	a := lo
-	for sub := 0; a < hi; sub++ {
-		b := a + core.SubShardSize
-		if b >= hi || hi-b < core.SubShardSize {
-			b = hi // absorb the ragged tail into the last piece
-		}
+	for a, sub := lo, 0; a < hi; sub++ {
+		b := core.SubShardEnd(a, hi)
 		items = append(items, oocItem{buf: buf, base: base, lo: a, hi: b,
 			seed: core.SampleSeedAt(prefix, vp, sub)})
 		a = b

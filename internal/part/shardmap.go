@@ -9,12 +9,10 @@ import (
 
 // RangeMap maps vertices to the owner of the contiguous vertex range
 // holding them: owner o holds [starts[o], starts[o+1]). It is the flat
-// ownership lookup shared by every range-partitioned layer — the
-// distributed engine's partitions (internal/dist) and the sharded
-// topology's vertex ranges (ShardMap) — replacing each layer's private
-// division math with one audited structure. Small graphs get a direct
-// per-vertex table (one load on the per-step hot path); larger ones a
-// binary search over the starts.
+// ownership lookup behind the sharded topology's vertex ranges
+// (ShardMap), replacing private division math with one audited
+// structure. Small graphs get a direct per-vertex table (one load on
+// the per-step hot path); larger ones a binary search over the starts.
 type RangeMap struct {
 	starts []graph.VID
 	direct []uint16 // per-vertex owner table when the graph is small

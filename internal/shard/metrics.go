@@ -21,9 +21,7 @@ import (
 
 // Metrics is the sharded topology's observability set, indexed by shard.
 // The emigrant counters are the executable counterpart of the
-// internal/sim cross-domain traffic model and are asserted against
-// internal/dist's message counts on shared topologies (see dist's
-// parity test).
+// internal/sim cross-domain traffic model.
 type Metrics struct {
 	reg *obs.Registry
 	// Emigrants counts walker records each shard sent to peers.

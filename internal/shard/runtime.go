@@ -78,7 +78,7 @@ type shardRun struct {
 // rounds pair up across the mesh; a cohort past its last step is skipped
 // identically everywhere. The exchange is skipped after a cohort's final
 // step — a walker crossing shards as it finishes is a finished walker,
-// not a message (matching internal/dist's accounting).
+// not a message.
 func (r *shardRun) run(ctx context.Context) error {
 	sess, err := r.eng.NewSession(ctx)
 	if err != nil {

@@ -84,7 +84,10 @@ type Batch struct {
 	// set — survivors plus immigrants, ascending by id — re-slicing the
 	// three to the new local record count.
 	OutIDs []uint32
-	Out    []graph.VID
+	// Out receives the moved records' locations.
+	Out []graph.VID
+	// OutAux receives the moved records' auxiliary channels, one slice
+	// per channel of Aux, each parallel to Out.
 	OutAux [][]graph.VID
 }
 
