@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,19 +17,11 @@ import (
 // load against a dynamic server while a configured edge stream lands
 // (or doesn't) through POST /v1/ingest.
 type dynamicVariant struct {
-	Name          string  `json:"name"`
-	FreezePerBat  bool    `json:"freeze_per_batch"`
-	CompactEvery  int     `json:"compact_every"`
-	Offered       int     `json:"offered_requests"`
-	Served        int     `json:"served"`
-	Shed          int     `json:"shed"`
-	Failed        int     `json:"failed"`
-	ReqPerSec     float64 `json:"served_req_per_sec"`
-	Goodput       float64 `json:"goodput_walker_steps_per_sec"`
-	GoodputStd    float64 `json:"goodput_std"`
-	P50MS         float64 `json:"served_p50_ms"`
-	P99MS         float64 `json:"served_p99_ms"`
-	P99StdMS      float64 `json:"p99_std_ms"`
+	Name         string `json:"name"`
+	FreezePerBat bool   `json:"freeze_per_batch"`
+	CompactEvery int    `json:"compact_every"`
+	Offered      int    `json:"offered_requests"`
+	loadStats
 	IngestedEdges float64 `json:"accepted_edges_mean"`
 	FinalEpoch    float64 `json:"final_epoch_mean"`
 	Compactions   float64 `json:"compactions_mean"`
@@ -55,29 +44,15 @@ type dynamicReport struct {
 }
 
 // foldDynamicRepeats collapses per-repeat measurements of one churn
-// profile the same way foldServeRepeats does for the serve experiment,
-// plus the dynamic-side observations (epochs, compactions, accepted
-// edges) as per-repeat means.
+// profile: foldLoad for the load stats, plus the dynamic-side
+// observations (epochs, compactions, accepted edges) as per-repeat
+// means.
 func foldDynamicRepeats(runs []dynamicVariant) dynamicVariant {
 	v := runs[0]
-	col := func(f func(dynamicVariant) float64) []float64 {
-		xs := make([]float64, len(runs))
-		for i, r := range runs {
-			xs[i] = f(r)
-		}
-		return xs
-	}
-	m := func(f func(dynamicVariant) float64) float64 { mean, _ := meanStd(col(f)); return mean }
-	v.Served = int(m(func(r dynamicVariant) float64 { return float64(r.Served) }) + 0.5)
-	v.Shed = int(m(func(r dynamicVariant) float64 { return float64(r.Shed) }) + 0.5)
-	v.Failed = int(m(func(r dynamicVariant) float64 { return float64(r.Failed) }) + 0.5)
-	v.ReqPerSec = m(func(r dynamicVariant) float64 { return r.ReqPerSec })
-	v.Goodput, v.GoodputStd = meanStd(col(func(r dynamicVariant) float64 { return r.Goodput }))
-	v.P50MS = m(func(r dynamicVariant) float64 { return r.P50MS })
-	v.P99MS, v.P99StdMS = meanStd(col(func(r dynamicVariant) float64 { return r.P99MS }))
-	v.IngestedEdges = m(func(r dynamicVariant) float64 { return r.IngestedEdges })
-	v.FinalEpoch = m(func(r dynamicVariant) float64 { return r.FinalEpoch })
-	v.Compactions = m(func(r dynamicVariant) float64 { return r.Compactions })
+	v.loadStats = foldLoad(column(runs, func(r dynamicVariant) loadStats { return r.loadStats }))
+	v.IngestedEdges = meanOf(runs, func(r dynamicVariant) float64 { return r.IngestedEdges })
+	v.FinalEpoch = meanOf(runs, func(r dynamicVariant) float64 { return r.FinalEpoch })
+	v.Compactions = meanOf(runs, func(r dynamicVariant) float64 { return r.Compactions })
 	return v
 }
 
@@ -103,11 +78,14 @@ func expDynamic(w io.Writer, cfg benchConfig) error {
 	// inflation, lost goodput, failures), not how overload sheds, so the
 	// load must leave the CPU slack for freezes and compactions to
 	// actually land.
-	solo, err := dynSoloLatency(g, cfg, mix)
+	const executors = 2
+	solo, err := soloLatency(func() (*loadServer, error) {
+		ls, _, err := newDynServeServer(g, cfg, time.Millisecond, 1, executors, 0)
+		return ls, err
+	}, mix, cfg.Steps)
 	if err != nil {
 		return err
 	}
-	const executors = 2
 	capacity := float64(executors) / solo.Seconds()
 	qps := 0.35 * capacity
 	offered := int(qps * 1.5)
@@ -187,64 +165,31 @@ func expDynamic(w io.Writer, cfg benchConfig) error {
 }
 
 // newDynServeServer builds a fresh dynamic system behind a serve.Server
-// (which owns and closes it) plus an ephemeral-port listener. The
-// returned DynamicSystem handle is for reading Stats and driving
-// ingest-free freezes; it stays valid until the server is closed.
-func newDynServeServer(g *flashmob.Graph, cfg benchConfig, window time.Duration, maxReq, executors, compactEvery int) (*flashmob.DynamicSystem, *serve.Server, *http.Server, string, error) {
+// (which owns and closes it) on an ephemeral port. The returned
+// DynamicSystem handle is for reading Stats; it stays valid until the
+// server is closed.
+func newDynServeServer(g *flashmob.Graph, cfg benchConfig, window time.Duration, maxReq, executors, compactEvery int) (*loadServer, *flashmob.DynamicSystem, error) {
 	spec := flashmob.DeepWalk()
 	d, err := flashmob.NewDynamic(g, flashmob.DynamicOptions{
 		Algorithm: spec, Workers: cfg.Workers, Seed: cfg.Seed,
 		Undirected: true, RecordPaths: true, CompactEvery: compactEvery,
 	})
 	if err != nil {
-		return nil, nil, nil, "", err
+		return nil, nil, err
 	}
-	srv, err := serve.New([]serve.Backend{{Name: "deepwalk", Dyn: d, Spec: spec}}, serve.Config{
+	ls, err := startServer([]serve.Backend{{Name: "deepwalk", Dyn: d, Spec: spec}}, serve.Config{
 		MaxWait:          window,
 		MaxBatchRequests: maxReq,
 		Executors:        executors,
 		Seed:             cfg.Seed,
-	})
-	if err != nil {
-		d.Close()
-		return nil, nil, nil, "", err
-	}
-	srv2, hs, url, err := listenServe(srv)
-	return d, srv2, hs, url, err
-}
-
-// dynSoloLatency is soloLatency against a dynamic (quiescent) server:
-// the per-request cost when nothing is amortized and nothing churns.
-func dynSoloLatency(g *flashmob.Graph, cfg benchConfig, mix []int) (time.Duration, error) {
-	_, srv, hs, url, err := newDynServeServer(g, cfg, time.Millisecond, 1, 2, 0)
-	if err != nil {
-		return 0, err
-	}
-	defer func() { hs.Close(); srv.Close() }()
-	client := &http.Client{}
-	var lat []time.Duration
-	for i := 0; i < 20; i++ {
-		t0 := time.Now()
-		status, err := postServe(client, url, mix[i%len(mix)], cfg.Steps)
-		if err != nil {
-			return 0, err
-		}
-		if status != 200 {
-			return 0, fmt.Errorf("calibration request got status %d", status)
-		}
-		if i >= 4 { // skip warm-up
-			lat = append(lat, time.Since(t0))
-		}
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return lat[len(lat)/2], nil
+	}, d.Close)
+	return ls, d, err
 }
 
 // postIngestBatch posts one /v1/ingest body and returns the accepted
 // edge count.
-func postIngestBatch(client *http.Client, url string, edges [][2]flashmob.VID, freeze bool) (int, error) {
-	body, _ := json.Marshal(serve.IngestRequest{Edges: edges, Freeze: freeze})
-	resp, err := client.Post(url+"/v1/ingest", "application/json", bytes.NewReader(body))
+func postIngestBatch(ls *loadServer, edges [][2]flashmob.VID, freeze bool) (int, error) {
+	resp, err := ls.postJSON("/v1/ingest", serve.IngestRequest{Edges: edges, Freeze: freeze})
 	if err != nil {
 		return 0, err
 	}
@@ -265,17 +210,13 @@ func postIngestBatch(client *http.Client, url string, edges [][2]flashmob.VID, f
 // client-side observations plus the system's final Stats into a
 // dynamicVariant.
 func runDynamicVariant(g *flashmob.Graph, cfg benchConfig, name string, stream bool, compactEvery, executors int, mix []int, qps float64, offered, edgesPerBatch int, ingestIntv time.Duration, repeat uint64) (dynamicVariant, error) {
-	d, srv, hs, url, err := newDynServeServer(g, cfg, 4*time.Millisecond, 0, executors, compactEvery)
+	ls, d, err := newDynServeServer(g, cfg, 4*time.Millisecond, 0, executors, compactEvery)
 	if err != nil {
 		return dynamicVariant{}, err
 	}
-	defer func() { hs.Close(); srv.Close() }()
-
-	client := &http.Client{
-		Transport: &http.Transport{MaxIdleConnsPerHost: 512},
-	}
+	defer ls.Close()
 	// Warm the engine (first-touch faults, snapshot path) off the clock.
-	if _, err := postServe(client, url, 64, cfg.Steps); err != nil {
+	if _, err := ls.post(serve.WalkRequest{Walkers: 64, Steps: cfg.Steps}); err != nil {
 		return dynamicVariant{}, err
 	}
 
@@ -310,7 +251,7 @@ func runDynamicVariant(g *flashmob.Graph, cfg benchConfig, name string, stream b
 					}
 					edges[i] = [2]flashmob.VID{flashmob.VID(u), flashmob.VID(v)}
 				}
-				n, err := postIngestBatch(client, url, edges, true)
+				n, err := postIngestBatch(ls, edges, true)
 				if err != nil {
 					streamErr = err
 					return
@@ -320,70 +261,22 @@ func runDynamicVariant(g *flashmob.Graph, cfg benchConfig, name string, stream b
 		}()
 	}
 
-	type obs struct {
-		status  int
-		walkers int
-		latency time.Duration
-	}
-	results := make([]obs, offered)
-	interval := time.Duration(float64(time.Second) / qps)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < offered; i++ {
-		// Open loop: requests fire on schedule regardless of server pace.
-		if sleep := start.Add(time.Duration(i) * interval).Sub(time.Now()); sleep > 0 {
-			time.Sleep(sleep)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			walkers := mix[i%len(mix)]
-			t0 := time.Now()
-			status, err := postServe(client, url, walkers, cfg.Steps)
-			if err != nil {
-				status = -1
-			}
-			results[i] = obs{status: status, walkers: walkers, latency: time.Since(t0)}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	results, wall := ls.openLoop(offered, qps, mix, cfg.Steps)
 	close(stop)
 	streamWG.Wait()
 	if streamErr != nil {
 		return dynamicVariant{}, streamErr
 	}
 
-	v := dynamicVariant{
-		Name:         name,
-		FreezePerBat: stream,
-		CompactEvery: compactEvery,
-		Offered:      offered,
-	}
-	var lat []time.Duration
-	var walkerSteps float64
-	for _, r := range results {
-		switch r.status {
-		case 200:
-			v.Served++
-			lat = append(lat, r.latency)
-			walkerSteps += float64(r.walkers * cfg.Steps)
-		case 503:
-			v.Shed++
-		default:
-			v.Failed++
-		}
-	}
-	if v.Served > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		v.P50MS = float64(lat[len(lat)/2]) / float64(time.Millisecond)
-		v.P99MS = float64(lat[len(lat)*99/100]) / float64(time.Millisecond)
-		v.ReqPerSec = float64(v.Served) / wall.Seconds()
-		v.Goodput = walkerSteps / wall.Seconds()
-	}
 	st := d.Stats()
-	v.IngestedEdges = float64(accepted)
-	v.FinalEpoch = float64(st.Epoch)
-	v.Compactions = float64(st.Compactions)
-	return v, nil
+	return dynamicVariant{
+		Name:          name,
+		FreezePerBat:  stream,
+		CompactEvery:  compactEvery,
+		Offered:       offered,
+		loadStats:     tallyLoad(results, wall),
+		IngestedEdges: float64(accepted),
+		FinalEpoch:    float64(st.Epoch),
+		Compactions:   float64(st.Compactions),
+	}, nil
 }

@@ -1,14 +1,9 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"flashmob"
@@ -23,21 +18,13 @@ var mixedAlgos = []string{"deepwalk", "node2vec", "pagerank"}
 // mixedVariant is one measured server configuration under the same
 // closed-loop mixed-algorithm load, aggregated over repeats.
 type mixedVariant struct {
-	Name            string  `json:"name"`
-	SplitCohortRuns bool    `json:"split_cohort_runs"`
-	Served          int     `json:"served"`
-	Shed            int     `json:"shed"`
-	Failed          int     `json:"failed"`
-	ReqPerSec       float64 `json:"served_req_per_sec"`
-	Goodput         float64 `json:"goodput_walker_steps_per_sec"`
-	GoodputStd      float64 `json:"goodput_std"`
-	P50MS           float64 `json:"served_p50_ms"`
-	P99MS           float64 `json:"served_p99_ms"`
-	P99StdMS        float64 `json:"p99_std_ms"`
-	RunsPerBatch    float64 `json:"runs_per_batch"`
-	CohortsPerRun   float64 `json:"mean_run_cohorts"`
-	RunMS           float64 `json:"mean_run_ms"`
-	Speedup         float64 `json:"goodput_vs_split"`
+	Name            string `json:"name"`
+	SplitCohortRuns bool   `json:"split_cohort_runs"`
+	loadStats
+	RunsPerBatch  float64 `json:"runs_per_batch"`
+	CohortsPerRun float64 `json:"mean_run_cohorts"`
+	RunMS         float64 `json:"mean_run_ms"`
+	Speedup       float64 `json:"goodput_vs_split"`
 }
 
 // mixedReport is the schema of BENCH_mixed.json.
@@ -153,15 +140,15 @@ func expMixed(w io.Writer, cfg benchConfig) error {
 // pre-sampling's degree-sized hub refills are almost entirely wasted, so
 // the serving-aware plan direct-samples instead. Both variants share the
 // build, so the split/mixed ratio still isolates run fragmentation.
-func newMixedServeServer(fg *flashmob.Graph, cfg benchConfig, split bool, executors, batchCap int) (*serve.Server, *http.Server, string, error) {
+func newMixedServeServer(fg *flashmob.Graph, cfg benchConfig, split bool, executors, batchCap int) (*loadServer, error) {
 	sys, err := flashmob.New(fg, flashmob.Options{
 		Algorithm: flashmob.DeepWalk(), Workers: cfg.Workers, Seed: cfg.Seed, RecordPaths: true,
 		PlanWalkers: 2048,
 	})
 	if err != nil {
-		return nil, nil, "", err
+		return nil, err
 	}
-	srv, err := serve.New([]serve.Backend{
+	return startServer([]serve.Backend{
 		{Name: "deepwalk", Sys: sys, Spec: flashmob.DeepWalk()},
 		{Name: "node2vec", Sys: sys, Spec: flashmob.Node2Vec(4, 0.25)},
 		{Name: "pagerank", Sys: sys, Spec: flashmob.PageRankWalk(0.85)},
@@ -171,140 +158,65 @@ func newMixedServeServer(fg *flashmob.Graph, cfg benchConfig, split bool, execut
 		Executors:        executors,
 		Seed:             cfg.Seed,
 		SplitCohortRuns:  split,
-	})
-	if err != nil {
-		sys.Close()
-		return nil, nil, "", err
-	}
-	return listenServe(srv)
-}
-
-// postServeAlgo issues one walk query against a named backend (seeded
-// when seed is non-nil) and discards the body.
-func postServeAlgo(client *http.Client, url, algo string, walkers, steps int, seed *uint64) (int, error) {
-	body, _ := json.Marshal(serve.WalkRequest{Walkers: walkers, Steps: steps, Algorithm: algo, Seed: seed})
-	resp, err := client.Post(url+"/v1/walk", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	}, sys.Close)
 }
 
 // runMixedVariant drives one closed-loop repeat against a fresh server
 // and folds the client- and server-side observations into a
 // mixedVariant.
 func runMixedVariant(fg *flashmob.Graph, cfg benchConfig, name string, split bool, clients, perClient, executors, batchCap int, mix, stepsMix []int) (mixedVariant, error) {
-	srv, hs, url, err := newMixedServeServer(fg, cfg, split, executors, batchCap)
+	ls, err := newMixedServeServer(fg, cfg, split, executors, batchCap)
 	if err != nil {
 		return mixedVariant{}, err
 	}
-	defer func() { hs.Close(); srv.Close() }()
-
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
+	defer ls.Close()
 	// Warm the engine and every backend off the clock.
 	for _, a := range mixedAlgos {
-		if _, err := postServeAlgo(client, url, a, 64, cfg.Steps, nil); err != nil {
+		if _, err := ls.post(serve.WalkRequest{Walkers: 64, Steps: cfg.Steps, Algorithm: a}); err != nil {
 			return mixedVariant{}, err
 		}
 	}
 
-	type obs struct {
-		status      int
-		walkerSteps int
-		latency     time.Duration
-	}
-	results := make([]obs, clients*perClient)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for j := 0; j < perClient; j++ {
-				// Closed-loop clients advance in near-lockstep (a wave
-				// releases them together), so offset the rotations by client:
-				// at any instant the client population covers all three
-				// algorithms at all three step counts and walker sizes, and
-				// every wave fragments the split baseline into its full
-				// per-(algorithm, steps) group spread.
-				idx := c*perClient + j
-				algo := mixedAlgos[(c+j)%len(mixedAlgos)]
-				steps := stepsMix[(c/len(mixedAlgos)+2*j)%len(stepsMix)]
-				walkers := mix[(c/len(mixedAlgos)+j)%len(mix)]
-				seed := uint64(1 + idx) // reproducible queries: unique seed per request
-				t0 := time.Now()
-				status, err := postServeAlgo(client, url, algo, walkers, steps, &seed)
-				if err != nil {
-					status = -1
-				}
-				results[idx] = obs{status: status, walkerSteps: walkers * steps, latency: time.Since(t0)}
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	v := mixedVariant{Name: name, SplitCohortRuns: split}
-	var lat []time.Duration
-	var walkerSteps float64
-	for _, r := range results {
-		switch r.status {
-		case 200:
-			v.Served++
-			lat = append(lat, r.latency)
-			walkerSteps += float64(r.walkerSteps)
-		case 503:
-			v.Shed++
-		default:
-			v.Failed++
+	results, wall := ls.closedLoop(clients, perClient, func(c, j int) serve.WalkRequest {
+		// Closed-loop clients advance in near-lockstep (a wave releases
+		// them together), so offset the rotations by client: at any
+		// instant the client population covers all three algorithms at
+		// all three step counts and walker sizes, and every wave
+		// fragments the split baseline into its full per-(algorithm,
+		// steps) group spread.
+		seed := uint64(1 + c*perClient + j) // reproducible queries: unique seed per request
+		return serve.WalkRequest{
+			Algorithm: mixedAlgos[(c+j)%len(mixedAlgos)],
+			Steps:     stepsMix[(c/len(mixedAlgos)+2*j)%len(stepsMix)],
+			Walkers:   mix[(c/len(mixedAlgos)+j)%len(mix)],
+			Seed:      &seed,
 		}
-	}
-	if v.Served > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		v.P50MS = float64(lat[len(lat)/2]) / float64(time.Millisecond)
-		v.P99MS = float64(lat[len(lat)*99/100]) / float64(time.Millisecond)
-		v.ReqPerSec = float64(v.Served) / wall.Seconds()
-		v.Goodput = walkerSteps / wall.Seconds()
-	}
-	runsC, _ := srv.Metrics().Counter("serve_runs_total")
-	batchesC, _ := srv.Metrics().Counter("serve_batches_total")
+	})
+
+	v := mixedVariant{Name: name, SplitCohortRuns: split, loadStats: tallyLoad(results, wall)}
+	m := ls.srv.Metrics()
+	runsC, _ := m.Counter("serve_runs_total")
+	batchesC, _ := m.Counter("serve_batches_total")
 	if batchesC.Value > 0 {
 		v.RunsPerBatch = float64(runsC.Value) / float64(batchesC.Value)
 	}
-	if h, ok := srv.Metrics().Histogram("serve_run_cohorts"); ok && h.Count > 0 {
+	if h, ok := m.Histogram("serve_run_cohorts"); ok && h.Count > 0 {
 		v.CohortsPerRun = float64(h.Sum) / float64(h.Count)
 	}
-	if h, ok := srv.Metrics().Histogram("serve_batch_run_ns"); ok && h.Count > 0 {
+	if h, ok := m.Histogram("serve_batch_run_ns"); ok && h.Count > 0 {
 		v.RunMS = float64(h.Sum) / float64(h.Count) / 1e6
 	}
 	return v, nil
 }
 
 // foldMixedRepeats collapses per-repeat measurements of one variant into
-// one record, mirroring foldServeRepeats: counts become per-repeat means
-// (rounded), rates and latencies carry the mean, goodput and tail
-// latency also record the standard deviation.
+// one record: foldLoad for the load stats, the server-side run shape as
+// per-repeat means.
 func foldMixedRepeats(runs []mixedVariant) mixedVariant {
 	v := runs[0]
-	col := func(f func(mixedVariant) float64) []float64 {
-		xs := make([]float64, len(runs))
-		for i, r := range runs {
-			xs[i] = f(r)
-		}
-		return xs
-	}
-	m := func(f func(mixedVariant) float64) float64 { mean, _ := meanStd(col(f)); return mean }
-	v.Served = int(m(func(r mixedVariant) float64 { return float64(r.Served) }) + 0.5)
-	v.Shed = int(m(func(r mixedVariant) float64 { return float64(r.Shed) }) + 0.5)
-	v.Failed = int(m(func(r mixedVariant) float64 { return float64(r.Failed) }) + 0.5)
-	v.ReqPerSec = m(func(r mixedVariant) float64 { return r.ReqPerSec })
-	v.Goodput, v.GoodputStd = meanStd(col(func(r mixedVariant) float64 { return r.Goodput }))
-	v.P50MS = m(func(r mixedVariant) float64 { return r.P50MS })
-	v.P99MS, v.P99StdMS = meanStd(col(func(r mixedVariant) float64 { return r.P99MS }))
-	v.RunsPerBatch = m(func(r mixedVariant) float64 { return r.RunsPerBatch })
-	v.CohortsPerRun = m(func(r mixedVariant) float64 { return r.CohortsPerRun })
-	v.RunMS = m(func(r mixedVariant) float64 { return r.RunMS })
+	v.loadStats = foldLoad(column(runs, func(r mixedVariant) loadStats { return r.loadStats }))
+	v.RunsPerBatch = meanOf(runs, func(r mixedVariant) float64 { return r.RunsPerBatch })
+	v.CohortsPerRun = meanOf(runs, func(r mixedVariant) float64 { return r.CohortsPerRun })
+	v.RunMS = meanOf(runs, func(r mixedVariant) float64 { return r.RunMS })
 	return v
 }

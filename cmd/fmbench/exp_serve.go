@@ -1,15 +1,9 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"flashmob"
@@ -23,17 +17,9 @@ type serveVariant struct {
 	WindowMS         float64 `json:"window_ms"`
 	MaxBatchRequests int     `json:"max_batch_requests"`
 	Offered          int     `json:"offered_requests"`
-	Served           int     `json:"served"`
-	Shed             int     `json:"shed"`
-	Failed           int     `json:"failed"`
-	ReqPerSec        float64 `json:"served_req_per_sec"`
-	Goodput          float64 `json:"goodput_walker_steps_per_sec"`
-	GoodputStd       float64 `json:"goodput_std"`
-	P50MS            float64 `json:"served_p50_ms"`
-	P99MS            float64 `json:"served_p99_ms"`
-	P99StdMS         float64 `json:"p99_std_ms"`
-	MeanBatch        float64 `json:"mean_batch_requests"`
-	Speedup          float64 `json:"goodput_vs_batch1"`
+	loadStats
+	MeanBatch float64 `json:"mean_batch_requests"`
+	Speedup   float64 `json:"goodput_vs_batch1"`
 }
 
 // serveReport is the schema of BENCH_serve.json.
@@ -50,27 +36,12 @@ type serveReport struct {
 }
 
 // foldServeRepeats collapses per-repeat measurements of one variant into
-// one record: request counts become per-repeat means (rounded), rates
-// and latencies carry the mean across repeats, and goodput and tail
-// latency additionally record the standard deviation.
+// one record: foldLoad for the load stats, the mean batch size as a
+// per-repeat mean.
 func foldServeRepeats(runs []serveVariant) serveVariant {
 	v := runs[0]
-	col := func(f func(serveVariant) float64) []float64 {
-		xs := make([]float64, len(runs))
-		for i, r := range runs {
-			xs[i] = f(r)
-		}
-		return xs
-	}
-	m := func(f func(serveVariant) float64) float64 { mean, _ := meanStd(col(f)); return mean }
-	v.Served = int(m(func(r serveVariant) float64 { return float64(r.Served) }) + 0.5)
-	v.Shed = int(m(func(r serveVariant) float64 { return float64(r.Shed) }) + 0.5)
-	v.Failed = int(m(func(r serveVariant) float64 { return float64(r.Failed) }) + 0.5)
-	v.ReqPerSec = m(func(r serveVariant) float64 { return r.ReqPerSec })
-	v.Goodput, v.GoodputStd = meanStd(col(func(r serveVariant) float64 { return r.Goodput }))
-	v.P50MS = m(func(r serveVariant) float64 { return r.P50MS })
-	v.P99MS, v.P99StdMS = meanStd(col(func(r serveVariant) float64 { return r.P99MS }))
-	v.MeanBatch = m(func(r serveVariant) float64 { return r.MeanBatch })
+	v.loadStats = foldLoad(column(runs, func(r serveVariant) loadStats { return r.loadStats }))
+	v.MeanBatch = meanOf(runs, func(r serveVariant) float64 { return r.MeanBatch })
 	return v
 }
 
@@ -91,11 +62,13 @@ func expServe(w io.Writer, cfg benchConfig) error {
 
 	// Calibrate: median solo-request latency on a batch-size-1 server
 	// bounds its capacity at Executors/latency requests per second.
-	solo, err := soloLatency(g, cfg, mix)
+	const executors = 2
+	solo, err := soloLatency(func() (*loadServer, error) {
+		return newServeServer(g, cfg, time.Millisecond, 1, executors)
+	}, mix, cfg.Steps)
 	if err != nil {
 		return err
 	}
-	const executors = 2
 	capacity := float64(executors) / solo.Seconds()
 	qps := 3 * capacity
 	// Bound the run: 2 seconds of offered load, at least 200 requests so
@@ -162,157 +135,45 @@ func expServe(w io.Writer, cfg benchConfig) error {
 	return writeBenchJSON(w, "BENCH_serve.json", rep)
 }
 
-// newServeServer builds a fresh system (the serve server owns and closes
-// it) and an HTTP listener on an ephemeral port.
-func newServeServer(fg *flashmob.Graph, cfg benchConfig, window time.Duration, maxReq, executors int) (*serve.Server, *http.Server, string, error) {
+// newServeServer builds a fresh DeepWalk system behind a serve.Server
+// (which owns and closes it) on an ephemeral port.
+func newServeServer(fg *flashmob.Graph, cfg benchConfig, window time.Duration, maxReq, executors int) (*loadServer, error) {
 	spec := flashmob.DeepWalk()
 	sys, err := flashmob.New(fg, flashmob.Options{
 		Algorithm: spec, Workers: cfg.Workers, Seed: cfg.Seed, RecordPaths: true,
 	})
 	if err != nil {
-		return nil, nil, "", err
+		return nil, err
 	}
-	srv, err := serve.New([]serve.Backend{{Name: "deepwalk", Sys: sys, Spec: spec}}, serve.Config{
+	return startServer([]serve.Backend{{Name: "deepwalk", Sys: sys, Spec: spec}}, serve.Config{
 		MaxWait:          window,
 		MaxBatchRequests: maxReq,
 		Executors:        executors,
 		Seed:             cfg.Seed,
-	})
-	if err != nil {
-		sys.Close()
-		return nil, nil, "", err
-	}
-	return listenServe(srv)
-}
-
-// listenServe attaches an ephemeral-port HTTP listener to a serve.Server
-// and returns the base URL clients should hit.
-func listenServe(srv *serve.Server) (*serve.Server, *http.Server, string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, nil, "", err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return srv, hs, "http://" + ln.Addr().String(), nil
-}
-
-// soloLatency measures the median latency of sequential single requests
-// against a batch-size-1 server: the per-request cost when nothing is
-// amortized.
-func soloLatency(fg *flashmob.Graph, cfg benchConfig, mix []int) (time.Duration, error) {
-	srv, hs, url, err := newServeServer(fg, cfg, time.Millisecond, 1, 2)
-	if err != nil {
-		return 0, err
-	}
-	defer func() { hs.Close(); srv.Close() }()
-	client := &http.Client{}
-	var lat []time.Duration
-	for i := 0; i < 24; i++ {
-		t0 := time.Now()
-		status, err := postServe(client, url, mix[i%len(mix)], cfg.Steps)
-		if err != nil {
-			return 0, err
-		}
-		if status != 200 {
-			return 0, fmt.Errorf("calibration request got status %d", status)
-		}
-		if i >= 4 { // skip warm-up
-			lat = append(lat, time.Since(t0))
-		}
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	return lat[len(lat)/2], nil
-}
-
-// postServe issues one walk query and discards the body.
-func postServe(client *http.Client, url string, walkers, steps int) (int, error) {
-	body, _ := json.Marshal(serve.WalkRequest{Walkers: walkers, Steps: steps})
-	resp, err := client.Post(url+"/v1/walk", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	}, sys.Close)
 }
 
 // runServeVariant offers the open-loop load to one server configuration
 // and folds the client-side observations into a serveVariant.
 func runServeVariant(fg *flashmob.Graph, cfg benchConfig, name string, window time.Duration, maxReq, executors int, mix []int, qps float64, offered int) (serveVariant, error) {
-	srv, hs, url, err := newServeServer(fg, cfg, window, maxReq, executors)
+	ls, err := newServeServer(fg, cfg, window, maxReq, executors)
 	if err != nil {
 		return serveVariant{}, err
 	}
-	defer func() { hs.Close(); srv.Close() }()
-
-	client := &http.Client{
-		Transport: &http.Transport{MaxIdleConnsPerHost: 512},
-	}
+	defer ls.Close()
 	// Warm the engine (first-touch faults, session pool) off the clock.
-	if _, err := postServe(client, url, 64, cfg.Steps); err != nil {
+	if _, err := ls.post(serve.WalkRequest{Walkers: 64, Steps: cfg.Steps}); err != nil {
 		return serveVariant{}, err
 	}
-
-	type obs struct {
-		status  int
-		walkers int
-		latency time.Duration
-	}
-	results := make([]obs, offered)
-	interval := time.Duration(float64(time.Second) / qps)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < offered; i++ {
-		// Open loop: requests fire on the schedule no matter how slow the
-		// server is; lateness is the server's problem, not the clients'.
-		if sleep := start.Add(time.Duration(i) * interval).Sub(time.Now()); sleep > 0 {
-			time.Sleep(sleep)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			walkers := mix[i%len(mix)]
-			t0 := time.Now()
-			status, err := postServe(client, url, walkers, cfg.Steps)
-			if err != nil {
-				status = -1
-			}
-			results[i] = obs{status: status, walkers: walkers, latency: time.Since(t0)}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
+	results, wall := ls.openLoop(offered, qps, mix, cfg.Steps)
 	v := serveVariant{
 		Name:             name,
 		WindowMS:         float64(window) / float64(time.Millisecond),
 		MaxBatchRequests: maxReq,
 		Offered:          offered,
+		loadStats:        tallyLoad(results, wall),
 	}
-	var lat []time.Duration
-	var walkerSteps float64
-	for _, r := range results {
-		switch r.status {
-		case 200:
-			v.Served++
-			lat = append(lat, r.latency)
-			walkerSteps += float64(r.walkers * cfg.Steps)
-		case 503:
-			v.Shed++
-		default:
-			v.Failed++
-		}
-	}
-	if v.Served > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		v.P50MS = float64(lat[len(lat)/2]) / float64(time.Millisecond)
-		v.P99MS = float64(lat[len(lat)*99/100]) / float64(time.Millisecond)
-		v.ReqPerSec = float64(v.Served) / wall.Seconds()
-		v.Goodput = walkerSteps / wall.Seconds()
-	}
-	if h, ok := srv.Metrics().Histogram("serve_batch_requests"); ok && h.Count > 0 {
+	if h, ok := ls.srv.Metrics().Histogram("serve_batch_requests"); ok && h.Count > 0 {
 		v.MeanBatch = float64(h.Sum) / float64(h.Count)
 	}
 	return v, nil

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"flashmob/internal/perfgate"
 )
 
 // tinyConfig makes every experiment finish in seconds.
@@ -22,12 +26,20 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests skipped in -short")
 	}
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Some experiments write BENCH_*.json into the working directory; the
 	// canonical location is the repo root (where make bench-* runs), not
 	// this package. Run from a scratch dir so test runs can't litter
 	// cmd/fmbench with stray artifacts.
 	t.Chdir(t.TempDir())
 	cfg := tinyConfig()
+	// The serving experiments' variant sets do not depend on size, so
+	// their tiny-config reports must flatten to exactly the keys of the
+	// committed grid report's first cell.
+	schemaPinned := map[string]bool{"serve": true, "mixed": true, "dynamic": true}
 	for _, e := range experiments {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
@@ -38,7 +50,50 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			if buf.Len() == 0 {
 				t.Fatalf("%s produced no output", e.name)
 			}
+			if schemaPinned[e.name] {
+				checkReportSchema(t, e.name, filepath.Join(root, "BENCH_"+e.name+".json"))
+			}
 		})
+	}
+}
+
+// checkReportSchema flattens the raw BENCH_<exp>.json an experiment just
+// wrote and requires its metric and config key sets to equal those of
+// cells[0] in the committed grid report at committed.
+func checkReportSchema(t *testing.T, exp, committed string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(benchOutDir, "BENCH_"+exp+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := perfgate.FlattenJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := perfgate.ReadGridReport(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grid.Cells) == 0 {
+		t.Fatalf("%s: no cells", committed)
+	}
+	want := grid.Cells[0]
+	sameKeys(t, "metric", run.Metrics, want.Metrics)
+	sameKeys(t, "config", run.Config, want.Config)
+}
+
+// sameKeys reports every key present in one map but not the other.
+func sameKeys[A, B any](t *testing.T, kind string, got map[string]A, want map[string]B) {
+	t.Helper()
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s key %q not in the committed report", kind, k)
+		}
+	}
+	for k := range want {
+		if _, ok := got[k]; !ok {
+			t.Errorf("%s key %q missing from the report", kind, k)
+		}
 	}
 }
 

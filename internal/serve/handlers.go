@@ -149,9 +149,11 @@ func (s *Server) handleWalk(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS * float64(time.Millisecond))
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Clamp before converting: a huge float overflows time.Duration
+		// to a negative deadline that would slip under the clamp.
+		timeout = s.cfg.MaxTimeout
+		if ms := req.TimeoutMS * float64(time.Millisecond); ms < float64(s.cfg.MaxTimeout) {
+			timeout = time.Duration(ms)
 		}
 	}
 	now := s.now()

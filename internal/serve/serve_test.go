@@ -134,6 +134,15 @@ func TestWalkEndToEnd(t *testing.T) {
 	if !ok || served.Value < 1 {
 		t.Errorf("serve_served_total missing or zero in /metrics: %+v", served)
 	}
+
+	// Timeouts past time.Duration's range clamp to MaxTimeout like any
+	// other oversized timeout; they must not overflow into an already
+	// expired deadline.
+	for _, ms := range []float64{1e13, 1e300} {
+		if status, data := postWalk(t, hs.URL, WalkRequest{Walkers: 4, Steps: 3, TimeoutMS: ms}); status != 200 {
+			t.Errorf("timeout_ms %g: status %d body %s, want 200", ms, status, data)
+		}
+	}
 }
 
 // TestValidation exercises the 400/405 surface.
