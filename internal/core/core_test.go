@@ -9,7 +9,27 @@ import (
 	"flashmob/internal/graph"
 	"flashmob/internal/part"
 	"flashmob/internal/profile"
+	"flashmob/internal/walk"
 )
+
+// onBothPaths runs body as subtests "pooled" and "inline": first with
+// walk.InlineCutoff at 0, so every step hands its phases to the worker
+// pool, then with it above any walker count, so every step runs inline
+// on the calling goroutine. Suites whose walker counts sit on one side
+// of the production cutoff use it to keep both paths covered.
+func onBothPaths(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	for _, path := range []struct {
+		name   string
+		cutoff int
+	}{{"pooled", 0}, {"inline", math.MaxInt}} {
+		t.Run(path.name, func(t *testing.T) {
+			defer func(old int) { walk.InlineCutoff = old }(walk.InlineCutoff)
+			walk.InlineCutoff = path.cutoff
+			body(t)
+		})
+	}
+}
 
 // undirectedTestGraph builds a small degree-sorted undirected power-law
 // graph (symmetric edges, so the uniform walk's stationary distribution is

@@ -110,44 +110,46 @@ func TestGoldenTrajectories(t *testing.T) {
 	}
 
 	t.Run("solo-episodes", func(t *testing.T) {
-		gh := newGoldenHash()
-		cfg := base
-		cfg.MemoryBudget = 12 * 300 // 1000 walkers → episodes of 300, 300, 300, 100
-		cfg.StepSink = func(step int, cur, next []graph.VID) {
-			gh.u64(uint64(step))
-			gh.vids(cur)
-			gh.vids(next)
-		}
-		e := newEngine(t, g, algo.DeepWalk(), cfg)
-		defer e.Close()
-		var ps, ds bool
-		for _, isPS := range e.psVP {
-			ps, ds = ps || isPS, ds || !isPS
-		}
-		if !ps || !ds {
-			t.Fatalf("plan needs both PS and DS partitions (ps=%v ds=%v)", ps, ds)
-		}
-		// Two runs on one held session: the second sees the PS buffers
-		// the first left behind.
-		s, err := e.NewSession(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		for run, seed := range []uint64{5, 6} {
-			res, err := s.RunSeeded(seed, 1000, 5)
+		onBothPaths(t, func(t *testing.T) {
+			gh := newGoldenHash()
+			cfg := base
+			cfg.MemoryBudget = 12 * 300 // 1000 walkers → episodes of 300, 300, 300, 100
+			cfg.StepSink = func(step int, cur, next []graph.VID) {
+				gh.u64(uint64(step))
+				gh.vids(cur)
+				gh.vids(next)
+			}
+			e := newEngine(t, g, algo.DeepWalk(), cfg)
+			defer e.Close()
+			var ps, ds bool
+			for _, isPS := range e.psVP {
+				ps, ds = ps || isPS, ds || !isPS
+			}
+			if !ps || !ds {
+				t.Fatalf("plan needs both PS and DS partitions (ps=%v ds=%v)", ps, ds)
+			}
+			// Two runs on one held session: the second sees the PS buffers
+			// the first left behind.
+			s, err := e.NewSession(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Episodes < 3 {
-				t.Fatalf("run %d took %d episodes, want at least 3", run, res.Episodes)
+			defer s.Close()
+			for run, seed := range []uint64{5, 6} {
+				res, err := s.RunSeeded(seed, 1000, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Episodes < 3 {
+					t.Fatalf("run %d took %d episodes, want at least 3", run, res.Episodes)
+				}
+				subShards(t, res.Report)
+				gh.history(res.History)
+				gh.counts(res.VPSteps)
+				gh.report(res.Report)
 			}
-			subShards(t, res.Report)
-			gh.history(res.History)
-			gh.counts(res.VPSteps)
-			gh.report(res.Report)
-		}
-		check(t, gh, 0x42b33ddb51f1d350)
+			check(t, gh, 0x42b33ddb51f1d350)
+		})
 	})
 
 	for _, tc := range []struct {
@@ -159,50 +161,56 @@ func TestGoldenTrajectories(t *testing.T) {
 		{"pagerank", algo.PageRankWalk(0.85), 0xa5b79fa9f78e81db},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(t, g, tc.spec, base)
-			defer e.Close()
-			res := seededRun(t, e, 23, 500, 7)
-			gh := newGoldenHash()
-			gh.history(res.History)
-			gh.counts(res.VPSteps)
-			gh.report(res.Report)
-			check(t, gh, tc.want)
+			onBothPaths(t, func(t *testing.T) {
+				e := newEngine(t, g, tc.spec, base)
+				defer e.Close()
+				res := seededRun(t, e, 23, 500, 7)
+				gh := newGoldenHash()
+				gh.history(res.History)
+				gh.counts(res.VPSteps)
+				gh.report(res.Report)
+				check(t, gh, tc.want)
+			})
 		})
 	}
 
 	t.Run("mixed-ragged", func(t *testing.T) {
-		gh := newGoldenHash()
-		cfg := base
-		cfg.StepSink = func(step int, cur, next []graph.VID) {
-			gh.u64(uint64(step))
-			gh.vids(cur)
-			gh.vids(next)
-		}
-		e := newEngine(t, g, algo.DeepWalk(), cfg)
-		defer e.Close()
-		res := mixedRun(t, e, []Cohort{
-			{Spec: algo.Node2Vec(2, 0.5), Walkers: 200, Steps: 3, Seed: 1},
-			{Spec: algo.DeepWalk(), Walkers: 400, Steps: 7, Seed: 2},
-			{Spec: algo.PageRankWalk(0.85), Walkers: 250, Steps: 5, Seed: 3},
+		onBothPaths(t, func(t *testing.T) {
+			gh := newGoldenHash()
+			cfg := base
+			cfg.StepSink = func(step int, cur, next []graph.VID) {
+				gh.u64(uint64(step))
+				gh.vids(cur)
+				gh.vids(next)
+			}
+			e := newEngine(t, g, algo.DeepWalk(), cfg)
+			defer e.Close()
+			res := mixedRun(t, e, []Cohort{
+				{Spec: algo.Node2Vec(2, 0.5), Walkers: 200, Steps: 3, Seed: 1},
+				{Spec: algo.DeepWalk(), Walkers: 400, Steps: 7, Seed: 2},
+				{Spec: algo.PageRankWalk(0.85), Walkers: 250, Steps: 5, Seed: 3},
+			})
+			for _, c := range res.Cohorts {
+				gh.history(c.History)
+			}
+			subShards(t, res.Report)
+			gh.counts(res.VPSteps)
+			gh.report(res.Report)
+			check(t, gh, 0x8f965257bafa9927)
 		})
-		for _, c := range res.Cohorts {
-			gh.history(c.History)
-		}
-		subShards(t, res.Report)
-		gh.counts(res.VPSteps)
-		gh.report(res.Report)
-		check(t, gh, 0x8f965257bafa9927)
 	})
 
 	t.Run("stepper", func(t *testing.T) {
-		gh := newGoldenHash()
-		for _, spec := range []algo.Spec{algo.DeepWalk(), algo.Node2Vec(0.5, 2)} {
-			e := newEngine(t, g, spec, base)
-			for _, row := range stepperWalk(t, e, &spec, 31, 450, 6) {
-				gh.vids(row)
+		onBothPaths(t, func(t *testing.T) {
+			gh := newGoldenHash()
+			for _, spec := range []algo.Spec{algo.DeepWalk(), algo.Node2Vec(0.5, 2)} {
+				e := newEngine(t, g, spec, base)
+				for _, row := range stepperWalk(t, e, &spec, 31, 450, 6) {
+					gh.vids(row)
+				}
+				e.Close()
 			}
-			e.Close()
-		}
-		check(t, gh, 0x4860ef43664fe053)
+			check(t, gh, 0x4860ef43664fe053)
+		})
 	})
 }

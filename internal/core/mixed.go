@@ -315,7 +315,7 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 			maxSteps = c.Steps
 		}
 	}
-	lay := newCohortLayout(len(order), e.plan.NumVPs())
+	lay := newCohortLayout(len(order), e.plan.NumVPs(), int(totalWalkers))
 	prefixes := make([]uint64, len(order))
 
 	if s.m != nil {
@@ -403,16 +403,20 @@ type cohortLayout struct {
 	// instead of scanning every active cohort at every partition.
 	occ   []uint64
 	words int
+	// touched lists the partitions whose occ row is non-empty this step,
+	// so the next count resets exactly those rows and their counts.
+	touched []int32
 }
 
-// newCohortLayout allocates a layout for up to cohorts cohorts over nvp
-// partitions.
-func newCohortLayout(cohorts, nvp int) *cohortLayout {
+// newCohortLayout allocates a layout for up to cohorts cohorts and walkers
+// walkers over nvp partitions.
+func newCohortLayout(cohorts, nvp, walkers int) *cohortLayout {
 	l := &cohortLayout{counts: make([][]uint32, cohorts), words: (cohorts + 63) / 64}
 	for k := range l.counts {
 		l.counts[k] = make([]uint32, nvp)
 	}
 	l.occ = make([]uint64, nvp*l.words)
+	l.touched = make([]int32, 0, min(nvp, walkers)) // one partition per walker at most
 	return l
 }
 
@@ -420,17 +424,19 @@ func newCohortLayout(cohorts, nvp int) *cohortLayout {
 // which cohort k occupies w[offs[k]:offs[k+1]]. It is one pass over the
 // active walkers.
 func (l *cohortLayout) count(lk *part.Lookup, w []graph.VID, offs []uint64) {
-	// Reset only the cells the previous step touched — occ still holds
-	// them, and they number ~active walkers, far fewer than the dense
-	// cohorts×partitions clear.
-	for vp := 0; vp < len(l.occ)/l.words; vp++ {
-		for wd, m := range l.occ[vp*l.words : (vp+1)*l.words] {
+	// Reset only the cells the previous step touched: touched lists their
+	// partitions and occ their cohorts, and they number at most the active
+	// walkers — no scan or clear of the dense partitions×words grid.
+	for _, vp := range l.touched {
+		row := l.occ[int(vp)*l.words : (int(vp)+1)*l.words]
+		for wd, m := range row {
 			for ; m != 0; m &= m - 1 {
 				l.counts[wd<<6+bits.TrailingZeros64(m)][vp] = 0
 			}
+			row[wd] = 0
 		}
 	}
-	clear(l.occ)
+	l.touched = l.touched[:0]
 	for k := 0; k+1 < len(offs); k++ {
 		counts := l.counts[k]
 		bit := uint64(1) << (uint(k) & 63)
@@ -438,7 +444,24 @@ func (l *cohortLayout) count(lk *part.Lookup, w []graph.VID, offs []uint64) {
 		for _, v := range w[offs[k]:offs[k+1]] {
 			vp := lk.VPOf(v)
 			counts[vp]++
-			l.occ[vp*l.words+wd] |= bit
+			if cell := &l.occ[vp*l.words+wd]; *cell&bit == 0 {
+				// First walker of cohort k here: record the partition if
+				// no earlier cohort did.
+				if !l.rowSet(vp) {
+					l.touched = append(l.touched, int32(vp))
+				}
+				*cell |= bit
+			}
 		}
 	}
+}
+
+// rowSet reports whether any cohort has walkers in partition vp yet.
+func (l *cohortLayout) rowSet(vp int) bool {
+	for _, m := range l.occ[vp*l.words : (vp+1)*l.words] {
+		if m != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,25 +52,27 @@ func TestRunMixedSingleCohortMatchesRunSeeded(t *testing.T) {
 		{"pagerank", algo.PageRankWalk(0.85)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			solo := newEngine(t, g, tc.spec, cfg)
-			defer solo.Close()
-			ref := seededRun(t, solo, 77, 400, 6)
+			onBothPaths(t, func(t *testing.T) {
+				solo := newEngine(t, g, tc.spec, cfg)
+				defer solo.Close()
+				ref := seededRun(t, solo, 77, 400, 6)
 
-			// The mixed host deliberately uses a different primary spec:
-			// cohort kernels must come from the cohort's spec, not the
-			// build's.
-			host := newEngine(t, g, algo.DeepWalk(), cfg)
-			defer host.Close()
-			res := mixedRun(t, host, []Cohort{
-				{Spec: tc.spec, Walkers: 400, Steps: 6, Seed: 77},
+				// The mixed host deliberately uses a different primary spec:
+				// cohort kernels must come from the cohort's spec, not the
+				// build's.
+				host := newEngine(t, g, algo.DeepWalk(), cfg)
+				defer host.Close()
+				res := mixedRun(t, host, []Cohort{
+					{Spec: tc.spec, Walkers: 400, Steps: 6, Seed: 77},
+				})
+				if !historiesEqual(ref.History, res.Cohorts[0].History) {
+					t.Fatal("single-cohort mixed run diverged from solo RunSeeded")
+				}
+				if res.TotalSteps != ref.TotalSteps || res.Walkers != ref.Walkers {
+					t.Fatalf("accounting mismatch: mixed %d/%d vs solo %d/%d",
+						res.Walkers, res.TotalSteps, ref.Walkers, ref.TotalSteps)
+				}
 			})
-			if !historiesEqual(ref.History, res.Cohorts[0].History) {
-				t.Fatal("single-cohort mixed run diverged from solo RunSeeded")
-			}
-			if res.TotalSteps != ref.TotalSteps || res.Walkers != ref.Walkers {
-				t.Fatalf("accounting mismatch: mixed %d/%d vs solo %d/%d",
-					res.Walkers, res.TotalSteps, ref.Walkers, ref.TotalSteps)
-			}
 		})
 	}
 }
@@ -80,41 +83,43 @@ func TestRunMixedSingleCohortMatchesRunSeeded(t *testing.T) {
 // bitwise-identical alone, co-batched with same-algorithm cohorts, and
 // co-batched with different-algorithm cohorts of different lengths.
 func TestRunMixedCohortInvariance(t *testing.T) {
-	g := undirectedTestGraph(t, 600, 3)
-	e := newEngine(t, g, algo.DeepWalk(), mixedTestConfig())
-	defer e.Close()
+	onBothPaths(t, func(t *testing.T) {
+		g := undirectedTestGraph(t, 600, 3)
+		e := newEngine(t, g, algo.DeepWalk(), mixedTestConfig())
+		defer e.Close()
 
-	probe := Cohort{Spec: algo.DeepWalk(), Walkers: 300, Steps: 5, Seed: 99}
-	alone := mixedRun(t, e, []Cohort{probe})
+		probe := Cohort{Spec: algo.DeepWalk(), Walkers: 300, Steps: 5, Seed: 99}
+		alone := mixedRun(t, e, []Cohort{probe})
 
-	sameAlgo := mixedRun(t, e, []Cohort{
-		{Spec: algo.DeepWalk(), Walkers: 128, Steps: 5, Seed: 1},
-		probe,
-		{Spec: algo.DeepWalk(), Walkers: 64, Steps: 5, Seed: 2},
+		sameAlgo := mixedRun(t, e, []Cohort{
+			{Spec: algo.DeepWalk(), Walkers: 128, Steps: 5, Seed: 1},
+			probe,
+			{Spec: algo.DeepWalk(), Walkers: 64, Steps: 5, Seed: 2},
+		})
+		if !historiesEqual(alone.Cohorts[0].History, sameAlgo.Cohorts[1].History) {
+			t.Fatal("cohort perturbed by same-algorithm neighbors")
+		}
+
+		mixedAlgo := mixedRun(t, e, []Cohort{
+			{Spec: algo.Node2Vec(4, 0.25), Walkers: 128, Steps: 8, Seed: 3},
+			probe,
+			{Spec: algo.PageRankWalk(0.85), Walkers: 64, Steps: 3, Seed: 4},
+			{Spec: algo.SelfAvoiding(3, 5, 0.001), Walkers: 32, Steps: 5, Seed: 5},
+		})
+		if !historiesEqual(alone.Cohorts[0].History, mixedAlgo.Cohorts[1].History) {
+			t.Fatal("cohort perturbed by different-algorithm neighbors")
+		}
+
+		// And the neighbors themselves reproduce when run alone.
+		n2vAlone := mixedRun(t, e, []Cohort{{Spec: algo.Node2Vec(4, 0.25), Walkers: 128, Steps: 8, Seed: 3}})
+		if !historiesEqual(n2vAlone.Cohorts[0].History, mixedAlgo.Cohorts[0].History) {
+			t.Fatal("node2vec cohort perturbed by co-batched cohorts")
+		}
+		sawAlone := mixedRun(t, e, []Cohort{{Spec: algo.SelfAvoiding(3, 5, 0.001), Walkers: 32, Steps: 5, Seed: 5}})
+		if !historiesEqual(sawAlone.Cohorts[0].History, mixedAlgo.Cohorts[3].History) {
+			t.Fatal("order-k cohort perturbed by co-batched cohorts")
+		}
 	})
-	if !historiesEqual(alone.Cohorts[0].History, sameAlgo.Cohorts[1].History) {
-		t.Fatal("cohort perturbed by same-algorithm neighbors")
-	}
-
-	mixedAlgo := mixedRun(t, e, []Cohort{
-		{Spec: algo.Node2Vec(4, 0.25), Walkers: 128, Steps: 8, Seed: 3},
-		probe,
-		{Spec: algo.PageRankWalk(0.85), Walkers: 64, Steps: 3, Seed: 4},
-		{Spec: algo.SelfAvoiding(3, 5, 0.001), Walkers: 32, Steps: 5, Seed: 5},
-	})
-	if !historiesEqual(alone.Cohorts[0].History, mixedAlgo.Cohorts[1].History) {
-		t.Fatal("cohort perturbed by different-algorithm neighbors")
-	}
-
-	// And the neighbors themselves reproduce when run alone.
-	n2vAlone := mixedRun(t, e, []Cohort{{Spec: algo.Node2Vec(4, 0.25), Walkers: 128, Steps: 8, Seed: 3}})
-	if !historiesEqual(n2vAlone.Cohorts[0].History, mixedAlgo.Cohorts[0].History) {
-		t.Fatal("node2vec cohort perturbed by co-batched cohorts")
-	}
-	sawAlone := mixedRun(t, e, []Cohort{{Spec: algo.SelfAvoiding(3, 5, 0.001), Walkers: 32, Steps: 5, Seed: 5}})
-	if !historiesEqual(sawAlone.Cohorts[0].History, mixedAlgo.Cohorts[3].History) {
-		t.Fatal("order-k cohort perturbed by co-batched cohorts")
-	}
 }
 
 // TestRunMixedRaggedRetirement pins the shrinking-sweep behavior: cohorts
@@ -123,65 +128,69 @@ func TestRunMixedCohortInvariance(t *testing.T) {
 // results come back in caller order despite the longest-first execution
 // order.
 func TestRunMixedRaggedRetirement(t *testing.T) {
-	g := undirectedTestGraph(t, 600, 3)
-	e := newEngine(t, g, algo.DeepWalk(), mixedTestConfig())
-	defer e.Close()
+	onBothPaths(t, func(t *testing.T) {
+		g := undirectedTestGraph(t, 600, 3)
+		e := newEngine(t, g, algo.DeepWalk(), mixedTestConfig())
+		defer e.Close()
 
-	cohorts := []Cohort{
-		{Spec: algo.DeepWalk(), Walkers: 64, Steps: 1, Seed: 10},
-		{Spec: algo.DeepWalk(), Walkers: 128, Steps: 7, Seed: 11},
-		{Spec: algo.DeepWalk(), Walkers: 96, Steps: 3, Seed: 12},
-	}
-	res := mixedRun(t, e, cohorts)
-	var total uint64
-	for i, c := range cohorts {
-		got := res.Cohorts[i]
-		if got.Walkers != c.Walkers || got.Steps != c.Steps {
-			t.Fatalf("cohort %d came back as %d walkers/%d steps, want %d/%d",
-				i, got.Walkers, got.Steps, c.Walkers, c.Steps)
+		cohorts := []Cohort{
+			{Spec: algo.DeepWalk(), Walkers: 64, Steps: 1, Seed: 10},
+			{Spec: algo.DeepWalk(), Walkers: 128, Steps: 7, Seed: 11},
+			{Spec: algo.DeepWalk(), Walkers: 96, Steps: 3, Seed: 12},
 		}
-		if got.History.NumSteps() != c.Steps+1 {
-			t.Fatalf("cohort %d history has %d positions, want %d",
-				i, got.History.NumSteps(), c.Steps+1)
+		res := mixedRun(t, e, cohorts)
+		var total uint64
+		for i, c := range cohorts {
+			got := res.Cohorts[i]
+			if got.Walkers != c.Walkers || got.Steps != c.Steps {
+				t.Fatalf("cohort %d came back as %d walkers/%d steps, want %d/%d",
+					i, got.Walkers, got.Steps, c.Walkers, c.Steps)
+			}
+			if got.History.NumSteps() != c.Steps+1 {
+				t.Fatalf("cohort %d history has %d positions, want %d",
+					i, got.History.NumSteps(), c.Steps+1)
+			}
+			solo := mixedRun(t, e, []Cohort{c})
+			if !historiesEqual(solo.Cohorts[0].History, got.History) {
+				t.Fatalf("cohort %d diverged from its solo run under ragged retirement", i)
+			}
+			total += got.TotalSteps
 		}
-		solo := mixedRun(t, e, []Cohort{c})
-		if !historiesEqual(solo.Cohorts[0].History, got.History) {
-			t.Fatalf("cohort %d diverged from its solo run under ragged retirement", i)
+		if res.TotalSteps != total {
+			t.Fatalf("TotalSteps = %d, want %d", res.TotalSteps, total)
 		}
-		total += got.TotalSteps
-	}
-	if res.TotalSteps != total {
-		t.Fatalf("TotalSteps = %d, want %d", res.TotalSteps, total)
-	}
+	})
 }
 
 // TestRunMixedWorkerCountInvariance demands identical mixed trajectories
 // across worker counts — the work-item seeding discipline extended to
 // per-cohort items.
 func TestRunMixedWorkerCountInvariance(t *testing.T) {
-	g := undirectedTestGraph(t, 600, 3)
-	cohorts := []Cohort{
-		{Spec: algo.DeepWalk(), Walkers: 200, Steps: 5, Seed: 21},
-		{Spec: algo.Node2Vec(2, 0.5), Walkers: 100, Steps: 4, Seed: 22},
-		{Spec: algo.PageRankWalk(0.85), Walkers: 50, Steps: 3, Seed: 23},
-	}
-	var ref *MixedResult
-	for _, workers := range []int{1, 3, 7} {
-		cfg := mixedTestConfig()
-		cfg.Workers = workers
-		e := newEngine(t, g, algo.DeepWalk(), cfg)
-		res := mixedRun(t, e, cohorts)
-		e.Close()
-		if ref == nil {
-			ref = res
-			continue
+	onBothPaths(t, func(t *testing.T) {
+		g := undirectedTestGraph(t, 600, 3)
+		cohorts := []Cohort{
+			{Spec: algo.DeepWalk(), Walkers: 200, Steps: 5, Seed: 21},
+			{Spec: algo.Node2Vec(2, 0.5), Walkers: 100, Steps: 4, Seed: 22},
+			{Spec: algo.PageRankWalk(0.85), Walkers: 50, Steps: 3, Seed: 23},
 		}
-		for i := range cohorts {
-			if !historiesEqual(ref.Cohorts[i].History, res.Cohorts[i].History) {
-				t.Fatalf("cohort %d diverged at %d workers", i, workers)
+		var ref *MixedResult
+		for _, workers := range []int{1, 3, 7} {
+			cfg := mixedTestConfig()
+			cfg.Workers = workers
+			e := newEngine(t, g, algo.DeepWalk(), cfg)
+			res := mixedRun(t, e, cohorts)
+			e.Close()
+			if ref == nil {
+				ref = res
+				continue
+			}
+			for i := range cohorts {
+				if !historiesEqual(ref.Cohorts[i].History, res.Cohorts[i].History) {
+					t.Fatalf("cohort %d diverged at %d workers", i, workers)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestRunMixedErrors covers the validation surface: empty cohort lists,
@@ -266,5 +275,46 @@ func TestRunMixedMetrics(t *testing.T) {
 	}
 	if byLabel["node2vec"] != 50*2 {
 		t.Fatalf("node2vec cohort steps = %d, want %d", byLabel["node2vec"], 50*2)
+	}
+}
+
+// BenchmarkSparseMixedWave measures serving-sized mixed waves on a plan
+// of over 1,500 partitions: two cohorts (DeepWalk and node2vec) of 1 or
+// 128 walkers each, 32 steps, on a 2-worker engine. Such a wave occupies
+// a handful of partitions, so its cost is the per-step bookkeeping and
+// dispatch rather than walker work; ns/step is what one step of it costs.
+func BenchmarkSparseMixedWave(b *testing.B) {
+	g := undirectedTestGraph(b, 60000, 5)
+	e, err := New(g, algo.DeepWalk(), Config{Workers: 2, Seed: 1, Planner: PlannerUniformDS})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if n := e.Plan().NumVPs(); n < 1500 {
+		b.Fatalf("plan has %d partitions, want at least 1500", n)
+	}
+	const steps = 32
+	for _, walkers := range []uint64{1, 128} {
+		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
+			s, err := e.NewSession(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			cohorts := []Cohort{
+				{Spec: algo.DeepWalk(), Walkers: walkers, Steps: steps, Seed: 1},
+				{Spec: algo.Node2Vec(2, 0.5), Walkers: walkers, Steps: steps, Seed: 2},
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.RunMixed(cohorts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			wave := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(wave, "ns/wave")
+			b.ReportMetric(wave/steps, "ns/step")
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"flashmob/internal/graph"
 	"flashmob/internal/obs"
+	"flashmob/internal/pool"
 	"flashmob/internal/rng"
 	"flashmob/internal/walk"
 )
@@ -332,10 +333,12 @@ func (t *sampleTask) RunShard(_, worker, _ int) {
 }
 
 // run executes one sample stage over the shuffled walkers sw: build the
-// work-item list, then let pool workers claim items off the shared
-// counter. cxs and prefixes are the active cohorts' sampling contexts and
-// folded per-step seed prefixes, in walker-array order. A single cohort
-// owns every partition chunk whole; with several, lay locates each
+// work-item list from the shuffle's occupied-partition chunks, then let
+// pool workers claim items off the shared counter — or, for a step small
+// enough to run inline (walk.RunsInline), claim them all on the calling
+// goroutine. cxs and prefixes are the active cohorts' sampling contexts
+// and folded per-step seed prefixes, in walker-array order. A single
+// cohort owns every partition chunk whole; with several, lay locates each
 // cohort's subrange of each chunk — the shuffle is stable, so a cohort's
 // walkers are contiguous in every chunk. The lay.occ bitmask narrows the
 // per-partition cohort scan to the cohorts present; set bits are visited
@@ -344,15 +347,12 @@ func (t *sampleTask) RunShard(_, worker, _ int) {
 // Sub-shard boundaries are cut from each subrange's start, so a cohort's
 // (partition, sub-shard) items — and their seeds — are the same whether
 // it runs alone, beside other cohorts, or as one shard's local walkers.
-func (t *sampleTask) run(vpStart []uint64, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) {
+func (t *sampleTask) run(chunks []walk.Chunk, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) {
 	e := t.s.e
 	items := t.items[:0]
 	subShards := 0
-	for vp := 0; vp < e.plan.NumVPs(); vp++ {
-		lo, hi := vpStart[vp], vpStart[vp+1]
-		if lo == hi {
-			continue
-		}
+	for _, c := range chunks {
+		vp, lo, hi := c.VP, c.Lo, c.Hi
 		if len(cxs) == 1 {
 			items = cutChunk(items, &subShards, cxs[0], prefixes[0], vp, lo, hi)
 			continue
@@ -371,12 +371,17 @@ func (t *sampleTask) run(vpStart []uint64, sw []graph.VID, auxSW [][]graph.VID, 
 	t.sw, t.auxSW = sw, auxSW
 	t.vpSteps = vpSteps
 	t.next.Store(-1)
+	var ctx context.Context
+	var pm *obs.PoolMetrics
 	if m := t.m; m != nil {
 		m.sampleItems.Observe(uint64(len(items)))
 		m.sampleSubShards.Add(uint64(subShards))
-		e.pool.Submit(t, 0, m.sampleCtx, m.pool)
+		ctx, pm = m.sampleCtx, m.pool
+	}
+	if walk.RunsInline(len(sw)) {
+		pool.Inline(t, 0, ctx, pm)
 	} else {
-		e.pool.Submit(t, 0, nil, nil)
+		e.pool.Submit(t, 0, ctx, pm)
 	}
 	t.sw, t.auxSW = nil, nil
 	t.vpSteps = nil

@@ -8,6 +8,7 @@ import (
 
 	"flashmob/internal/algo"
 	"flashmob/internal/part"
+	"flashmob/internal/walk"
 )
 
 // TestConcurrentRunsMatchSerial is the Engine/Session split's core
@@ -17,41 +18,43 @@ import (
 // item derives its RNG stream from (seed, episode, step, vp, sub), so
 // interleaving sessions on the shared pool cannot perturb any of them.
 func TestConcurrentRunsMatchSerial(t *testing.T) {
-	g := undirectedTestGraph(t, 600, 3)
-	for _, planner := range []PlannerKind{PlannerMCKP, PlannerUniformPS} {
-		cfg := Config{
-			Workers: 4, Seed: 11, Planner: planner, RecordHistory: true,
-			Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1},
-		}
-		e := newEngine(t, g, algo.DeepWalk(), cfg)
-
-		serial, err := e.Run(500, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		const sessions = 6
-		results := make([]*Result, sessions)
-		errs := make([]error, sessions)
-		var wg sync.WaitGroup
-		for i := 0; i < sessions; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = e.Run(500, 4)
-			}(i)
-		}
-		wg.Wait()
-		for i := 0; i < sessions; i++ {
-			if errs[i] != nil {
-				t.Fatalf("concurrent run %d: %v", i, errs[i])
+	onBothPaths(t, func(t *testing.T) {
+		g := undirectedTestGraph(t, 600, 3)
+		for _, planner := range []PlannerKind{PlannerMCKP, PlannerUniformPS} {
+			cfg := Config{
+				Workers: 4, Seed: 11, Planner: planner, RecordHistory: true,
+				Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1},
 			}
-			if !historiesEqual(serial.History, results[i].History) {
-				t.Fatalf("planner %d: concurrent run %d diverged from the serial run", planner, i)
+			e := newEngine(t, g, algo.DeepWalk(), cfg)
+
+			serial, err := e.Run(500, 4)
+			if err != nil {
+				t.Fatal(err)
 			}
+
+			const sessions = 6
+			results := make([]*Result, sessions)
+			errs := make([]error, sessions)
+			var wg sync.WaitGroup
+			for i := 0; i < sessions; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i], errs[i] = e.Run(500, 4)
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < sessions; i++ {
+				if errs[i] != nil {
+					t.Fatalf("concurrent run %d: %v", i, errs[i])
+				}
+				if !historiesEqual(serial.History, results[i].History) {
+					t.Fatalf("planner %d: concurrent run %d diverged from the serial run", planner, i)
+				}
+			}
+			e.Close()
 		}
-		e.Close()
-	}
+	})
 }
 
 // TestConcurrentRunsSecondOrder repeats the concurrent-vs-serial check on
@@ -271,6 +274,72 @@ func TestConcurrentRunsWithMetrics(t *testing.T) {
 	}
 	if walkers != sessions*200 {
 		t.Fatalf("aggregate core_walkers_total = %d, want %d", walkers, sessions*200)
+	}
+}
+
+// TestConcurrentSparseMixedWaves runs serving-sized mixed waves from
+// several sessions on one engine at once. A wave below the inline cutoff
+// runs every phase on its own goroutine, outside the pool's serialized
+// submissions, so only per-session state keeps concurrent waves apart;
+// the larger waves mixed in take the pooled path beside them. Every wave
+// must be bitwise-identical to the same wave run alone. CI repeats it
+// under the race detector.
+func TestConcurrentSparseMixedWaves(t *testing.T) {
+	defer func(old int) { walk.InlineCutoff = old }(walk.InlineCutoff)
+	walk.InlineCutoff = 256
+
+	g := undirectedTestGraph(t, 600, 3)
+	cfg := mixedTestConfig()
+	cfg.Metrics = true
+	e := newEngine(t, g, algo.DeepWalk(), cfg)
+	defer e.Close()
+	wave := func(i int) []Cohort {
+		seed := uint64(100 + 3*i)
+		walkers := uint64(1 + i%3)
+		if i%4 == 3 {
+			walkers = 300 // above the cutoff: the pooled path
+		}
+		return []Cohort{
+			{Spec: algo.DeepWalk(), Walkers: walkers, Steps: 6, Seed: seed},
+			{Spec: algo.Node2Vec(2, 0.5), Walkers: walkers, Steps: 4, Seed: seed + 1},
+			{Spec: algo.PageRankWalk(0.85), Walkers: 1 + walkers/2, Steps: 5, Seed: seed + 2},
+		}
+	}
+
+	const sessions, waves = 6, 4
+	serial := make([]*MixedResult, sessions*waves)
+	for i := range serial {
+		serial[i] = mixedRun(t, e, wave(i))
+	}
+	got := make([]*MixedResult, len(serial))
+	errs := make([]error, len(serial))
+	var wg sync.WaitGroup
+	for si := 0; si < sessions; si++ {
+		wg.Add(1)
+		go func(si int) {
+			defer wg.Done()
+			s, err := e.NewSession(context.Background())
+			if err != nil {
+				errs[si*waves] = err
+				return
+			}
+			defer s.Close()
+			for k := 0; k < waves; k++ {
+				i := si*waves + k
+				got[i], errs[i] = s.RunMixed(wave(i))
+			}
+		}(si)
+	}
+	wg.Wait()
+	for i := range serial {
+		if errs[i] != nil {
+			t.Fatalf("wave %d: %v", i, errs[i])
+		}
+		for c := range serial[i].Cohorts {
+			if !historiesEqual(serial[i].Cohorts[c].History, got[i].Cohorts[c].History) {
+				t.Fatalf("wave %d cohort %d diverged from its serial run", i, c)
+			}
+		}
 	}
 }
 

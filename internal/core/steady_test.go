@@ -36,184 +36,190 @@ func TestInitEdgeUniformMatchesBinarySearch(t *testing.T) {
 // TestEngineSteadyStateStepCost verifies the acceptance criterion on the
 // full engine: once an episode is warm, extra steps cost zero heap
 // allocations and zero net goroutines — every stage runs on the
-// persistent pool with reused scratch. Solo runs, ragged mixed runs and
-// a bare Stepper loop are each held to it.
+// persistent pool (or inline on the caller) with reused scratch. Solo
+// runs, ragged mixed runs and a bare Stepper loop are each held to it,
+// on both step paths.
 func TestEngineSteadyStateStepCost(t *testing.T) {
-	g := undirectedTestGraph(t, 400, 22)
-	e := newEngine(t, g, algo.DeepWalk(), Config{
-		Workers: 4,
-		Seed:    7,
-		Part:    part.Config{TargetGroups: 16},
-	})
-	defer e.Close()
+	onBothPaths(t, func(t *testing.T) {
+		g := undirectedTestGraph(t, 400, 22)
+		e := newEngine(t, g, algo.DeepWalk(), Config{
+			Workers: 4,
+			Seed:    7,
+			Part:    part.Config{TargetGroups: 16},
+		})
+		defer e.Close()
 
-	mallocsFor := func(steps int) uint64 {
-		// One throwaway run warms every lazily-sized buffer.
-		if _, err := e.Run(2000, steps); err != nil {
+		mallocsFor := func(steps int) uint64 {
+			// One throwaway run warms every lazily-sized buffer.
+			if _, err := e.Run(2000, steps); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := e.Run(2000, steps); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+
+		short := mallocsFor(2)
+		long := mallocsFor(42)
+		// Per-episode setup allocates (walker arrays, RNG streams); the 40
+		// extra steps must not. Allow a little noise from the runtime itself.
+		const slack = 20
+		if long > short+slack {
+			t.Errorf("42-step run allocated %d objects vs %d for 2 steps: ~%.1f allocs per extra step, want 0",
+				long, short, float64(long-short)/40)
+		}
+
+		// Goroutine count must stay flat across the step loop: the pool is
+		// created with the engine, so steps spawn nothing.
+		var counts []int
+		e.cfg.StepSink = func(step int, cur, next []graph.VID) {
+			counts = append(counts, runtime.NumGoroutine())
+		}
+		if _, err := e.Run(2000, 12); err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := e.Run(2000, steps); err != nil {
-			t.Fatal(err)
+		e.cfg.StepSink = nil
+		for i := 1; i < len(counts); i++ {
+			if counts[i] != counts[0] {
+				t.Fatalf("goroutine count drifted during step loop: %v", counts)
+			}
 		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
 
-	short := mallocsFor(2)
-	long := mallocsFor(42)
-	// Per-episode setup allocates (walker arrays, RNG streams); the 40
-	// extra steps must not. Allow a little noise from the runtime itself.
-	const slack = 20
-	if long > short+slack {
-		t.Errorf("42-step run allocated %d objects vs %d for 2 steps: ~%.1f allocs per extra step, want 0",
-			long, short, float64(long-short)/40)
-	}
-
-	// Goroutine count must stay flat across the step loop: the pool is
-	// created with the engine, so steps spawn nothing.
-	var counts []int
-	e.cfg.StepSink = func(step int, cur, next []graph.VID) {
-		counts = append(counts, runtime.NumGoroutine())
-	}
-	if _, err := e.Run(2000, 12); err != nil {
-		t.Fatal(err)
-	}
-	e.cfg.StepSink = nil
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Fatalf("goroutine count drifted during step loop: %v", counts)
+		// The same holds for a ragged multi-cohort mixed run — retirements
+		// shrink the sweep in place and the per-step cohort layout is reused —
+		// and for a bare Stepper loop, the sharded topology's driver. Their
+		// allocation counts are taken on one worker: per-worker sample
+		// scratch grows to the largest chunk a worker has claimed, which
+		// depends on claim order when several workers share the items.
+		one := newEngine(t, g, algo.DeepWalk(), Config{
+			Workers: 1,
+			Seed:    7,
+			Part:    part.Config{TargetGroups: 16},
+		})
+		defer one.Close()
+		mixed := func(scale int) []Cohort {
+			return []Cohort{
+				{Spec: algo.DeepWalk(), Walkers: 900, Steps: 2 * scale, Seed: 1},
+				{Spec: algo.Node2Vec(2, 0.5), Walkers: 500, Steps: scale, Seed: 2},
+				{Spec: algo.PageRankWalk(0.85), Walkers: 600, Steps: scale + scale/2, Seed: 3},
+			}
 		}
-	}
-
-	// The same holds for a ragged multi-cohort mixed run — retirements
-	// shrink the sweep in place and the per-step cohort layout is reused —
-	// and for a bare Stepper loop, the sharded topology's driver. Their
-	// allocation counts are taken on one worker: per-worker sample
-	// scratch grows to the largest chunk a worker has claimed, which
-	// depends on claim order when several workers share the items.
-	one := newEngine(t, g, algo.DeepWalk(), Config{
-		Workers: 1,
-		Seed:    7,
-		Part:    part.Config{TargetGroups: 16},
-	})
-	defer one.Close()
-	mixed := func(scale int) []Cohort {
-		return []Cohort{
-			{Spec: algo.DeepWalk(), Walkers: 900, Steps: 2 * scale, Seed: 1},
-			{Spec: algo.Node2Vec(2, 0.5), Walkers: 500, Steps: scale, Seed: 2},
-			{Spec: algo.PageRankWalk(0.85), Walkers: 600, Steps: scale + scale/2, Seed: 3},
-		}
-	}
-	// One held session, so the warm-up run and the measured run share
-	// their pooled cohort state (the engine's session pool may drop an
-	// idle session at a GC).
-	held, err := one.NewSession(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer held.Close()
-	mixedMallocs := func(scale int) uint64 {
-		if _, err := held.RunMixed(mixed(scale)); err != nil {
-			t.Fatal(err)
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := held.RunMixed(mixed(scale)); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
-	short, long = mixedMallocs(2), mixedMallocs(42)
-	if long > short+slack {
-		t.Errorf("ragged mixed run: %d objects at 84 steps vs %d at 4: ~%.1f allocs per extra step, want 0",
-			long, short, float64(long-short)/80)
-	}
-	counts = counts[:0]
-	e.cfg.StepSink = func(step int, cur, next []graph.VID) {
-		counts = append(counts, runtime.NumGoroutine())
-	}
-	if _, err := e.RunMixed(mixed(6)); err != nil {
-		t.Fatal(err)
-	}
-	e.cfg.StepSink = nil
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Fatalf("goroutine count drifted during mixed step loop: %v", counts)
-		}
-	}
-
-	spec := algo.Node2Vec(2, 0.5)
-	stepperLoop := func(s *Session, steps int, measure bool) (mallocs uint64, goroutines []int) {
-		st, err := s.NewStepper(2000, AuxChannelsFor(&spec), 1)
+		// One held session, so the warm-up run and the measured run share
+		// their pooled cohort state (the engine's session pool may drop an
+		// idle session at a GC).
+		held, err := one.NewSession(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.BindCohort(0, &spec); err != nil {
-			t.Fatal(err)
-		}
-		w, wNext := make([]graph.VID, 2000), make([]graph.VID, 2000)
-		s.e.InitWalkersSeeded(9, w)
-		aux := [][]graph.VID{append([]graph.VID(nil), w...)}
-		auxNext := [][]graph.VID{make([]graph.VID, 2000)}
-		var before, after runtime.MemStats
-		for step := 0; step < steps; step++ {
-			if step == 2 && measure {
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-			}
-			if err := st.Step(0, 9, step, w, wNext, aux, auxNext); err != nil {
+		defer held.Close()
+		mixedMallocs := func(scale int) uint64 {
+			if _, err := held.RunMixed(mixed(scale)); err != nil {
 				t.Fatal(err)
 			}
-			w, wNext = wNext, w
-			aux, auxNext = auxNext, aux
-			goroutines = append(goroutines, runtime.NumGoroutine())
-		}
-		if measure {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := held.RunMixed(mixed(scale)); err != nil {
+				t.Fatal(err)
+			}
 			runtime.ReadMemStats(&after)
-			mallocs = after.Mallocs - before.Mallocs
+			return after.Mallocs - before.Mallocs
 		}
-		return mallocs, goroutines
-	}
-	stepperLoop(held, 42, false) // replays the measured loop's chunk sizes
-	if n, _ := stepperLoop(held, 42, true); n > slack {
-		t.Errorf("40 warm stepper steps allocated %d objects, want 0", n)
-	}
-	s, err := e.NewSession(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	_, counts = stepperLoop(s, 12, false)
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Fatalf("goroutine count drifted across stepper steps: %v", counts)
+		short, long = mixedMallocs(2), mixedMallocs(42)
+		if long > short+slack {
+			t.Errorf("ragged mixed run: %d objects at 84 steps vs %d at 4: ~%.1f allocs per extra step, want 0",
+				long, short, float64(long-short)/80)
 		}
-	}
+		counts = counts[:0]
+		e.cfg.StepSink = func(step int, cur, next []graph.VID) {
+			counts = append(counts, runtime.NumGoroutine())
+		}
+		if _, err := e.RunMixed(mixed(6)); err != nil {
+			t.Fatal(err)
+		}
+		e.cfg.StepSink = nil
+		for i := 1; i < len(counts); i++ {
+			if counts[i] != counts[0] {
+				t.Fatalf("goroutine count drifted during mixed step loop: %v", counts)
+			}
+		}
+
+		spec := algo.Node2Vec(2, 0.5)
+		stepperLoop := func(s *Session, steps int, measure bool) (mallocs uint64, goroutines []int) {
+			st, err := s.NewStepper(2000, AuxChannelsFor(&spec), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.BindCohort(0, &spec); err != nil {
+				t.Fatal(err)
+			}
+			w, wNext := make([]graph.VID, 2000), make([]graph.VID, 2000)
+			s.e.InitWalkersSeeded(9, w)
+			aux := [][]graph.VID{append([]graph.VID(nil), w...)}
+			auxNext := [][]graph.VID{make([]graph.VID, 2000)}
+			var before, after runtime.MemStats
+			for step := 0; step < steps; step++ {
+				if step == 2 && measure {
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+				}
+				if err := st.Step(0, 9, step, w, wNext, aux, auxNext); err != nil {
+					t.Fatal(err)
+				}
+				w, wNext = wNext, w
+				aux, auxNext = auxNext, aux
+				goroutines = append(goroutines, runtime.NumGoroutine())
+			}
+			if measure {
+				runtime.ReadMemStats(&after)
+				mallocs = after.Mallocs - before.Mallocs
+			}
+			return mallocs, goroutines
+		}
+		stepperLoop(held, 42, false) // replays the measured loop's chunk sizes
+		if n, _ := stepperLoop(held, 42, true); n > slack {
+			t.Errorf("40 warm stepper steps allocated %d objects, want 0", n)
+		}
+		s, err := e.NewSession(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		_, counts = stepperLoop(s, 12, false)
+		for i := 1; i < len(counts); i++ {
+			if counts[i] != counts[0] {
+				t.Fatalf("goroutine count drifted across stepper steps: %v", counts)
+			}
+		}
+	})
 }
 
 // TestEngineRaceMultiWorker exercises the pooled pipeline — shuffle
 // phases, parallel inner shuffle, sample stage — with many workers and
 // aux channels so `go test -race` can check the barriers. Also serves as
-// a correctness smoke test for walks produced through the pooled path.
+// a correctness smoke test for walks produced through the pooled path,
+// and through the inline path beside it.
 func TestEngineRaceMultiWorker(t *testing.T) {
-	g := undirectedTestGraph(t, 300, 23)
-	for _, spec := range []algo.Spec{algo.DeepWalk(), algo.Node2Vec(2, 0.5)} {
-		e := newEngine(t, g, spec, Config{
-			Workers:       8,
-			Seed:          11,
-			RecordHistory: true,
-			Part:          part.Config{TargetGroups: 16},
-		})
-		res, err := e.Run(4000, 6)
-		if err != nil {
-			t.Fatal(err)
+	onBothPaths(t, func(t *testing.T) {
+		g := undirectedTestGraph(t, 300, 23)
+		for _, spec := range []algo.Spec{algo.DeepWalk(), algo.Node2Vec(2, 0.5)} {
+			e := newEngine(t, g, spec, Config{
+				Workers:       8,
+				Seed:          11,
+				RecordHistory: true,
+				Part:          part.Config{TargetGroups: 16},
+			})
+			res, err := e.Run(4000, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPathsAreWalks(t, g, res.History)
+			e.Close()
 		}
-		checkPathsAreWalks(t, g, res.History)
-		e.Close()
-	}
+	})
 }

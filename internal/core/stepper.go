@@ -215,7 +215,7 @@ func (st *Stepper) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []
 		return err
 	}
 	t1 := time.Now()
-	s.sample.run(st.shuffler.VPStart(), sw, views, st.vpSteps, cxs, prefixes, lay)
+	s.sample.run(st.shuffler.Chunks(), sw, views, st.vpSteps, cxs, prefixes, lay)
 	t2 := time.Now()
 	if err := st.shuffler.ReverseMulti(w, sw, wNext, views, auxNext); err != nil {
 		return err

@@ -74,25 +74,27 @@ func TestStepperMatchesRunSeeded(t *testing.T) {
 		{"pagerank", algo.PageRankWalk(0.85)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(t, g, tc.spec, cfg)
-			defer e.Close()
-			const (
-				seed    = 4242
-				walkers = 300
-				steps   = 6
-			)
-			ref := seededRun(t, e, seed, walkers, steps)
-			rows := stepperWalk(t, e, &tc.spec, seed, walkers, steps)
-			if len(rows) != ref.History.NumSteps() {
-				t.Fatalf("stepper recorded %d rows, reference %d", len(rows), ref.History.NumSteps())
-			}
-			for i, row := range rows {
-				for j, v := range row {
-					if want := ref.History.At(i, j); v != want {
-						t.Fatalf("step %d walker %d: stepper %d, RunSeeded %d", i, j, v, want)
+			onBothPaths(t, func(t *testing.T) {
+				e := newEngine(t, g, tc.spec, cfg)
+				defer e.Close()
+				const (
+					seed    = 4242
+					walkers = 300
+					steps   = 6
+				)
+				ref := seededRun(t, e, seed, walkers, steps)
+				rows := stepperWalk(t, e, &tc.spec, seed, walkers, steps)
+				if len(rows) != ref.History.NumSteps() {
+					t.Fatalf("stepper recorded %d rows, reference %d", len(rows), ref.History.NumSteps())
+				}
+				for i, row := range rows {
+					for j, v := range row {
+						if want := ref.History.At(i, j); v != want {
+							t.Fatalf("step %d walker %d: stepper %d, RunSeeded %d", i, j, v, want)
+						}
 					}
 				}
-			}
+			})
 		})
 	}
 }

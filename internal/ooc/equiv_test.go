@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -9,7 +10,25 @@ import (
 	"flashmob/internal/algo"
 	"flashmob/internal/core"
 	"flashmob/internal/graph"
+	"flashmob/internal/walk"
 )
+
+// onBothPaths runs body as subtests "pooled" and "inline": with
+// walk.InlineCutoff at 0 every step of both engines hands its phases to
+// the worker pool, above any walker count every step runs inline.
+func onBothPaths(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	for _, path := range []struct {
+		name   string
+		cutoff int
+	}{{"pooled", 0}, {"inline", math.MaxInt}} {
+		t.Run(path.name, func(t *testing.T) {
+			defer func(old int) { walk.InlineCutoff = old }(walk.InlineCutoff)
+			walk.InlineCutoff = path.cutoff
+			body(t)
+		})
+	}
+}
 
 // coreHistory runs the in-memory engine on the ooc engine's exact plan and
 // seed and returns its recorded trajectories.
@@ -74,23 +93,25 @@ func TestOOCMatchesInMemoryEngine(t *testing.T) {
 	var ref *core.Result
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.BlockBudget = 32 << 10
-			cfg.Seed = seed
-			cfg.RecordHistory = true
-			e, err := New(gf, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			res, err := e.Run(context.Background(), walkers, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = coreHistory(t, g, e, seed, walkers, steps)
-			}
-			diffHistories(t, tc.name, res.History, ref.History)
+			onBothPaths(t, func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.BlockBudget = 32 << 10
+				cfg.Seed = seed
+				cfg.RecordHistory = true
+				e, err := New(gf, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				res, err := e.Run(context.Background(), walkers, steps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = coreHistory(t, g, e, seed, walkers, steps)
+				}
+				diffHistories(t, tc.name, res.History, ref.History)
+			})
 		})
 	}
 }
@@ -99,26 +120,28 @@ func TestOOCMatchesInMemoryEngine(t *testing.T) {
 // core.SubShardSize boundaries with per-sub-shard seeds) and checks the
 // cut discipline still matches the in-memory engine bit for bit.
 func TestOOCMatchesCoreWithSubShards(t *testing.T) {
-	old := core.SubShardSize
-	core.SubShardSize = 256
-	defer func() { core.SubShardSize = old }()
+	onBothPaths(t, func(t *testing.T) {
+		old := core.SubShardSize
+		core.SubShardSize = 256
+		defer func() { core.SubShardSize = old }()
 
-	gf, g := writeGraph(t, 1500, 33)
-	const seed, walkers, steps = 41, uint64(4000), 6
-	e, err := New(gf, Config{
-		BlockBudget: 1 << 20, Seed: seed, RecordHistory: true,
-		PrefetchDepth: 4, IOWorkers: 2, Workers: 4,
+		gf, g := writeGraph(t, 1500, 33)
+		const seed, walkers, steps = 41, uint64(4000), 6
+		e, err := New(gf, Config{
+			BlockBudget: 1 << 20, Seed: seed, RecordHistory: true,
+			PrefetchDepth: 4, IOWorkers: 2, Workers: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		res, err := e.Run(context.Background(), walkers, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := coreHistory(t, g, e, seed, walkers, steps)
+		diffHistories(t, "subshards", res.History, ref.History)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	res, err := e.Run(context.Background(), walkers, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := coreHistory(t, g, e, seed, walkers, steps)
-	diffHistories(t, "subshards", res.History, ref.History)
 }
 
 // TestOOCRingOrderedDeliveryStress hammers the prefetch ring with many

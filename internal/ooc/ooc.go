@@ -428,15 +428,16 @@ func appendItems(items []oocItem, vp int, lo, hi uint64, prefix uint64, buf []gr
 }
 
 // streamJob is one IO run of the prefetch ring: adjacent streamed
-// partitions [vp0, vp1) coalesced into a single pread of the edge range
-// [lo, hi). Coalescing decouples the IO unit from the partition
+// partitions — the shuffle's chunks [c0, c1), consecutive in partition
+// index — coalesced into a single pread of the edge range [lo, hi).
+// Coalescing decouples the IO unit from the partition
 // geometry: the plan's uniform power-of-2 cut is sized by the hub
 // partition, so a skewed graph yields thousands of KiB-scale tail
 // partitions, and one latency-bound read per partition would leave the
 // device idle between tiny transfers.
 type streamJob struct {
-	vp0, vp1 int    // partition range [vp0, vp1) covered by the run
-	lo, hi   uint64 // edge index range of the run
+	c0, c1 int    // chunk range [c0, c1) covered by the run
+	lo, hi uint64 // edge index range of the run
 }
 
 // blockLoad is one prefetched edge-block run, delivered in job order.
@@ -490,6 +491,12 @@ func (e *Engine) Run(ctx context.Context, totalWalkers uint64, steps int) (*Resu
 	}
 	task := &oocSampleTask{e: e}
 	jobs := make([]streamJob, 0, e.plan.NumVPs())
+	streamed := 0 // partitions without a resident block
+	for _, buf := range e.resident {
+		if buf == nil {
+			streamed++
+		}
+	}
 
 	if m := e.metrics; m != nil {
 		m.runs.Inc()
@@ -508,7 +515,7 @@ func (e *Engine) Run(ctx context.Context, totalWalkers uint64, steps int) (*Resu
 		if err := shuffler.Forward(w, sw, nil, nil); err != nil {
 			return nil, err
 		}
-		vpStart := shuffler.VPStart()
+		chunks := shuffler.Chunks()
 		prefix := core.SampleSeedPrefix(e.cfg.Seed, 0, st)
 
 		// Resident pass: partitions pinned in DRAM sample with no IO.
@@ -516,17 +523,14 @@ func (e *Engine) Run(ctx context.Context, totalWalkers uint64, steps int) (*Resu
 		// adjacent blocks merge until a run would outgrow a ring buffer —
 		// so each pread stays bandwidth-sized even when the partition
 		// geometry is KiB-scale. A resident or walker-free partition
-		// breaks the run (its bytes are never read).
+		// breaks the run (its bytes are never read); walker-free ones are
+		// the gaps in the chunk list's partition indexes.
 		items := task.items[:0]
 		jobs = jobs[:0]
-		open := false
-		for vp := 0; vp < e.plan.NumVPs(); vp++ {
-			lo, hi := vpStart[vp], vpStart[vp+1]
+		read := 0 // streamed partitions with walkers this step
+		for ci, c := range chunks {
+			vp, lo, hi := c.VP, c.Lo, c.Hi
 			if buf := e.resident[vp]; buf != nil {
-				open = false
-				if lo == hi {
-					continue
-				}
 				base := e.gf.Offsets[e.plan.VPs[vp].Start]
 				items = appendItems(items, vp, lo, hi, prefix, buf, base)
 				res.ResidentHits++
@@ -536,28 +540,29 @@ func (e *Engine) Run(ctx context.Context, totalWalkers uint64, steps int) (*Resu
 				}
 				continue
 			}
-			if lo == hi {
-				open = false
-				if m := e.metrics; m != nil {
-					m.skipped.Inc()
-				}
-				continue // no walkers here this step: skip the disk read
-			}
+			read++
 			vpMeta := e.plan.VPs[vp]
 			if m := e.metrics; m != nil {
 				m.residentMisses.Inc()
 			}
 			elo, ehi := e.gf.Offsets[vpMeta.Start], e.gf.Offsets[vpMeta.End]
-			if open {
-				if run := &jobs[len(jobs)-1]; ehi-run.lo <= e.ringCap {
-					run.vp1, run.hi = vp+1, ehi
+			if n := len(jobs); n > 0 {
+				// The run stays open only through consecutive streamed
+				// partitions: the previous chunk is its last and sits
+				// right before this one.
+				if run := &jobs[n-1]; run.c1 == ci && chunks[ci-1].VP == vp-1 && ehi-run.lo <= e.ringCap {
+					run.c1, run.hi = ci+1, ehi
 					continue
 				}
 			}
-			jobs = append(jobs, streamJob{vp0: vp, vp1: vp + 1, lo: elo, hi: ehi})
-			open = true
+			jobs = append(jobs, streamJob{c0: ci, c1: ci + 1, lo: elo, hi: ehi})
 		}
-		if err := e.streamStep(ctx, jobs, ring, items, task, sw, vpStart, prefix, res); err != nil {
+		if m := e.metrics; m != nil {
+			// No walkers landed in the other streamed partitions: their
+			// disk reads were skipped.
+			m.skipped.Add(uint64(streamed - read))
+		}
+		if err := e.streamStep(ctx, jobs, ring, items, task, sw, chunks, prefix, res); err != nil {
 			return nil, err
 		}
 
@@ -593,7 +598,7 @@ func (e *Engine) Run(ctx context.Context, totalWalkers uint64, steps int) (*Resu
 // workers first). residentItems (the pinned partitions' walkers) are
 // sampled after the first reads are issued, overlapping with the IO.
 func (e *Engine) streamStep(ctx context.Context, jobs []streamJob, ring [][]graph.VID,
-	residentItems []oocItem, task *oocSampleTask, sw []graph.VID, vpStart []uint64,
+	residentItems []oocItem, task *oocSampleTask, sw []graph.VID, chunks []walk.Chunk,
 	prefix uint64, res *Result) error {
 	if len(jobs) == 0 {
 		if len(residentItems) > 0 {
@@ -696,10 +701,10 @@ func (e *Engine) streamStep(ctx context.Context, jobs []streamJob, ring [][]grap
 			m.bytes.Add(blockBytes)
 			m.blockBytes.Observe(blockBytes)
 			s0 := time.Now()
-			e.sampleRun(task, load.buf, jobs[i], vpStart, sw, prefix)
+			e.sampleRun(task, load.buf, jobs[i], chunks, sw, prefix)
 			m.blockSampleNS.Observe(uint64(time.Since(s0)))
 		} else {
-			e.sampleRun(task, load.buf, jobs[i], vpStart, sw, prefix)
+			e.sampleRun(task, load.buf, jobs[i], chunks, sw, prefix)
 		}
 		bufTok[slot] <- struct{}{}
 	}
@@ -713,13 +718,10 @@ func (e *Engine) streamStep(ctx context.Context, jobs []streamJob, ring [][]grap
 // had been read one block at a time, so coalescing cannot change
 // trajectories.
 func (e *Engine) sampleRun(task *oocSampleTask, buf []graph.VID, j streamJob,
-	vpStart []uint64, sw []graph.VID, prefix uint64) {
+	chunks []walk.Chunk, sw []graph.VID, prefix uint64) {
 	items := task.items[:0]
-	for vp := j.vp0; vp < j.vp1; vp++ {
-		lo, hi := vpStart[vp], vpStart[vp+1]
-		if lo == hi {
-			continue // cannot happen by construction; guard stays cheap
-		}
+	for _, c := range chunks[j.c0:j.c1] {
+		vp, lo, hi := c.VP, c.Lo, c.Hi
 		base := e.gf.Offsets[e.plan.VPs[vp].Start]
 		end := e.gf.Offsets[e.plan.VPs[vp].End]
 		items = appendItems(items, vp, lo, hi, prefix, buf[base-j.lo:end-j.lo], base)

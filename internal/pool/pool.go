@@ -16,7 +16,9 @@
 // context applied to the workers for the duration of the phase — so
 // concurrent sessions account their pool time separately. Both are nil
 // by default and cost one nil check per phase when off. Run/RunCtx are
-// the single-owner convenience forms, paired with SetMetrics.
+// the single-owner convenience forms, paired with SetMetrics. Inline runs
+// a phase too small to be worth a handoff on the caller alone, with the
+// same accounting and labels and without touching the pool.
 package pool
 
 import (
@@ -81,8 +83,9 @@ func New(workers int) *Pool {
 
 func (p *pool) work(worker int, start <-chan struct{}) {
 	for range start {
-		if p.ctx != nil {
-			pprof.SetGoroutineLabels(p.ctx)
+		ctx := p.ctx
+		if ctx != nil {
+			pprof.SetGoroutineLabels(ctx)
 		}
 		if m := p.curM; m != nil {
 			t0 := time.Now()
@@ -90,6 +93,11 @@ func (p *pool) work(worker int, start <-chan struct{}) {
 			m.BusyNS.Add(worker, uint64(time.Since(t0)))
 		} else {
 			p.task.RunShard(p.phase, worker, p.workers)
+		}
+		if ctx != nil {
+			// A parked worker must not carry this phase's labels (or any
+			// the task set per item) into a later unlabelled phase.
+			pprof.SetGoroutineLabels(context.Background())
 		}
 		p.wg.Done()
 	}
@@ -111,8 +119,8 @@ func (p *pool) Run(t Task, phase int) { p.Submit(t, phase, nil, p.metrics) }
 
 // RunCtx is Run with a pprof label context: every worker (including the
 // caller's slot) carries ctx's labels while executing its shard, so CPU
-// profiles split by stage. The caller's own labels are restored before
-// returning; a nil ctx leaves labels untouched.
+// profiles split by stage. Every worker's labels, the caller's included,
+// are reset to none before returning; a nil ctx leaves labels untouched.
 func (p *pool) RunCtx(t Task, phase int, ctx context.Context) {
 	p.Submit(t, phase, ctx, p.metrics)
 }
@@ -128,22 +136,7 @@ func (p *pool) RunCtx(t Task, phase int, ctx context.Context) {
 // goroutines.
 func (p *pool) Submit(t Task, phase int, ctx context.Context, m *obs.PoolMetrics) {
 	if p.workers == 1 {
-		// Inline path: no shared in-flight state is touched, so
-		// single-worker submissions need no serialization.
-		if ctx != nil {
-			pprof.SetGoroutineLabels(ctx)
-		}
-		if m != nil {
-			t0 := time.Now()
-			t.RunShard(phase, 0, 1)
-			m.BusyNS.Add(0, uint64(time.Since(t0)))
-			m.Runs.Inc()
-		} else {
-			t.RunShard(phase, 0, 1)
-		}
-		if ctx != nil {
-			pprof.SetGoroutineLabels(context.Background())
-		}
+		Inline(t, phase, ctx, m)
 		return
 	}
 	p.mu.Lock()
@@ -172,6 +165,31 @@ func (p *pool) Submit(t Task, phase int, ctx context.Context, m *obs.PoolMetrics
 	}
 	p.task, p.ctx, p.curM = nil, nil, nil
 	p.mu.Unlock()
+}
+
+// Inline executes one phase of t as a single shard on the calling
+// goroutine — the one-worker form of Submit, which a pool of size 1 runs
+// for every phase. Callers whose phase is too small to pay for a handoff
+// to the workers use it directly: it touches no pool state, so inline
+// phases from concurrent sessions neither serialize on the pool nor
+// wait at its barrier. Accounting matches a pooled phase: m (if non-nil)
+// counts one run and charges the shard's time to slot 0; ctx's labels
+// (if non-nil) cover the shard and are reset to none afterwards.
+func Inline(t Task, phase int, ctx context.Context, m *obs.PoolMetrics) {
+	if ctx != nil {
+		pprof.SetGoroutineLabels(ctx)
+	}
+	if m != nil {
+		t0 := time.Now()
+		t.RunShard(phase, 0, 1)
+		m.BusyNS.Add(0, uint64(time.Since(t0)))
+		m.Runs.Inc()
+	} else {
+		t.RunShard(phase, 0, 1)
+	}
+	if ctx != nil {
+		pprof.SetGoroutineLabels(context.Background())
+	}
 }
 
 // Close releases the worker goroutines. It is idempotent; the pool must

@@ -1,10 +1,16 @@
 package pool
 
 import (
+	"bytes"
+	"context"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"flashmob/internal/obs"
 )
 
 // sumTask adds worker indices into per-worker cells, tagged by phase.
@@ -110,5 +116,68 @@ func TestZeroAndNegativeSize(t *testing.T) {
 			t.Fatalf("inline run missing: %d", task.cells[0][0])
 		}
 		p.Close()
+	}
+}
+
+// TestParkedWorkersDropPhaseLabels checks that a labelled phase's pprof
+// labels do not outlive it: after a labelled Submit and an unlabelled
+// one, no parked worker goroutine may still carry the first phase's
+// labels, or a profile would charge later unlabelled work (another
+// session's, say) to the labelled stage.
+func TestParkedWorkersDropPhaseLabels(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	task := &sumTask{cells: make([][8]uint64, 2)}
+	labelled := pprof.WithLabels(context.Background(), pprof.Labels("stage", "probe"))
+	p.Submit(task, 0, labelled, nil)
+	p.Submit(task, 0, nil, nil)
+
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, "pool.(*pool).work") {
+			continue
+		}
+		found = true
+		if strings.Contains(rec, `"stage":"probe"`) {
+			t.Fatalf("parked worker still carries the labelled phase's labels:\n%s", rec)
+		}
+	}
+	if !found {
+		t.Fatal("goroutine profile shows no pool worker")
+	}
+}
+
+// TestInlineAccountsLikeSubmit pins Inline's accounting to the pooled
+// path's: one run per phase and busy time on slot 0 only, no barrier
+// wait, on the calling goroutine as worker 0 of 1.
+func TestInlineAccountsLikeSubmit(t *testing.T) {
+	m := obs.NewPoolMetrics(obs.NewRegistry(), 4)
+	task := &sumTask{cells: make([][8]uint64, 1)}
+	labelled := pprof.WithLabels(context.Background(), pprof.Labels("stage", "probe"))
+	probe := taskFunc(func(phase, worker, workers int) {
+		if worker != 0 || workers != 1 {
+			t.Errorf("inline shard ran as worker %d of %d, want 0 of 1", worker, workers)
+		}
+		task.RunShard(phase, worker, workers)
+	})
+	Inline(probe, 3, labelled, m)
+	Inline(probe, 4, nil, m)
+	if task.cells[0][0] != 7 {
+		t.Fatalf("inline shards accumulated %d, want 7", task.cells[0][0])
+	}
+	if got := m.Runs.Value(); got != 2 {
+		t.Errorf("runs = %d, want 2", got)
+	}
+	if got := m.BarrierWaitNS.Value(); got != 0 {
+		t.Errorf("barrier wait = %d, want 0 for inline phases", got)
+	}
+	for slot := 1; slot < 4; slot++ {
+		if got := m.BusyNS.Value(slot); got != 0 {
+			t.Errorf("busy time on slot %d = %d, want 0", slot, got)
+		}
 	}
 }

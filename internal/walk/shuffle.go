@@ -22,6 +22,7 @@ package walk
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime/pprof"
 	"sync"
 
@@ -46,24 +47,74 @@ const (
 	phaseGather
 )
 
+// InlineCutoff is the walker count below which a step runs inline: the
+// shuffle passes, and the engine's sample stage through RunsInline,
+// execute every phase on the calling goroutine (pool.Inline) instead of
+// handing it to the worker pool. Below it a handoff and its barrier cost
+// more than splitting the work saves (the measured crossover is in
+// DESIGN.md). A var so tests can move it across their walker counts and
+// keep both paths covered.
+var InlineCutoff = 4096
+
+// RunsInline reports whether a step over the given number of walkers
+// runs inline (see InlineCutoff).
+func RunsInline(walkers int) bool { return walkers < InlineCutoff }
+
+// Chunk is one occupied partition after a Forward pass.
+type Chunk struct {
+	// VP is the partition's index in the plan.
+	VP int
+	// Lo and Hi delimit the partition's walkers in shuffled order: slots
+	// [Lo, Hi), never empty.
+	Lo, Hi uint64
+}
+
+// binSpan is one occupied outer bin after a Forward pass: its walkers
+// sit in slots [lo, hi), and its occupied partitions are chunks[c0:c1].
+type binSpan struct {
+	bin    int
+	lo, hi uint64
+	c0, c1 int
+}
+
 // Shuffler rearranges walker arrays according to a partition plan. It owns
 // the scratch state (per-worker bin counters, offsets, write-combining
 // buffers, inner-shuffle slot maps) so repeated iterations allocate
 // nothing.
+//
+// Every per-pass loop after the count visits only the partitions and
+// bins that hold walkers: the count records occupancy in a per-worker
+// bitmap (64 partitions per word), and the aggregate turns it into the
+// ascending chunk list the cursors, the inner level, the staging drains
+// and the callers' sample stages walk. A sparse step therefore costs
+// what its walkers cost, not what the plan's partition count costs.
 type Shuffler struct {
 	plan    *part.Plan
 	lk      *part.Lookup
 	pool    *pool.Pool // nil: spawn goroutines per pass
 	workers int
+	// active is the worker count the current pass splits across: workers,
+	// or 1 when the pass runs inline. Forward sets it and Reverse reuses
+	// it, so both passes replay the same per-worker ranges.
+	active int
 
 	numWalkers int
-	maxWalkers int      // construction-time walker capacity (Resize ceiling)
-	vpStart    []uint64 // len NumVPs+1: walker slots per VP in shuffled order
-	binStart   []uint64 // len Bins+1: outer slots per bin
-	// counts[w][vp] is worker w's walker count per VP for its walker range.
+	maxWalkers int     // construction-time walker capacity (Resize ceiling)
+	vpBin      []int32 // partition → outer bin
+	// counts[w][vp] is worker w's walker count per VP over its walker
+	// range in w's last count pass, and occ[w] has bit vp set exactly
+	// where that count is nonzero — so the next pass resets only those.
 	counts [][]uint32
+	occ    [][]uint64
+	union  []uint64 // the active workers' occupancy, OR-ed
+	// chunks lists the occupied partitions in ascending order with their
+	// slot ranges; spans the occupied bins, extraSpans the indexes into
+	// spans of those with the inner shuffle level.
+	chunks     []Chunk
+	spans      []binSpan
+	extraSpans []int
 	// cursors[w][bin] replays the placement order in forward and reverse
-	// passes.
+	// passes; only occupied bins' cursors are meaningful.
 	cursors [][]uint64
 
 	// slotFinal maps outer slot → final slot when extra-shuffle bins
@@ -71,11 +122,10 @@ type Shuffler struct {
 	slotFinal []uint32
 	scratch   []graph.VID
 	hasExtra  bool
-	extraBins []int // bin indices with the inner shuffle level
-	// innerScratch[w] holds worker w's vpCount ++ vpCur arrays, each sized
-	// for the widest extra bin.
-	innerScratch [][]uint64
-	maxInnerVPs  int
+	// vpCur is the inner level's per-partition placement cursor, indexed
+	// by partition; extra bins cover disjoint partitions, so they re-sort
+	// concurrently without sharing a cell.
+	vpCur []uint64
 
 	// Write-combining state, one LineStage per worker and direction (the
 	// staging core shared with internal/shard's cross-shard exchange).
@@ -137,16 +187,24 @@ func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuff
 	if numWalkers < 0 {
 		return nil, fmt.Errorf("walk: negative walker count")
 	}
+	nvp := plan.NumVPs()
+	words := (nvp + 63) / 64
+	bins := plan.Bins()
 	s := &Shuffler{
 		plan:       plan,
 		lk:         plan.Lookup(),
 		pool:       p,
 		workers:    workers,
+		active:     workers,
 		numWalkers: numWalkers,
 		maxWalkers: numWalkers,
-		vpStart:    make([]uint64, plan.NumVPs()+1),
-		binStart:   make([]uint64, len(plan.Bins())+1),
+		vpBin:      make([]int32, nvp),
 		counts:     make([][]uint32, workers),
+		occ:        make([][]uint64, workers),
+		union:      make([]uint64, words),
+		// A pass occupies at most one partition and bin per walker.
+		chunks:     make([]Chunk, 0, min(nvp, numWalkers)),
+		spans:      make([]binSpan, 0, min(len(bins), numWalkers)),
 		cursors:    make([][]uint64, workers),
 		wcScatter:  false,
 		wcGather:   true,
@@ -155,27 +213,26 @@ func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuff
 	if s.lk == nil {
 		return nil, fmt.Errorf("walk: plan has no lookup (not finalized)")
 	}
-	bins := plan.Bins()
 	for w := 0; w < workers; w++ {
-		s.counts[w] = make([]uint32, plan.NumVPs())
+		s.counts[w] = make([]uint32, nvp)
+		s.occ[w] = make([]uint64, words)
 		s.cursors[w] = make([]uint64, len(bins))
 	}
+	extraBins := 0
 	for bi, b := range bins {
+		for vp := b.FirstVP; vp < b.FirstVP+b.NumVPs; vp++ {
+			s.vpBin[vp] = int32(bi)
+		}
 		if b.Extra {
 			s.hasExtra = true
-			s.extraBins = append(s.extraBins, bi)
-			if b.NumVPs > s.maxInnerVPs {
-				s.maxInnerVPs = b.NumVPs
-			}
+			extraBins++
 		}
 	}
 	if s.hasExtra {
 		s.slotFinal = make([]uint32, numWalkers)
 		s.scratch = make([]graph.VID, numWalkers)
-		s.innerScratch = make([][]uint64, workers)
-		for w := 0; w < workers; w++ {
-			s.innerScratch[w] = make([]uint64, 2*s.maxInnerVPs)
-		}
+		s.vpCur = make([]uint64, nvp)
+		s.extraSpans = make([]int, 0, min(extraBins, numWalkers))
 	}
 	s.gatherStage = make([]LineStage[uint32], workers)
 	for w := 0; w < workers; w++ {
@@ -255,17 +312,22 @@ func (s *Shuffler) SetPprofLabels(on bool) {
 // SetPoolMetrics attaches (or, with nil, detaches) the pool accounting
 // the shuffler's phase submissions carry: busy time, barrier wait, and
 // run counts land in m. Per-shuffler so the engine can hand each session
-// its own metric set; a shuffler without a pool ignores it.
+// its own metric set; a shuffler without a pool records only the phases
+// it runs inline.
 func (s *Shuffler) SetPoolMetrics(m *obs.PoolMetrics) { s.pm = m }
 
-// VPStart returns, after a Forward pass, the slot offsets per VP: walkers
-// of VP i occupy shuffled slots [VPStart()[i], VPStart()[i+1]).
-func (s *Shuffler) VPStart() []uint64 { return s.vpStart }
+// Chunks returns, after a Forward pass, the partitions that hold walkers
+// in ascending partition order, each with its shuffled slot range. The
+// ranges tile [0, numWalkers) in order; a partition index missing from
+// the list has no walkers this step. The slice is the shuffler's own and
+// is rewritten by the next Forward.
+func (s *Shuffler) Chunks() []Chunk { return s.chunks }
 
-// workerRange splits the walker array contiguously across workers.
+// workerRange splits the walker array contiguously across the pass's
+// active workers.
 func (s *Shuffler) workerRange(w int) (lo, hi int) {
-	per := s.numWalkers / s.workers
-	rem := s.numWalkers % s.workers
+	per := s.numWalkers / s.active
+	rem := s.numWalkers % s.active
 	lo = w*per + min(w, rem)
 	hi = lo + per
 	if w < rem {
@@ -298,27 +360,18 @@ func (s *Shuffler) ForwardMulti(w, sw []graph.VID, aux, auxSW [][]graph.VID) err
 	}
 	s.ensureWC(len(aux))
 	s.curW, s.curSW, s.curAux, s.curAuxSW = w, sw, aux, auxSW
+	s.active = s.workers
+	if RunsInline(s.numWalkers) {
+		s.active = 1
+	}
 
 	// Pass 1: count walkers per VP, one worker per contiguous chunk.
 	s.run(phaseCount)
 
-	// Aggregate: vpStart then binStart, plus per-worker bin cursors in
-	// (bin-major, worker-minor) order so each worker writes a disjoint,
-	// in-order region of every bin.
-	plan := s.plan
-	var total uint64
-	for vp := 0; vp < plan.NumVPs(); vp++ {
-		s.vpStart[vp] = total
-		for wk := 0; wk < s.workers; wk++ {
-			total += uint64(s.counts[wk][vp])
-		}
-	}
-	s.vpStart[plan.NumVPs()] = total
-	bins := plan.Bins()
-	for bi, b := range bins {
-		s.binStart[bi] = s.vpStart[b.FirstVP]
-		s.binStart[bi+1] = s.vpStart[b.FirstVP+b.NumVPs]
-	}
+	// Aggregate the occupied partitions' slot ranges, then the per-worker
+	// bin cursors in (bin-major, worker-minor) order so each worker
+	// writes a disjoint, in-order region of every bin.
+	s.aggregate()
 	s.rebuildCursors()
 
 	// Pass 2: place. Within a bin, walkers keep scan order (outer level
@@ -337,16 +390,53 @@ func (s *Shuffler) ForwardMulti(w, sw []graph.VID, aux, auxSW [][]graph.VID) err
 	return nil
 }
 
-// rebuildCursors derives the per-worker bin cursors from counts, in
-// (bin-major, worker-minor) order.
-func (s *Shuffler) rebuildCursors() {
+// aggregate folds the active workers' counts into the chunk list and the
+// occupied-bin spans, visiting only the partitions some worker counted a
+// walker in.
+func (s *Shuffler) aggregate() {
+	union := s.union
+	copy(union, s.occ[0])
+	for wk := 1; wk < s.active; wk++ {
+		for i, m := range s.occ[wk] {
+			union[i] |= m
+		}
+	}
 	bins := s.plan.Bins()
-	for bi, b := range bins {
-		cur := s.binStart[bi]
-		for wk := 0; wk < s.workers; wk++ {
-			s.cursors[wk][bi] = cur
-			for vp := b.FirstVP; vp < b.FirstVP+b.NumVPs; vp++ {
-				cur += uint64(s.counts[wk][vp])
+	chunks, spans, extra := s.chunks[:0], s.spans[:0], s.extraSpans[:0]
+	var total uint64
+	for i, m := range union {
+		for ; m != 0; m &= m - 1 {
+			vp := i<<6 + bits.TrailingZeros64(m)
+			lo := total
+			for wk := 0; wk < s.active; wk++ {
+				total += uint64(s.counts[wk][vp])
+			}
+			chunks = append(chunks, Chunk{VP: vp, Lo: lo, Hi: total})
+			b := int(s.vpBin[vp])
+			if n := len(spans); n > 0 && spans[n-1].bin == b {
+				spans[n-1].hi, spans[n-1].c1 = total, len(chunks)
+				continue
+			}
+			if bins[b].Extra {
+				extra = append(extra, len(spans))
+			}
+			spans = append(spans, binSpan{bin: b, lo: lo, hi: total, c0: len(chunks) - 1, c1: len(chunks)})
+		}
+	}
+	s.chunks, s.spans, s.extraSpans = chunks, spans, extra
+}
+
+// rebuildCursors derives the active workers' cursors for every occupied
+// bin from counts, in (bin-major, worker-minor) order.
+func (s *Shuffler) rebuildCursors() {
+	for _, sp := range s.spans {
+		cur := sp.lo
+		chunks := s.chunks[sp.c0:sp.c1]
+		for wk := 0; wk < s.active; wk++ {
+			s.cursors[wk][sp.bin] = cur
+			counts := s.counts[wk]
+			for _, c := range chunks {
+				cur += uint64(counts[c.VP])
 			}
 		}
 	}
@@ -373,7 +463,8 @@ func (s *Shuffler) ReverseMulti(wOld, swNew, wNext []graph.VID, auxSW, auxNext [
 	if err := checkAux(auxSW, auxNext, s.numWalkers); err != nil {
 		return err
 	}
-	// Rebuild the same per-worker cursors the forward pass used.
+	// Rebuild the same per-worker cursors the forward pass used (s.active
+	// is still the forward pass's split).
 	s.rebuildCursors()
 	s.curW, s.curSW, s.curWNext = wOld, swNew, wNext
 	s.curAuxSW, s.curAuxNext = auxSW, auxNext
@@ -403,10 +494,8 @@ func (s *Shuffler) RunShard(phase, worker, workers int) {
 			s.slotFinal[i] = uint32(i)
 		}
 	case phaseInner:
-		bins := s.plan.Bins()
-		for i := worker; i < len(s.extraBins); i += workers {
-			bi := s.extraBins[i]
-			s.innerShuffle(worker, bins[bi], s.binStart[bi], s.binStart[bi+1], s.curSW, s.curAuxSW)
+		for i := worker; i < len(s.extraSpans); i += workers {
+			s.innerShuffle(s.spans[s.extraSpans[i]], s.curSW, s.curAuxSW)
 		}
 	case phaseGather:
 		lo, hi := s.workerRange(worker)
@@ -418,7 +507,8 @@ func (s *Shuffler) RunShard(phase, worker, workers int) {
 	}
 }
 
-// run executes one phase across the workers: on the pool when present,
+// run executes one phase across the pass's active workers: inline on the
+// calling goroutine when the pass has one, else on the pool when present,
 // else by spawning a goroutine wave (the pre-pool behaviour, kept for
 // one-shot callers and benchmarks).
 func (s *Shuffler) run(phase int) {
@@ -426,16 +516,16 @@ func (s *Shuffler) run(phase int) {
 	if phase == phaseGather {
 		ctx = s.revCtx
 	}
-	if s.pool != nil {
+	switch {
+	case s.active == 1:
+		pool.Inline(s, phase, ctx, s.pm)
+		return
+	case s.pool != nil:
 		s.pool.Submit(s, phase, ctx, s.pm)
 		return
 	}
-	if s.workers == 1 {
-		s.RunShard(phase, 0, 1)
-		return
-	}
 	var wg sync.WaitGroup
-	for wk := 0; wk < s.workers; wk++ {
+	for wk := 0; wk < s.active; wk++ {
 		wg.Add(1)
 		// ctx is passed as an argument, not captured: a reference capture
 		// would heap-allocate the variable on every run() call, including
@@ -445,20 +535,29 @@ func (s *Shuffler) run(phase int) {
 			if ctx != nil {
 				pprof.SetGoroutineLabels(ctx)
 			}
-			s.RunShard(phase, wk, s.workers)
+			s.RunShard(phase, wk, s.active)
 		}(wk, ctx)
 	}
 	wg.Wait()
 }
 
-// countShard tallies walkers per VP over [lo, hi).
+// countShard tallies walkers per VP over [lo, hi), recording each
+// partition it counts in the worker's occupancy bitmap. The reset clears
+// only the counts the worker's previous pass set.
 func (s *Shuffler) countShard(worker, lo, hi int) {
-	counts := s.counts[worker]
-	clear(counts)
+	counts, occ := s.counts[worker], s.occ[worker]
+	for i, m := range occ {
+		for ; m != 0; m &= m - 1 {
+			counts[i<<6+bits.TrailingZeros64(m)] = 0
+		}
+		occ[i] = 0
+	}
 	lk := s.lk
 	w := s.curW
 	for j := lo; j < hi; j++ {
-		counts[lk.VPOf(w[j])]++
+		vp := lk.VPOf(w[j])
+		counts[vp]++
+		occ[vp>>6] |= 1 << (uint(vp) & 63)
 	}
 }
 
@@ -510,8 +609,9 @@ func (s *Shuffler) scatterWC(worker, lo, hi int) {
 		}
 		fill[b] = uint8(n)
 	}
-	// Drain partial lines.
-	for b := range fill {
+	// Drain partial lines; only occupied bins can hold one.
+	for _, sp := range s.spans {
+		b := sp.bin
 		k := uint64(fill[b])
 		if k == 0 {
 			continue
@@ -570,7 +670,8 @@ func (s *Shuffler) gatherWC(worker, lo, hi int) {
 		}
 		fill[b] = uint8(n)
 	}
-	for b := range fill {
+	for _, sp := range s.spans {
+		b := sp.bin
 		if fill[b] == 0 {
 			continue
 		}
@@ -604,29 +705,22 @@ func (s *Shuffler) flushGather(b int, js []uint32, cursors []uint64, swNew, wNex
 	cursors[b] = pos + uint64(len(js))
 }
 
-// innerShuffle re-sorts the chunk [lo, hi) of sw by VP index (stable) and
-// records slotFinal for the chunk, using worker-private count/cursor
-// scratch so extra bins re-sort concurrently.
-func (s *Shuffler) innerShuffle(worker int, b part.Bin, lo, hi uint64, sw []graph.VID, auxSW [][]graph.VID) {
+// innerShuffle re-sorts one occupied extra bin's slots of sw by VP index
+// (stable) and records slotFinal for them. Each partition's final range
+// is already its chunk, so the placement cursors start at the chunks'
+// Lo with no counting pass.
+func (s *Shuffler) innerShuffle(sp binSpan, sw []graph.VID, auxSW [][]graph.VID) {
 	lk := s.lk
-	scr := s.innerScratch[worker]
-	vpCount := scr[:b.NumVPs]
-	vpCur := scr[s.maxInnerVPs : s.maxInnerVPs+b.NumVPs]
-	clear(vpCount)
-	// Count per VP within the chunk.
-	for p := lo; p < hi; p++ {
-		vpCount[lk.VPOf(sw[p])-b.FirstVP]++
+	vpCur := s.vpCur
+	for _, c := range s.chunks[sp.c0:sp.c1] {
+		vpCur[c.VP] = c.Lo
 	}
-	var acc uint64
-	for i := range vpCount {
-		vpCur[i] = lo + acc
-		acc += vpCount[i]
-	}
+	lo, hi := sp.lo, sp.hi
 	// Place into scratch, record final slots.
 	for p := lo; p < hi; p++ {
-		vi := lk.VPOf(sw[p]) - b.FirstVP
-		dst := vpCur[vi]
-		vpCur[vi]++
+		vp := lk.VPOf(sw[p])
+		dst := vpCur[vp]
+		vpCur[vp]++
 		s.scratch[dst] = sw[p]
 		s.slotFinal[p] = uint32(dst)
 	}

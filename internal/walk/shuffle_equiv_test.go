@@ -2,11 +2,15 @@ package walk
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"flashmob/internal/graph"
 	"flashmob/internal/part"
 	"flashmob/internal/pool"
+	"flashmob/internal/rng"
 )
 
 // refShuffler is the pre-write-combining reference implementation: the
@@ -211,11 +215,147 @@ func cloneChannels(a [][]graph.VID) [][]graph.VID {
 	return out
 }
 
+// refStep is the frozen reference's outcome for one shuffle step: the
+// forward pass's arrays and per-partition offsets, and the reverse
+// pass's outputs after a fake sample step (swMut) rewrote every slot.
+type refStep struct {
+	sw, swMut, next []graph.VID
+	auxSW, auxNext  [][]graph.VID
+	vpStart         []uint64
+}
+
+// runRef runs one reference step over w and its aux channels.
+func runRef(plan *part.Plan, w []graph.VID, aux [][]graph.VID, workers int) refStep {
+	n := len(w)
+	ref := newRefShuffler(plan, n, workers)
+	r := refStep{sw: make([]graph.VID, n), next: make([]graph.VID, n)}
+	_, r.auxSW, r.auxNext = makeAux(len(aux), n)
+	ref.forward(w, r.sw, aux, r.auxSW)
+	r.swMut = append([]graph.VID(nil), r.sw...)
+	for p := range r.swMut {
+		r.swMut[p] = r.swMut[p]*3 + 1
+	}
+	ref.reverse(w, r.swMut, r.next, cloneChannels(r.auxSW), r.auxNext)
+	r.vpStart = ref.vpStart
+	return r
+}
+
+// checkStep runs one Forward/Reverse step of s over w and requires every
+// array and the chunk list to match the reference bitwise.
+func checkStep(t *testing.T, name string, s *Shuffler, w []graph.VID, aux [][]graph.VID, ref refStep) {
+	t.Helper()
+	n := len(w)
+	sw := make([]graph.VID, n)
+	next := make([]graph.VID, n)
+	_, auxSW, auxNext := makeAux(len(aux), n)
+	if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.sw {
+		if sw[i] != ref.sw[i] {
+			t.Fatalf("%s: sw[%d] = %d, reference %d", name, i, sw[i], ref.sw[i])
+		}
+	}
+	checkChunksMatch(t, s.Chunks(), ref.vpStart)
+	for c := range auxSW {
+		for i := range auxSW[c] {
+			if auxSW[c][i] != ref.auxSW[c][i] {
+				t.Fatalf("%s: auxSW[%d][%d] = %d, reference %d", name, c, i, auxSW[c][i], ref.auxSW[c][i])
+			}
+		}
+	}
+	auxMut := cloneChannels(auxSW)
+	if err := s.ReverseMulti(w, ref.swMut, next, auxMut, auxNext); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.next {
+		if next[i] != ref.next[i] {
+			t.Fatalf("%s: wNext[%d] = %d, reference %d", name, i, next[i], ref.next[i])
+		}
+	}
+	for c := range auxNext {
+		for i := range auxNext[c] {
+			if auxNext[c][i] != ref.auxNext[c][i] {
+				t.Fatalf("%s: auxNext[%d][%d] = %d, reference %d", name, c, i, auxNext[c][i], ref.auxNext[c][i])
+			}
+		}
+	}
+}
+
+// shuffleMode is one way to build a shuffler: pooled or spawning, with
+// one of the staging settings.
+type shuffleMode struct {
+	name  string
+	build func() (*Shuffler, error)
+	tune  func(*Shuffler)
+}
+
+// shuffleModes lists every staging mode, pooled (on p) and spawning, for
+// shufflers of n walkers over plan.
+func shuffleModes(plan *part.Plan, n, workers int, p *pool.Pool) []shuffleMode {
+	tuneAll := func(on bool) func(*Shuffler) {
+		return func(s *Shuffler) { s.SetWriteCombining(on) }
+	}
+	pooled := func() (*Shuffler, error) { return NewShufflerPool(plan, n, p) }
+	spawn := func() (*Shuffler, error) { return NewShuffler(plan, n, workers) }
+	return []shuffleMode{
+		// "default" leaves the measured asymmetric production setting:
+		// scalar scatter + WC gather.
+		{"default-pool", pooled, nil},
+		{"default-spawn", spawn, nil},
+		{"wc-pool", pooled, tuneAll(true)},
+		{"wc-spawn", spawn, tuneAll(true)},
+		{"scalar-pool", pooled, tuneAll(false)},
+		{"scalar-spawn", spawn, tuneAll(false)},
+		{"wc-scatter-only", pooled, func(s *Shuffler) {
+			s.SetScatterCombining(true)
+			s.SetGatherCombining(false)
+		}},
+	}
+}
+
+// (mode).shuffler builds and tunes the mode's shuffler.
+func (m shuffleMode) shuffler(t *testing.T) *Shuffler {
+	t.Helper()
+	s, err := m.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.tune != nil {
+		m.tune(s)
+	}
+	return s
+}
+
+// withInlineCutoff sets InlineCutoff for the rest of the test.
+func withInlineCutoff(t *testing.T, n int) {
+	old := InlineCutoff
+	InlineCutoff = n
+	t.Cleanup(func() { InlineCutoff = old })
+}
+
+// onBothPaths runs body as subtests "pooled" and "inline": with the
+// cutoff at 0 every pass hands its phases to the workers, above any
+// walker count every pass runs inline on the caller.
+func onBothPaths(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	for _, path := range []struct {
+		name   string
+		cutoff int
+	}{{"pooled", 0}, {"inline", math.MaxInt}} {
+		t.Run(path.name, func(t *testing.T) {
+			withInlineCutoff(t, path.cutoff)
+			body(t)
+		})
+	}
+}
+
 // TestWriteCombiningEquivalence locks the staged data path to the
 // pre-change reference: for every combination of plan shape, seed, worker
-// count, aux channel count, pool-vs-spawn, and write-combining on/off,
-// the forward shuffle must produce bitwise-identical sw/vpStart/aux
-// arrays and the reverse pass bitwise-identical wNext/auxNext.
+// count, aux channel count, pool-vs-spawn, write-combining on/off, and
+// pooled-vs-inline phases, the forward shuffle must produce
+// bitwise-identical sw/aux arrays and partition ranges, and the reverse
+// pass bitwise-identical wNext/auxNext.
 func TestWriteCombiningEquivalence(t *testing.T) {
 	type planShape struct {
 		v               uint32
@@ -239,93 +379,15 @@ func TestWriteCombiningEquivalence(t *testing.T) {
 						plan := testPlan(t, shape.v, shape.groupLog, shape.vpLog, shape.extra)
 						n := 3000 + int(seed)*7
 						w := randomWalkers(n, shape.v, seed)
-						aux, auxSWRef, auxNextRef := makeAux(channels, n)
-
-						// Reference pass.
-						ref := newRefShuffler(plan, n, workers)
-						swRef := make([]graph.VID, n)
-						nextRef := make([]graph.VID, n)
-						ref.forward(w, swRef, aux, auxSWRef)
-						// Fake one sample step so reverse has real work.
-						swMut := append([]graph.VID(nil), swRef...)
-						for p := range swMut {
-							swMut[p] = swMut[p]*3 + 1
-						}
-						auxMutRef := cloneChannels(auxSWRef)
-						ref.reverse(w, swMut, nextRef, auxMutRef, auxNextRef)
-
+						aux, _, _ := makeAux(channels, n)
+						ref := runRef(plan, w, aux, workers)
 						p := pool.New(workers)
 						defer p.Close()
-						tuneAll := func(on bool) func(*Shuffler) {
-							return func(s *Shuffler) { s.SetWriteCombining(on) }
-						}
-						for _, mode := range []struct {
-							name  string
-							build func() (*Shuffler, error)
-							tune  func(*Shuffler)
-						}{
-							// "default" leaves the measured asymmetric
-							// production setting: scalar scatter + WC gather.
-							{"default-pool", func() (*Shuffler, error) { return NewShufflerPool(plan, n, p) }, nil},
-							{"default-spawn", func() (*Shuffler, error) { return NewShuffler(plan, n, workers) }, nil},
-							{"wc-pool", func() (*Shuffler, error) { return NewShufflerPool(plan, n, p) }, tuneAll(true)},
-							{"wc-spawn", func() (*Shuffler, error) { return NewShuffler(plan, n, workers) }, tuneAll(true)},
-							{"scalar-pool", func() (*Shuffler, error) { return NewShufflerPool(plan, n, p) }, tuneAll(false)},
-							{"scalar-spawn", func() (*Shuffler, error) { return NewShuffler(plan, n, workers) }, tuneAll(false)},
-							{"wc-scatter-only", func() (*Shuffler, error) { return NewShufflerPool(plan, n, p) }, func(s *Shuffler) {
-								s.SetScatterCombining(true)
-								s.SetGatherCombining(false)
-							}},
-						} {
-							s, err := mode.build()
-							if err != nil {
-								t.Fatal(err)
+						onBothPaths(t, func(t *testing.T) {
+							for _, mode := range shuffleModes(plan, n, workers, p) {
+								checkStep(t, mode.name, mode.shuffler(t), w, aux, ref)
 							}
-							if mode.tune != nil {
-								mode.tune(s)
-							}
-							sw := make([]graph.VID, n)
-							next := make([]graph.VID, n)
-							_, auxSW, auxNext := makeAux(channels, n)
-							if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
-								t.Fatal(err)
-							}
-							for i := range swRef {
-								if sw[i] != swRef[i] {
-									t.Fatalf("%s: sw[%d] = %d, reference %d", mode.name, i, sw[i], swRef[i])
-								}
-							}
-							for i := range ref.vpStart {
-								if s.VPStart()[i] != ref.vpStart[i] {
-									t.Fatalf("%s: vpStart[%d] = %d, reference %d", mode.name, i, s.VPStart()[i], ref.vpStart[i])
-								}
-							}
-							for c := range auxSW {
-								for i := range auxSW[c] {
-									if auxSW[c][i] != auxSWRef[c][i] {
-										t.Fatalf("%s: auxSW[%d][%d] = %d, reference %d",
-											mode.name, c, i, auxSW[c][i], auxSWRef[c][i])
-									}
-								}
-							}
-							auxMut := cloneChannels(auxSW)
-							if err := s.ReverseMulti(w, swMut, next, auxMut, auxNext); err != nil {
-								t.Fatal(err)
-							}
-							for i := range nextRef {
-								if next[i] != nextRef[i] {
-									t.Fatalf("%s: wNext[%d] = %d, reference %d", mode.name, i, next[i], nextRef[i])
-								}
-							}
-							for c := range auxNext {
-								for i := range auxNext[c] {
-									if auxNext[c][i] != auxNextRef[c][i] {
-										t.Fatalf("%s: auxNext[%d][%d] = %d, reference %d",
-											mode.name, c, i, auxNext[c][i], auxNextRef[c][i])
-									}
-								}
-							}
-						}
+						})
 					})
 				}
 			}
@@ -333,11 +395,79 @@ func TestWriteCombiningEquivalence(t *testing.T) {
 	}
 }
 
+// confinedWalkers places n walkers uniformly over the vertices of the
+// given partitions only.
+func confinedWalkers(plan *part.Plan, vps []int, n int, seed uint64) []graph.VID {
+	src := rng.NewXorShift64Star(seed)
+	w := make([]graph.VID, n)
+	for i := range w {
+		vp := plan.VPs[vps[rng.Uint32n(src, uint32(len(vps)))]]
+		w[i] = vp.Start + graph.VID(rng.Uint32n(src, vp.End-vp.Start))
+	}
+	return w
+}
+
+// TestSparseShuffleEquivalence drives one shuffler through consecutive
+// steps whose walkers sit in a few partitions of a plan with thousands
+// of partitions and extra-shuffle bins, the occupied set changing every
+// step, so a count, cursor, chunk or staging fill left behind by the
+// previous step would corrupt the next. Walker counts cross the inline
+// cutoff in both directions on the same shuffler (shrunk through
+// Resize), so pooled steps also follow inline ones whose counts only
+// worker 0 refreshed. Every step must match the frozen reference.
+func TestSparseShuffleEquivalence(t *testing.T) {
+	const cutoff = 64
+	withInlineCutoff(t, cutoff)
+	// 4096 partitions of 4 vertices in groups of 256; every other group
+	// is one extra-shuffle bin of 64 partitions.
+	plan := testPlan(t, 1<<14, 8, 2, true)
+	if plan.NumVPs() < 4000 {
+		t.Fatalf("plan has %d partitions, want thousands", plan.NumVPs())
+	}
+	steps := []struct {
+		n   int
+		vps []int
+	}{
+		{900, []int{5, 63, 64, 4095}},   // word boundaries of the occupancy bitmap
+		{40, []int{70, 71, 200}},        // inline, inside one extra bin and one plain bin
+		{cutoff, []int{5, 3000}},        // exactly at the cutoff: pooled
+		{cutoff - 1, []int{5, 3000}},    // one below: inline
+		{3, []int{1000}},                // a single partition
+		{700, []int{0, 1, 2, 128, 129}}, // adjacent partitions, two bins
+		{1, []int{4095}},
+		{900, []int{64, 65, 66, 67, 68, 69, 70, 71, 72, 2048, 2049}},
+	}
+	maxN := 0
+	for _, st := range steps {
+		maxN = max(maxN, st.n)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, channels := range []int{0, 2} {
+			t.Run(fmt.Sprintf("w%d/ch%d", workers, channels), func(t *testing.T) {
+				p := pool.New(workers)
+				defer p.Close()
+				for _, mode := range shuffleModes(plan, maxN, workers, p) {
+					s := mode.shuffler(t)
+					for i, st := range steps {
+						w := confinedWalkers(plan, st.vps, st.n, uint64(i+1))
+						aux, _, _ := makeAux(channels, st.n)
+						if err := s.Resize(st.n); err != nil {
+							t.Fatal(err)
+						}
+						checkStep(t, fmt.Sprintf("%s/step%d", mode.name, i), s, w, aux, runRef(plan, w, aux, workers))
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestShuffleSteadyStateAllocs verifies the acceptance criterion that
 // steady-state shuffle steps allocate nothing: after one warm-up step
 // (which sizes the write-combining buffers), Forward+Reverse on a pooled
-// shuffler must be allocation-free, including across extra-shuffle bins
-// and aux channels.
+// shuffler must be allocation-free and keep the goroutine count flat,
+// including across extra-shuffle bins and aux channels, whether the
+// step's phases go to the workers or run inline.
 func TestShuffleSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -350,32 +480,53 @@ func TestShuffleSteadyStateAllocs(t *testing.T) {
 		{"extra-aux", true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plan := testPlan(t, 512, 7, 4, tc.extra)
-			const n = 4096
-			w := randomWalkers(n, 512, 9)
-			p := pool.New(4)
-			defer p.Close()
-			s, err := NewShufflerPool(plan, n, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sw := make([]graph.VID, n)
-			next := make([]graph.VID, n)
-			aux, auxSW, auxNext := makeAux(tc.channels, n)
-			step := func() {
-				if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
+			onBothPaths(t, func(t *testing.T) {
+				plan := testPlan(t, 512, 7, 4, tc.extra)
+				const n = 4096
+				w := randomWalkers(n, 512, 9)
+				p := pool.New(4)
+				defer p.Close()
+				s, err := NewShufflerPool(plan, n, p)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.ReverseMulti(w, sw, next, auxSW, auxNext); err != nil {
-					t.Fatal(err)
+				sw := make([]graph.VID, n)
+				next := make([]graph.VID, n)
+				aux, auxSW, auxNext := makeAux(tc.channels, n)
+				step := func() {
+					if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.ReverseMulti(w, sw, next, auxSW, auxNext); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			step() // warm up: sizes the staging buffers for this channel count
-			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-				t.Fatalf("steady-state shuffle step allocates %.1f objects, want 0", allocs)
-			}
+				step() // warm up: sizes the staging buffers for this channel count
+				before := settledGoroutines()
+				if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+					t.Fatalf("steady-state shuffle step allocates %.1f objects, want 0", allocs)
+				}
+				if after := runtime.NumGoroutine(); after != before {
+					t.Fatalf("goroutine count changed %d → %d across steps", before, after)
+				}
+			})
 		})
 	}
+}
+
+// settledGoroutines returns the goroutine count once the workers of
+// pools closed by earlier tests have exited.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
 }
 
 // TestShuffleParallelRace drives the pooled write-combining shuffle with
@@ -402,7 +553,7 @@ func TestShuffleParallelRace(t *testing.T) {
 		if err := s.ReverseMulti(w, sw, next, auxSW, auxNext); err != nil {
 			t.Fatal(err)
 		}
-		checkShuffled(t, plan, w, sw, s.VPStart())
+		checkShuffled(t, plan, w, sw, s.Chunks())
 		w, next = next, w
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // testPlan builds a plan over v vertices: groups of 2^groupLog, VPs of
 // 2^vpLog, optionally marking every other group extra-shuffle.
-func testPlan(t *testing.T, v uint32, groupLog, vpLog uint, alternateExtra bool) *part.Plan {
+func testPlan(t testing.TB, v uint32, groupLog, vpLog uint, alternateExtra bool) *part.Plan {
 	t.Helper()
 	plan := &part.Plan{V: v, GroupSizeLog: groupLog}
 	groupSize := uint32(1) << groupLog
@@ -55,7 +55,7 @@ func randomWalkers(n int, v uint32, seed uint64) []graph.VID {
 	return w
 }
 
-func checkShuffled(t *testing.T, plan *part.Plan, w, sw []graph.VID, vpStart []uint64) {
+func checkShuffled(t *testing.T, plan *part.Plan, w, sw []graph.VID, chunks []Chunk) {
 	t.Helper()
 	// 1. SW is a permutation of W (multiset equality).
 	hist := map[graph.VID]int{}
@@ -70,17 +70,51 @@ func checkShuffled(t *testing.T, plan *part.Plan, w, sw []graph.VID, vpStart []u
 			t.Fatalf("shuffle changed multiset at vertex %d (%+d)", v, c)
 		}
 	}
-	// 2. Slots [vpStart[i], vpStart[i+1]) hold only VP i's walkers.
-	for vp := 0; vp < plan.NumVPs(); vp++ {
-		for p := vpStart[vp]; p < vpStart[vp+1]; p++ {
-			if got := plan.VPOf(sw[p]); got != vp {
+	// 2. The chunks ascend by partition, are non-empty, and tile the
+	// slots in order.
+	var next uint64
+	for i, c := range chunks {
+		if i > 0 && c.VP <= chunks[i-1].VP {
+			t.Fatalf("chunk %d: partition %d after %d", i, c.VP, chunks[i-1].VP)
+		}
+		if c.Lo != next || c.Hi <= c.Lo {
+			t.Fatalf("chunk %d (VP %d) spans [%d, %d), want a non-empty range from %d", i, c.VP, c.Lo, c.Hi, next)
+		}
+		next = c.Hi
+		// 3. A chunk's slots hold only its partition's walkers.
+		for p := c.Lo; p < c.Hi; p++ {
+			if got := plan.VPOf(sw[p]); got != c.VP {
 				t.Fatalf("slot %d: walker on vertex %d belongs to VP %d, stored under VP %d",
-					p, sw[p], got, vp)
+					p, sw[p], got, c.VP)
 			}
 		}
 	}
-	if vpStart[plan.NumVPs()] != uint64(len(w)) {
-		t.Fatalf("vpStart end = %d, want %d", vpStart[plan.NumVPs()], len(w))
+	if next != uint64(len(w)) {
+		t.Fatalf("chunks cover %d slots, want %d", next, len(w))
+	}
+}
+
+// checkChunksMatch compares a shuffler's chunk list with a dense
+// per-partition offset array: the chunks must be exactly the non-empty
+// partitions, each with the dense array's range.
+func checkChunksMatch(t *testing.T, chunks []Chunk, vpStart []uint64) {
+	t.Helper()
+	i := 0
+	for vp := 0; vp+1 < len(vpStart); vp++ {
+		lo, hi := vpStart[vp], vpStart[vp+1]
+		if lo == hi {
+			continue
+		}
+		if i >= len(chunks) {
+			t.Fatalf("VP %d holds slots [%d, %d) but the chunk list ends after %d chunks", vp, lo, hi, i)
+		}
+		if c := chunks[i]; c.VP != vp || c.Lo != lo || c.Hi != hi {
+			t.Fatalf("chunk %d = %+v, want {VP:%d Lo:%d Hi:%d}", i, c, vp, lo, hi)
+		}
+		i++
+	}
+	if i != len(chunks) {
+		t.Fatalf("%d chunks, want %d", len(chunks), i)
 	}
 }
 
@@ -95,7 +129,7 @@ func TestForwardGroupsByVP(t *testing.T) {
 	if err := s.Forward(w, sw, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	checkShuffled(t, plan, w, sw, s.VPStart())
+	checkShuffled(t, plan, w, sw, s.Chunks())
 }
 
 func TestForwardWithExtraBins(t *testing.T) {
@@ -109,7 +143,7 @@ func TestForwardWithExtraBins(t *testing.T) {
 	if err := s.Forward(w, sw, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	checkShuffled(t, plan, w, sw, s.VPStart())
+	checkShuffled(t, plan, w, sw, s.Chunks())
 }
 
 func TestForwardParallelMatchesSerial(t *testing.T) {
@@ -125,10 +159,14 @@ func TestForwardParallelMatchesSerial(t *testing.T) {
 	if err := s4.Forward(w, swPar, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	checkShuffled(t, plan, w, swPar, s4.VPStart())
-	for i := range s1.VPStart() {
-		if s1.VPStart()[i] != s4.VPStart()[i] {
-			t.Fatalf("vpStart differs at %d: %d vs %d", i, s1.VPStart()[i], s4.VPStart()[i])
+	checkShuffled(t, plan, w, swPar, s4.Chunks())
+	c1, c4 := s1.Chunks(), s4.Chunks()
+	if len(c1) != len(c4) {
+		t.Fatalf("%d chunks serial vs %d parallel", len(c1), len(c4))
+	}
+	for i := range c1 {
+		if c1[i] != c4[i] {
+			t.Fatalf("chunk %d differs: %+v vs %+v", i, c1[i], c4[i])
 		}
 	}
 }
