@@ -36,7 +36,7 @@ func main() {
 		steps       = flag.Int("steps", 0, "steps per walker (0 = algorithm default)")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads")
 		seed        = flag.Uint64("seed", 42, "random seed")
-		planner     = flag.String("planner", "mckp", "partition planner: mckp, uniform-ps, uniform-ds, manual")
+		planner     = flag.String("planner", "mckp", "partition planner: mckp, uniform-ps, uniform-ds, manual (PS partitions direct-sample below the build's sparse switch, at most |V| walkers)")
 		paths       = flag.Bool("paths", false, "record full paths (memory heavy)")
 		oocMode     = flag.Bool("ooc", false, "out-of-core mode: stream the graph from disk (-graph must be a binary CSR; deepwalk only)")
 		oocBudget   = flag.Uint64("oocbudget", 64<<20, "DRAM budget for streamed edge blocks in -ooc mode")

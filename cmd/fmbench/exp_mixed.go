@@ -134,16 +134,11 @@ func expMixed(w io.Writer, cfg benchConfig) error {
 
 // newMixedServeServer builds one shared system (DeepWalk build primary)
 // serving all three algorithm backends — the cmd/fmserve shared-build
-// topology — on an ephemeral port. The partition plan is priced for
-// wave-sized walker counts (PlanWalkers, the fmserve -plan-walkers knob)
-// rather than the |V|-walker bulk default: at serving densities
-// pre-sampling's degree-sized hub refills are almost entirely wasted, so
-// the serving-aware plan direct-samples instead. Both variants share the
-// build, so the split/mixed ratio still isolates run fragmentation.
+// topology — on an ephemeral port. Both variants share the build, so the
+// split/mixed ratio isolates run fragmentation.
 func newMixedServeServer(fg *flashmob.Graph, cfg benchConfig, split bool, executors, batchCap int) (*loadServer, error) {
 	sys, err := flashmob.New(fg, flashmob.Options{
 		Algorithm: flashmob.DeepWalk(), Workers: cfg.Workers, Seed: cfg.Seed, RecordPaths: true,
-		PlanWalkers: 2048,
 	})
 	if err != nil {
 		return nil, err

@@ -28,6 +28,10 @@ type sampleVariant struct {
 	Workload string `json:"workload"`
 	Path     string `json:"path"` // "scalar" or "kernels"
 	Workers  int    `json:"workers"`
+	// Walkers is the run's walker count: the report's, raised to the
+	// engine's sparse switch where that is higher, so a PS workload
+	// binds the plan's PS kernels and not the sparse template's DS ones.
+	Walkers uint64 `json:"walkers"`
 	// SampleNS is the sample-stage cost per walker-step — the number the
 	// kernels exist to shrink.
 	SampleNS float64 `json:"sample_ns_per_step"`
@@ -144,7 +148,8 @@ func expSample(w io.Writer, cfg benchConfig) error {
 				if err != nil {
 					return err
 				}
-				res, err := e.Run(walkers, steps)
+				n := max(walkers, e.SparseSwitch())
+				res, err := e.Run(n, steps)
 				e.Close()
 				if err != nil {
 					return err
@@ -157,6 +162,7 @@ func expSample(w io.Writer, cfg benchConfig) error {
 					Workload: wl.name,
 					Path:     path,
 					Workers:  workers,
+					Walkers:  n,
 					SampleNS: float64(res.SampleTime.Nanoseconds()) / float64(res.TotalSteps),
 					TotalNS:  res.PerStepNS(),
 				}

@@ -61,7 +61,7 @@ func expShard(w io.Writer, cfg benchConfig) error {
 	}
 	opt := flashmob.Options{
 		Algorithm: flashmob.DeepWalk(), Workers: cfg.Workers, Seed: cfg.Seed,
-		RecordPaths: true, PlanWalkers: 8192,
+		RecordPaths: true,
 	}
 	sys, err := flashmob.New(g, opt)
 	if err != nil {

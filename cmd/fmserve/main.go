@@ -59,7 +59,6 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "random seed (builds and per-batch sampling seeds)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads per system")
 		metrics    = flag.Bool("metrics", true, "enable engine metrics (reported under /metrics)")
-		planFor    = flag.Uint64("plan-walkers", 0, "walker count the partition planner prices for (0 = |V|, the bulk-throughput default; set to the typical wave size for serving workloads)")
 
 		window      = flag.Duration("window", 2*time.Millisecond, "micro-batching window")
 		maxWalkers  = flag.Int("max-batch-walkers", 8192, "walker budget per batch (and per-request cap)")
@@ -139,7 +138,6 @@ func main() {
 		Seed:        *seed,
 		RecordPaths: true,
 		Metrics:     *metrics,
-		PlanWalkers: *planFor,
 	}
 
 	// Shard-worker mode: no HTTP service — the process builds the same
@@ -176,7 +174,6 @@ func main() {
 			Undirected:     true,
 			RecordPaths:    true,
 			Metrics:        *metrics,
-			PlanWalkers:    *planFor,
 			CompactEvery:   *compactEvery,
 			DriftThreshold: *driftThreshold,
 		})
@@ -224,9 +221,10 @@ func main() {
 	}
 
 	var backends []serve.Backend
+	plan := sys.Plan()
 	for _, w := range walks {
 		backends = append(backends, serve.Backend{Name: w.name, Sys: sys, Spec: w.spec, Sharded: sharded})
-		fmt.Printf("fmserve: serving %s (%d VPs, shared build)\n", w.name, sys.Plan().NumVPs)
+		fmt.Printf("fmserve: serving %s (%d VPs, sparse switch %d walkers, shared build)\n", w.name, plan.NumVPs, plan.SparseSwitch)
 	}
 
 	runServer(backends, serveConfig(*maxWalkers, *maxRequests, *window, *queueDepth,

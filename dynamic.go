@@ -26,9 +26,6 @@ type DynamicOptions struct {
 	// TargetGroups and MaxBins are the planner's G and P hyper-parameters
 	// (defaults 128 and 2048).
 	TargetGroups, MaxBins int
-	// PlanWalkers is the walker count the planner prices for (default |V|
-	// of each build).
-	PlanWalkers uint64
 	// CompactEvery, when positive, runs a background compaction after that
 	// many freezes. Zero leaves compaction to explicit Compact calls.
 	CompactEvery int
@@ -71,7 +68,6 @@ func NewDynamic(g *Graph, opt DynamicOptions) (*DynamicSystem, error) {
 		Undirected:     opt.Undirected,
 		TargetGroups:   opt.TargetGroups,
 		MaxBins:        opt.MaxBins,
-		PlanWalkers:    opt.PlanWalkers,
 		CompactEvery:   opt.CompactEvery,
 		DriftThreshold: opt.DriftThreshold,
 		RecordHistory:  opt.RecordPaths,

@@ -69,7 +69,9 @@ func PageRankWalk(damping float64) Algorithm { return algo.PageRankWalk(damping)
 // Planner selects the partitioning strategy.
 type Planner = core.PlannerKind
 
-// Planner choices.
+// Planner choices. A plan's PS partitions pre-sample only for walks of
+// at least Plan().SparseSwitch walkers (at most |V|): smaller walks
+// direct-sample every partition, PlannerUniformPS's included.
 const (
 	PlannerMCKP      = core.PlannerMCKP
 	PlannerUniformPS = core.PlannerUniformPS
@@ -90,13 +92,6 @@ type Options struct {
 	// TargetGroups and MaxBins are the paper's G and P hyper-parameters
 	// (defaults 128 and 2048).
 	TargetGroups, MaxBins int
-	// PlanWalkers is the walker count the partition planner should price
-	// for (default |V|). The MCKP plan picks pre-sampling exactly where
-	// walker density amortizes buffer refills; a serving system that runs
-	// small batches should set this to its typical batch size so sparse
-	// runs direct-sample instead of paying degree-sized refills per hub
-	// visit. Planning only — any walker count still runs correctly.
-	PlanWalkers uint64
 	// MemoryBudget caps walker-array bytes per episode (0 = unlimited).
 	MemoryBudget uint64
 	// RecordPaths keeps full walk histories so Paths() works.
@@ -158,7 +153,6 @@ func New(g *Graph, opt Options) (*System, error) {
 		Part: part.Config{
 			TargetGroups: opt.TargetGroups,
 			MaxBins:      opt.MaxBins,
-			Walkers:      opt.PlanWalkers,
 		},
 	}
 	if opt.EdgeUniformInit {
@@ -268,15 +262,26 @@ type PlanSummary struct {
 	Bins int
 	// PSVertices and DSVertices count vertices under each policy.
 	PSVertices, DSVertices uint32
+	// SparseSwitch is W*: a walk or cohort of fewer walkers samples with
+	// the sparse kernel template, which direct-samples every partition the
+	// plan pre-samples, and one of at least W* walkers with the plan's
+	// own. The build derives it from its cost model; 0 when the plan has
+	// no PS partition.
+	SparseSwitch uint64
+	// SparseDSVPs counts the partitions that are PS in the plan's kernel
+	// template but DS in the sparse one.
+	SparseDSVPs int
 }
 
 // Plan returns a summary of the active partitioning.
 func (s *System) Plan() PlanSummary {
 	p := s.engine.Plan()
 	sum := PlanSummary{
-		NumVPs:    p.NumVPs(),
-		NumGroups: len(p.Groups),
-		Bins:      p.Weight(),
+		NumVPs:       p.NumVPs(),
+		NumGroups:    len(p.Groups),
+		Bins:         p.Weight(),
+		SparseSwitch: s.engine.SparseSwitch(),
+		SparseDSVPs:  s.engine.SparseDSVPs(),
 	}
 	for _, vp := range p.VPs {
 		if vp.Policy == profile.PS {

@@ -85,6 +85,22 @@ func TestPlanSummary(t *testing.T) {
 	if p.PSVertices+p.DSVertices != g.NumVertices() {
 		t.Errorf("policy vertex counts %d+%d != |V| %d", p.PSVertices, p.DSVertices, g.NumVertices())
 	}
+
+	// An all-PS plan has partitions for the sparse template to
+	// direct-sample, and a switch no higher than the |V| walkers the plan
+	// is priced for.
+	ps, err := New(g, Options{Seed: 4, TargetGroups: 16, Planner: PlannerUniformPS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	p = ps.Plan()
+	if p.SparseDSVPs == 0 || p.SparseDSVPs > p.NumVPs {
+		t.Errorf("all-PS plan: %d of %d partitions direct-sampled by the sparse template", p.SparseDSVPs, p.NumVPs)
+	}
+	if p.SparseSwitch == 0 || p.SparseSwitch > uint64(g.NumVertices()) {
+		t.Errorf("all-PS plan: sparse switch %d outside (0, |V| = %d]", p.SparseSwitch, g.NumVertices())
+	}
 }
 
 func TestVisitCountsOriginalIDs(t *testing.T) {

@@ -40,7 +40,10 @@ type PlannerKind int
 const (
 	// PlannerMCKP is the paper's DP-optimized planner (default).
 	PlannerMCKP PlannerKind = iota
-	// PlannerUniformPS cuts equal VPs, all pre-sampling.
+	// PlannerUniformPS cuts equal VPs, all pre-sampling. Like every
+	// plan's PS partitions, they pre-sample only for runs and cohorts of
+	// at least SparseSwitch walkers (at most |V|); smaller ones bind the
+	// sparse template and direct-sample every partition.
 	PlannerUniformPS
 	// PlannerUniformDS cuts equal VPs, all direct sampling.
 	PlannerUniformDS
@@ -133,19 +136,36 @@ type Engine struct {
 	// or -1 for mixed-degree partitions.
 	regularDeg []int64
 
-	// psVP[i] marks VP i as pre-sampling: sessions allocate their own
-	// psState buffers for these partitions (the buffers are consumed and
-	// refilled during sampling, so they cannot be shared across runs).
+	// psVP[i] marks VP i as pre-sampling in the plan: a plan-template
+	// bind gives its context psState buffers for these partitions (the
+	// buffers are consumed and refilled during sampling, so they cannot be
+	// shared across runs).
 	psVP []bool
 
-	// kern[i] is VP i's specialized sample kernel, resolved once at build
-	// time from the plan, the PS allocation, and the degree shape (§4.2).
-	// The template's st pointers are nil; each session binds copies to
-	// its own psState. kernUW is the unweighted-spec template for cohorts
-	// of a mixed run walking unweighted specs on a weighted build (nil on
-	// unweighted builds, where it would equal kern).
+	// kern[i] is VP i's specialized sample kernel in the plan's template,
+	// resolved once at build time from the plan, the PS allocation, and
+	// the degree shape (§4.2). The template's st pointers are nil; each
+	// bind copies it and points them at its own psState. kernUW is the
+	// unweighted-spec template for cohorts of a mixed run walking
+	// unweighted specs on a weighted build (nil on unweighted builds,
+	// where it would equal kern).
 	kern   []vpKernel
 	kernUW []vpKernel
+
+	// sparse and sparseUW are the sparse template over the same VP
+	// boundaries: every partition the plan marks PS uses its DS kernel
+	// instead. Cohorts of fewer than sparseSwitch walkers bind it (see
+	// bindsPlan); noPS is the all-nil PS state list their contexts carry.
+	sparse, sparseUW []vpKernel
+	noPS             []*psState
+
+	// sparseSwitch is W*, the walker count from which the plan's PS
+	// partitions price no more than direct sampling them (part.SparseSwitch
+	// under the build's cost model, capped at the walker count the plan
+	// was priced for); 0 when the plan has no PS partition. sparseDS counts
+	// the partitions whose kernel the two templates disagree on.
+	sparseSwitch uint64
+	sparseDS     int
 
 	// weighted is the alias-table sampler for weighted walks (nil
 	// otherwise).
@@ -203,13 +223,15 @@ func New(g *graph.CSR, spec algo.Spec, cfg Config) (*Engine, error) {
 		e.weighted = ws
 	}
 
+	planned := cfg.Part.Walkers
+	if planned == 0 {
+		planned = uint64(g.NumVertices())
+	}
 	plan := cfg.Plan
 	if plan == nil {
 		pcfg := cfg.Part
 		pcfg.Model = cfg.Model
-		if pcfg.Walkers == 0 {
-			pcfg.Walkers = uint64(g.NumVertices())
-		}
+		pcfg.Walkers = planned
 		var err error
 		switch cfg.Planner {
 		case PlannerMCKP:
@@ -247,6 +269,8 @@ func New(g *graph.CSR, spec algo.Spec, cfg Config) (*Engine, error) {
 		}
 		e.psVP[i] = vp.Policy == profile.PS
 	}
+	e.noPS = make([]*psState, plan.NumVPs())
+	e.sparseSwitch = part.SparseSwitch(plan, g, planned, cfg.Model)
 	e.buildKernels()
 	if cfg.Metrics {
 		e.metrics = newEngineMetrics(e, nil)
@@ -256,6 +280,27 @@ func New(g *graph.CSR, spec algo.Spec, cfg Config) (*Engine, error) {
 
 // Plan returns the partitioning decision in effect.
 func (e *Engine) Plan() *part.Plan { return e.plan }
+
+// SparseSwitch returns W*, the walker count below which a cohort binds
+// the sparse kernel template (every PS partition of the plan
+// direct-sampled) instead of the plan's; 0 when the plan has no PS
+// partition, so both templates are the same.
+func (e *Engine) SparseSwitch() uint64 { return e.sparseSwitch }
+
+// SparseDSVPs returns how many partitions are PS in the plan's
+// kernel template but DS in the sparse one.
+func (e *Engine) SparseDSVPs() int { return e.sparseDS }
+
+// bindsPlan reports whether a cohort of the given walker count samples
+// through the plan's kernel template (true) or the sparse one. A pure
+// function of (build, walkers) that every driver applies — solo runs by
+// their episode size, mixed and sharded cohorts by their walker count —
+// so all of them draw the same randomness for the same cohort. Tests pin
+// a template by setting sparseSwitch: 0 binds the plan's for every
+// cohort, math.MaxUint64 the sparse one.
+func (e *Engine) bindsPlan(walkers uint64) bool {
+	return walkers >= e.sparseSwitch
+}
 
 // Close releases the engine's worker pool: it waits for active sessions
 // to finish, then frees the parked goroutines. Idempotent; Run and

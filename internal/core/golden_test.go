@@ -128,13 +128,16 @@ func TestGoldenTrajectories(t *testing.T) {
 			if !ps || !ds {
 				t.Fatalf("plan needs both PS and DS partitions (ps=%v ds=%v)", ps, ds)
 			}
-			// Two runs on one held session: the second sees the PS buffers
-			// the first left behind.
+			// Two runs on one held session: the second starts from empty PS
+			// buffers, as it would on a fresh session. Episodes of 300
+			// walkers are above the sparse switch, so both run the plan's
+			// PS kernels.
 			s, err := e.NewSession(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			var psRan uint64
 			for run, seed := range []uint64{5, 6} {
 				res, err := s.RunSeeded(seed, 1000, 5)
 				if err != nil {
@@ -144,11 +147,16 @@ func TestGoldenTrajectories(t *testing.T) {
 					t.Fatalf("run %d took %d episodes, want at least 3", run, res.Episodes)
 				}
 				subShards(t, res.Report)
+				if n := psSteps(t, res.Report); n <= psRan {
+					t.Fatalf("run %d ran no PS kernel walker-steps", run)
+				} else {
+					psRan = n
+				}
 				gh.history(res.History)
 				gh.counts(res.VPSteps)
 				gh.report(res.Report)
 			}
-			check(t, gh, 0x42b33ddb51f1d350)
+			check(t, gh, 0xa7ceed978d1a1285)
 		})
 	})
 
@@ -165,6 +173,9 @@ func TestGoldenTrajectories(t *testing.T) {
 				e := newEngine(t, g, tc.spec, base)
 				defer e.Close()
 				res := seededRun(t, e, 23, 500, 7)
+				if psSteps(t, res.Report) == 0 {
+					t.Fatal("no PS kernel walker-steps")
+				}
 				gh := newGoldenHash()
 				gh.history(res.History)
 				gh.counts(res.VPSteps)
@@ -194,6 +205,9 @@ func TestGoldenTrajectories(t *testing.T) {
 				gh.history(c.History)
 			}
 			subShards(t, res.Report)
+			if psSteps(t, res.Report) == 0 {
+				t.Fatal("no PS kernel walker-steps")
+			}
 			gh.counts(res.VPSteps)
 			gh.report(res.Report)
 			check(t, gh, 0x8f965257bafa9927)
@@ -208,9 +222,41 @@ func TestGoldenTrajectories(t *testing.T) {
 				for _, row := range stepperWalk(t, e, &spec, 31, 450, 6) {
 					gh.vids(row)
 				}
+				if psSteps(t, e.MetricsReport()) == 0 {
+					t.Fatalf("%s: no PS kernel walker-steps", spec.Name)
+				}
 				e.Close()
 			}
 			check(t, gh, 0x4860ef43664fe053)
+		})
+	})
+
+	// Below the sparse switch every driver binds the sparse template: the
+	// plan's PS partitions direct-sample, and no PS kernel runs.
+	t.Run("sparse", func(t *testing.T) {
+		onBothPaths(t, func(t *testing.T) {
+			gh := newGoldenHash()
+			e := newEngine(t, g, algo.DeepWalk(), base)
+			defer e.Close()
+			gh.u64(e.SparseSwitch())
+			gh.u64(uint64(e.SparseDSVPs()))
+			res := mixedRun(t, e, []Cohort{
+				{Spec: algo.Node2Vec(2, 0.5), Walkers: 60, Steps: 3, Seed: 1},
+				{Spec: algo.DeepWalk(), Walkers: 150, Steps: 7, Seed: 2},
+				{Spec: algo.PageRankWalk(0.85), Walkers: 9, Steps: 5, Seed: 3},
+			})
+			for _, c := range res.Cohorts {
+				gh.history(c.History)
+			}
+			solo := seededRun(t, e, 23, 120, 7)
+			gh.history(solo.History)
+			for _, r := range []*obs.Report{res.Report, solo.Report} {
+				if n := psSteps(t, r); n != 0 {
+					t.Fatalf("%d PS kernel walker-steps below the sparse switch", n)
+				}
+				gh.report(r)
+			}
+			check(t, gh, 0xf37a31b560287256)
 		})
 	})
 }

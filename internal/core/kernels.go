@@ -65,9 +65,10 @@ type vpKernel struct {
 // PS policy, and the degree shape, into dst (allocated when nil or too
 // short). weighted selects the alias-table kernels — a parameter rather
 // than e.weighted because cohorts of a mixed run may walk unweighted
-// specs on a weighted build. The st pointers stay nil: callers bind a
-// psState set (Session.rebind, cohortState.bind).
-func (e *Engine) kernelTable(weighted bool, dst []vpKernel) []vpKernel {
+// specs on a weighted build. sparse resolves the sparse template, where
+// PS partitions take their DS kernel. The st pointers stay nil:
+// cohortState.bind points them at a psState set.
+func (e *Engine) kernelTable(weighted, sparse bool, dst []vpKernel) []vpKernel {
 	if cap(dst) < e.plan.NumVPs() {
 		dst = make([]vpKernel, e.plan.NumVPs())
 	}
@@ -77,7 +78,7 @@ func (e *Engine) kernelTable(weighted bool, dst []vpKernel) []vpKernel {
 		switch {
 		case e.regularDeg[i] == 0:
 			k.kind = kernEmpty
-		case e.psVP[i]:
+		case e.psVP[i] && !sparse:
 			if weighted {
 				k.kind = kernPSWeighted
 			} else {
@@ -96,14 +97,39 @@ func (e *Engine) kernelTable(weighted bool, dst []vpKernel) []vpKernel {
 	return dst
 }
 
-// buildKernels resolves the engine-spec kernel template — plus the
-// unweighted-spec variant on weighted builds, so cohort binds are a copy
-// rather than a per-partition re-resolution. Called once by New; tests
+// buildKernels resolves the engine-spec plan and sparse templates — plus
+// their unweighted-spec variants on weighted builds, so cohort binds are
+// a copy rather than a per-partition re-resolution — and counts the
+// partitions the two templates disagree on. Called once by New; tests
 // rebuild after mutating regularDeg to force the fallback kernels.
 func (e *Engine) buildKernels() {
-	e.kern = e.kernelTable(e.weighted != nil, e.kern)
-	if e.weighted != nil {
-		e.kernUW = e.kernelTable(false, e.kernUW)
+	w := e.weighted != nil
+	e.kern = e.kernelTable(w, false, e.kern)
+	e.sparse = e.kernelTable(w, true, e.sparse)
+	if w {
+		e.kernUW = e.kernelTable(false, false, e.kernUW)
+		e.sparseUW = e.kernelTable(false, true, e.sparseUW)
+	}
+	e.sparseDS = 0
+	for i := range e.kern {
+		if e.kern[i].kind != e.sparse[i].kind {
+			e.sparseDS++
+		}
+	}
+}
+
+// template returns the kernel template a cohort binds: plan or sparse,
+// for a weighted or unweighted spec.
+func (e *Engine) template(plan, weighted bool) []vpKernel {
+	switch {
+	case plan && (weighted || e.weighted == nil):
+		return e.kern
+	case plan:
+		return e.kernUW
+	case weighted || e.weighted == nil:
+		return e.sparse
+	default:
+		return e.sparseUW
 	}
 }
 

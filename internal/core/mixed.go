@@ -82,67 +82,80 @@ func (r *MixedResult) PerStepNS() float64 {
 	return float64(r.Duration.Nanoseconds()) / float64(r.TotalSteps)
 }
 
-// cohortState is one cohort slot's pooled per-run state: a private
+// cohortState is one sampling slot's pooled per-run state: a private
 // psState set (PS buffer consumption is mutable, so co-batched cohorts
 // cannot share one) and a kernel table rebound to it per run. Sessions
-// keep these across mixed runs — the PS buffers are the dominant
-// allocation, exactly like the session's primary set.
+// keep these across runs — the PS buffers are the dominant allocation,
+// which is why a slot allocates them only on its first plan-template
+// bind: a slot that only serves sparse cohorts never holds any.
 type cohortState struct {
-	ps   []*psState
+	ps   []*psState // nil until the slot's first plan-template bind
 	kern []vpKernel
 	cx   cohortCtx
 }
 
-// newCohortState allocates one cohort slot's buffers.
-func (e *Engine) newCohortState() *cohortState {
-	cs := &cohortState{ps: make([]*psState, e.plan.NumVPs())}
+// newPSStates allocates one PS state per PS partition of the plan (one
+// VID per edge of the partition) and nil for the others.
+func (e *Engine) newPSStates() []*psState {
+	ps := make([]*psState, e.plan.NumVPs())
 	for i, vp := range e.plan.VPs {
 		if !e.psVP[i] {
 			continue
 		}
 		edges := e.g.Offsets[vp.End] - e.g.Offsets[vp.Start]
-		cs.ps[i] = &psState{
+		ps[i] = &psState{
 			start:     vp.Start,
 			base:      e.g.Offsets[vp.Start],
 			buf:       make([]graph.VID, edges),
 			remaining: make([]uint32, vp.End-vp.Start),
 		}
 	}
-	return cs
+	return ps
 }
 
-// bind arms the slot for one run of spec on session s: the kernel table
-// is rebuilt for the spec's weighting, the PS buffers are reset to empty,
-// and the context is pointed at them and at the session's overlay —
-// making every run's cohort state indistinguishable from a freshly built
-// one, the same discipline as Session.rebind.
-func (cs *cohortState) bind(s *Session, spec *algo.Spec) {
+// bind arms the slot for one run of a walkers-strong cohort of spec on
+// session s, with the kernel template the engine's switch selects for
+// that count (Engine.bindsPlan).
+func (cs *cohortState) bind(s *Session, spec *algo.Spec, walkers uint64) {
+	cs.bindTemplate(s, spec, s.e.bindsPlan(walkers))
+}
+
+// bindTemplate arms the slot with the plan's kernel template (plan) or
+// the sparse one: the template for the spec's weighting is copied, PS
+// buffers — plan template only — are allocated on first use or reset to
+// empty, and the context is pointed at them and at the session's
+// overlay. Every run's slot state is thereby indistinguishable from a
+// freshly built one, whatever the slot ran before.
+func (cs *cohortState) bindTemplate(s *Session, spec *algo.Spec, plan bool) {
 	e := s.e
 	var ws *algo.WeightedSampler
 	if spec.Weighted {
 		ws = e.weighted
 	}
-	// The kernel table depends only on (plan, PS policy, weighting), so
-	// binding copies the engine's prebuilt template for the spec's
-	// weighting — one memmove — instead of re-resolving every partition's
-	// kernel on each run.
-	tpl := e.kern
-	if e.weighted != nil && ws == nil {
-		tpl = e.kernUW
-	}
+	// The kernel table depends only on (plan, template, weighting), so
+	// binding copies a prebuilt template — one memmove — instead of
+	// re-resolving every partition's kernel on each run.
+	tpl := e.template(plan, ws != nil)
 	if cap(cs.kern) < len(tpl) {
 		cs.kern = make([]vpKernel, len(tpl))
 	}
 	cs.kern = cs.kern[:len(tpl)]
 	copy(cs.kern, tpl)
-	for i, st := range cs.ps {
-		if st == nil {
-			continue
+	ps := e.noPS
+	if plan {
+		if cs.ps == nil {
+			cs.ps = e.newPSStates()
 		}
-		clear(st.remaining)
-		cs.kern[i].st = st
+		ps = cs.ps
+		for i, st := range ps {
+			if st == nil {
+				continue
+			}
+			clear(st.remaining)
+			cs.kern[i].st = st
+		}
 	}
-	cs.cx = cohortCtx{e: e, spec: spec, kern: cs.kern, ps: cs.ps,
+	cs.cx = cohortCtx{e: e, spec: spec, kern: cs.kern, ps: ps,
 		weighted: ws, ov: s.ov, class: classifySpec(spec)}
 }
 
@@ -192,7 +205,7 @@ func (e *Engine) ResolveCohorts(cohorts []Cohort) ([]Cohort, int, error) {
 // returns it.
 func (s *Session) cohortSlots(n int) []*cohortState {
 	for len(s.cohorts) < n {
-		s.cohorts = append(s.cohorts, s.e.newCohortState())
+		s.cohorts = append(s.cohorts, &cohortState{})
 	}
 	return s.cohorts[:n]
 }
@@ -217,9 +230,10 @@ func (e *Engine) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 // of padding to the longest cohort.
 //
 // Determinism: each cohort's trajectories are bitwise-identical to the
-// same (spec, seed, walkers, steps) running alone on a fresh session via
-// RunSeeded — walker init and every sample draw derive from the cohort's
-// own seed, PS buffers are per-cohort, and the shuffle permutation within
+// same (spec, seed, walkers, steps) running alone via RunSeeded — walker
+// init and every sample draw derive from the cohort's own seed, the
+// kernel template follows from the cohort's own walker count, PS buffers
+// are per-cohort and start empty, and the shuffle permutation within
 // every partition chunk preserves walker order, so a cohort's walkers see
 // the same draws whatever rides alongside. (A solo RunSeeded must fit in
 // one episode for the comparison: mixed runs never episode-split, and
@@ -265,12 +279,13 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 		offs[k+1] = offs[k] + resolved[i].Walkers
 	}
 
-	// Per-cohort sampling state: private PS buffers, kernel tables bound
-	// to them, the cohort's spec and seed.
+	// Per-cohort sampling state: the template the cohort's own walker
+	// count selects, private PS buffers when that is the plan's, the
+	// cohort's spec and seed.
 	slots := s.cohortSlots(len(order))
 	cxs := make([]*cohortCtx, len(order))
 	for k, i := range order {
-		slots[k].bind(s, &resolved[i].Spec)
+		slots[k].bind(s, &resolved[i].Spec, resolved[i].Walkers)
 		cxs[k] = &slots[k].cx
 	}
 

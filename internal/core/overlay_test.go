@@ -99,10 +99,13 @@ func TestOverlayWalksAreUnionWalks(t *testing.T) {
 	} {
 		t.Run(planner.name, func(t *testing.T) {
 			g := undirectedTestGraph(t, 600, 3)
-			cfg := Config{Workers: 4, Seed: 11, Planner: planner.p, RecordHistory: true,
+			cfg := Config{Workers: 4, Seed: 11, Planner: planner.p, RecordHistory: true, Metrics: true,
 				Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1}}
 			e := newEngine(t, g, algo.DeepWalk(), cfg)
 			defer e.Close()
+			// At least W* walkers, so the uniform-PS leg runs the overlay
+			// over the plan's PS kernels.
+			walkers := max(500, e.SparseSwitch())
 
 			delta := overlayDelta(g)
 			ov, err := BuildOverlay(e, delta)
@@ -117,10 +120,13 @@ func TestOverlayWalksAreUnionWalks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := overlayRun(t, e, ov, 77, 500, 6)
+			a := overlayRun(t, e, ov, 77, walkers, 6)
 			checkPathsAreWalks(t, union, a.History)
+			if planner.p == PlannerUniformPS && psSteps(t, a.Report) == 0 {
+				t.Fatalf("uniform-PS overlay run of %d walkers ran no PS kernel (W* = %d)", walkers, e.SparseSwitch())
+			}
 
-			b := overlayRun(t, e, ov, 77, 500, 6)
+			b := overlayRun(t, e, ov, 77, walkers, 6)
 			if !historiesEqual(a.History, b.History) {
 				t.Fatal("same seed on fresh overlay sessions diverged")
 			}
@@ -243,10 +249,13 @@ func TestOverlaySpecRestriction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.ov != nil || s2.cx.ov != nil {
+	if s2.ov != nil {
 		t.Fatal("plain session reacquired from the pool kept an overlay")
 	}
 	if _, err := s2.RunSeeded(1, 100, 3); err != nil {
 		t.Fatalf("second-order run on plain session after overlay session: %v", err)
+	}
+	if s2.primary.cx.ov != nil {
+		t.Fatal("run on a plain session bound a stale overlay")
 	}
 }

@@ -94,18 +94,21 @@ func (s *Session) Run(totalWalkers uint64, steps int) (*Result, error) {
 
 // RunSeeded is Run with a per-run seed overriding Config.Seed: walker
 // placement and every sample draw derive from the given seed instead of
-// the engine's. On a freshly acquired session, trajectories are a pure
-// function of (engine build, seed, totalWalkers, steps) — the hook the
-// serving layer uses to give independently seeded requests reproducible
-// walks on one shared engine. Runs after the first on the same session
-// see the PS buffers the earlier runs left behind; acquire a new session
-// when reproducibility matters.
+// the engine's. Trajectories are a pure function of (engine build, seed,
+// totalWalkers, steps) on any session, whatever it ran before — the hook
+// the serving layer uses to give independently seeded requests
+// reproducible walks on one shared engine.
 //
-// The run is an episode loop over one Stepper: each memory-resident
-// episode places its walkers, then steps the session's primary context
-// with the episode index in the sample-seed schedule. All per-run state
-// is allocated before the first step; the steps themselves allocate
-// nothing and create no goroutines.
+// The run binds the session's primary slot to the kernel template its
+// episode size selects (EpisodeWalkers(totalWalkers) against the build's
+// sparse switch, the rule every driver applies): at or above the switch
+// the plan's template with PS buffers reset to empty, below it the
+// sparse template, which direct-samples every partition and touches no
+// PS buffer. It is then an episode loop over one Stepper: each
+// memory-resident episode places its walkers, then steps the primary
+// context with the episode index in the sample-seed schedule. All
+// per-run state is allocated before the first step; the steps
+// themselves allocate nothing and create no goroutines.
 func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Result, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -142,7 +145,8 @@ func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Resul
 		auxW[c], auxNext[c] = make([]graph.VID, maxEp), make([]graph.VID, maxEp)
 	}
 	views, viewsNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
-	st.cxs[0] = &s.cx
+	s.primary.bind(s, &e.spec, uint64(maxEp))
+	st.cxs[0] = &s.primary.cx
 
 	for remaining := totalWalkers; remaining > 0; {
 		if err := s.ctx.Err(); err != nil {

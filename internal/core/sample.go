@@ -198,14 +198,15 @@ const batchThreshold = 64
 // place (§4.2): a single sequential scan of the walker chunk, with all
 // random accesses confined to the partition's working set.
 func (s *Session) sampleVP(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src *rng.XorShift1024Star) {
-	s.cx.sampleVPScratch(vpIdx, chunk, aux, src, newSampleScratch())
+	s.primary.cx.sampleVPScratch(vpIdx, chunk, aux, src, newSampleScratch())
 }
 
 // sampleVPScratch runs the session's primary walk (the engine spec) over
-// one partition chunk — the solo-run entry point, retained so the
-// equivalence suites drive the exact call the solo pipeline makes.
+// one partition chunk under whatever template the primary slot was last
+// bound to — the solo-run entry point, retained so the equivalence suites
+// drive the exact call the solo pipeline makes.
 func (s *Session) sampleVPScratch(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src *rng.XorShift1024Star, scr *sampleScratch) {
-	s.cx.sampleVPScratch(vpIdx, chunk, aux, src, scr)
+	s.primary.cx.sampleVPScratch(vpIdx, chunk, aux, src, scr)
 }
 
 // sampleVPScratch dispatches one partition chunk to the walk-shape

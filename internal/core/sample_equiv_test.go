@@ -44,8 +44,8 @@ func newRefSampler(s *Session) *refSampler {
 		g: e.g, spec: e.spec, plan: e.plan,
 		regularDeg: e.regularDeg, weighted: e.weighted,
 	}
-	r.ps = make([]*psState, len(s.ps))
-	for i, st := range s.ps {
+	r.ps = make([]*psState, len(s.primary.cx.ps))
+	for i, st := range s.primary.cx.ps {
 		if st == nil {
 			continue
 		}
@@ -325,10 +325,10 @@ func equivScenarios(t *testing.T) []equivScenario {
 }
 
 // TestSampleKernelsMatchFrozenScalar drives every partition of every
-// scenario through the kernel path, the retained scalar path, and the
-// frozen reference with identical reseeded streams, and requires bitwise
-// identical chunks, predecessors, and (implicitly, via later rounds)
-// PS buffer evolution.
+// scenario, under both kernel templates, through the kernel path, the
+// retained scalar path, and the frozen reference with identical reseeded
+// streams, and requires bitwise identical chunks, predecessors, and
+// (implicitly, via later rounds) PS buffer evolution.
 func TestSampleKernelsMatchFrozenScalar(t *testing.T) {
 	base := Config{Workers: 1, Seed: 3, Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1}}
 	for _, sc := range equivScenarios(t) {
@@ -341,93 +341,118 @@ func TestSampleKernelsMatchFrozenScalar(t *testing.T) {
 			defer eK.Close()
 			eS := newEngine(t, sc.g, sc.spec, cfgS)
 			defer eS.Close()
-			sK, err := eK.NewSession(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sK.Close()
-			sS, err := eS.NewSession(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sS.Close()
-			ref := newRefSampler(sK)
-
-			setup := rng.NewXorShift1024Star(0x5eed)
-			srcK := rng.NewXorShift1024Star(0)
-			srcS := rng.NewXorShift1024Star(0)
-			srcR := rng.NewXorShift1024Star(0)
-			scrK, scrS := newSampleScratch(), newSampleScratch()
-			channels := eK.auxChannels()
-			n := sc.g.NumVertices()
-
-			for round := 0; round < 3; round++ {
-				for vp := 0; vp < eK.plan.NumVPs(); vp++ {
-					vpp := eK.plan.VPs[vp]
-					span := uint32(vpp.End - vpp.Start)
-					if span == 0 {
-						continue
-					}
-					// Sizes straddle batchThreshold so both second-order
-					// paths run.
-					for _, size := range []int{1, 7, 200} {
-						master := make([]graph.VID, size)
-						for j := range master {
-							master[j] = vpp.Start + graph.VID(setup.Uint32n(span))
-						}
-						var masterAux []graph.VID
-						if channels > 0 {
-							masterAux = make([]graph.VID, size)
-							for j := range masterAux {
-								masterAux[j] = graph.VID(setup.Uint32n(n))
-							}
-						}
-						wrap := func(a []graph.VID) [][]graph.VID {
-							if a == nil {
-								return nil
-							}
-							return [][]graph.VID{a}
-						}
-						seed := setup.Uint64()
-
-						chunkK := slices.Clone(master)
-						auxK := slices.Clone(masterAux)
-						srcK.Reseed(seed)
-						sK.sampleVPScratch(vp, chunkK, wrap(auxK), srcK, scrK)
-
-						chunkS := slices.Clone(master)
-						auxS := slices.Clone(masterAux)
-						srcS.Reseed(seed)
-						sS.sampleVPScratch(vp, chunkS, wrap(auxS), srcS, scrS)
-
-						chunkR := slices.Clone(master)
-						auxR := slices.Clone(masterAux)
-						srcR.Reseed(seed)
-						ref.sampleVP(vp, chunkR, wrap(auxR), srcR)
-
-						if !slices.Equal(chunkK, chunkR) || !slices.Equal(auxK, auxR) {
-							t.Fatalf("round %d vp %d size %d: kernel path diverged from frozen scalar", round, vp, size)
-						}
-						if !slices.Equal(chunkS, chunkR) || !slices.Equal(auxS, auxR) {
-							t.Fatalf("round %d vp %d size %d: retained scalar path diverged from frozen scalar", round, vp, size)
-						}
-					}
-				}
-			}
+			t.Run("plan", func(t *testing.T) { matchFrozenScalar(t, sc, eK, eS, true) })
+			t.Run("sparse", func(t *testing.T) { matchFrozenScalar(t, sc, eK, eS, false) })
 		})
 	}
 }
 
-func runForHistory(t *testing.T, g *graph.CSR, spec algo.Spec, cfg Config, walkers uint64, steps int) *walk.History {
+// matchFrozenScalar drives every partition of eK (kernels) and eS (scalar
+// path) under the plan's or the sparse kernel template, against the
+// frozen reference holding the same PS state.
+func matchFrozenScalar(t *testing.T, sc equivScenario, eK, eS *Engine, plan bool) {
+	sK, err := eK.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sK.Close()
+	sS, err := eS.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sS.Close()
+	sK.primary.bindTemplate(sK, &eK.spec, plan)
+	sS.primary.bindTemplate(sS, &eS.spec, plan)
+	// The PS scenarios must exercise PS under the plan's template, and no
+	// scenario may under the sparse one.
+	hasPS := slices.ContainsFunc(sK.primary.kern, func(k vpKernel) bool {
+		return k.kind == kernPS || k.kind == kernPSWeighted
+	})
+	if (plan && sc.planner == PlannerUniformPS && !hasPS) || (!plan && hasPS) {
+		t.Fatalf("bound PS kernels = %v with plan template = %v", hasPS, plan)
+	}
+	ref := newRefSampler(sK)
+
+	setup := rng.NewXorShift1024Star(0x5eed)
+	srcK := rng.NewXorShift1024Star(0)
+	srcS := rng.NewXorShift1024Star(0)
+	srcR := rng.NewXorShift1024Star(0)
+	scrK, scrS := newSampleScratch(), newSampleScratch()
+	channels := eK.auxChannels()
+	n := sc.g.NumVertices()
+
+	for round := 0; round < 3; round++ {
+		for vp := 0; vp < eK.plan.NumVPs(); vp++ {
+			vpp := eK.plan.VPs[vp]
+			span := uint32(vpp.End - vpp.Start)
+			if span == 0 {
+				continue
+			}
+			// Sizes straddle batchThreshold so both second-order
+			// paths run.
+			for _, size := range []int{1, 7, 200} {
+				master := make([]graph.VID, size)
+				for j := range master {
+					master[j] = vpp.Start + graph.VID(setup.Uint32n(span))
+				}
+				var masterAux []graph.VID
+				if channels > 0 {
+					masterAux = make([]graph.VID, size)
+					for j := range masterAux {
+						masterAux[j] = graph.VID(setup.Uint32n(n))
+					}
+				}
+				wrap := func(a []graph.VID) [][]graph.VID {
+					if a == nil {
+						return nil
+					}
+					return [][]graph.VID{a}
+				}
+				seed := setup.Uint64()
+
+				chunkK := slices.Clone(master)
+				auxK := slices.Clone(masterAux)
+				srcK.Reseed(seed)
+				sK.sampleVPScratch(vp, chunkK, wrap(auxK), srcK, scrK)
+
+				chunkS := slices.Clone(master)
+				auxS := slices.Clone(masterAux)
+				srcS.Reseed(seed)
+				sS.sampleVPScratch(vp, chunkS, wrap(auxS), srcS, scrS)
+
+				chunkR := slices.Clone(master)
+				auxR := slices.Clone(masterAux)
+				srcR.Reseed(seed)
+				ref.sampleVP(vp, chunkR, wrap(auxR), srcR)
+
+				if !slices.Equal(chunkK, chunkR) || !slices.Equal(auxK, auxR) {
+					t.Fatalf("round %d vp %d size %d: kernel path diverged from frozen scalar", round, vp, size)
+				}
+				if !slices.Equal(chunkS, chunkR) || !slices.Equal(auxS, auxR) {
+					t.Fatalf("round %d vp %d size %d: retained scalar path diverged from frozen scalar", round, vp, size)
+				}
+			}
+		}
+	}
+}
+
+// runRecorded runs the engine with history and metrics on.
+func runRecorded(t *testing.T, g *graph.CSR, spec algo.Spec, cfg Config, walkers uint64, steps int) *Result {
 	t.Helper()
 	cfg.RecordHistory = true
+	cfg.Metrics = true
 	e := newEngine(t, g, spec, cfg)
 	defer e.Close()
 	r, err := e.Run(walkers, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.History
+	return r
+}
+
+func runForHistory(t *testing.T, g *graph.CSR, spec algo.Spec, cfg Config, walkers uint64, steps int) *walk.History {
+	t.Helper()
+	return runRecorded(t, g, spec, cfg, walkers, steps).History
 }
 
 func historiesEqual(a, b *walk.History) bool {
@@ -468,7 +493,11 @@ func TestSampleEngineEquivalenceAcrossWorkers(t *testing.T) {
 						cfg := base
 						cfg.Workers = workers
 						cfg.ScalarSample = scalarPath
-						got := runForHistory(t, sc.g, sc.spec, cfg, 500, 4)
+						r := runRecorded(t, sc.g, sc.spec, cfg, 500, 4)
+						if sc.planner == PlannerUniformPS && psSteps(t, r.Report) == 0 {
+							t.Fatalf("seed %d workers %d scalar=%v: a PS scenario ran no PS kernel walker-steps", seed, workers, scalarPath)
+						}
+						got := r.History
 						if !historiesEqual(want, got) {
 							t.Fatalf("seed %d workers %d scalar=%v: trajectories diverged from single-worker scalar run", seed, workers, scalarPath)
 						}

@@ -10,9 +10,12 @@ import (
 // packs d(v) pre-drawn targets per vertex at the vertex's own CSR edge
 // offset (rebased to the partition), remaining counts the unconsumed
 // samples. The buffers are consumed and refilled as the walk progresses,
-// which is exactly why they are session state: two concurrent runs
+// which is exactly why they are per-context state: two concurrent runs
 // sharing one buffer would interleave their consumption and destroy both
-// determinism and the refill accounting.
+// determinism and the refill accounting. A session or cohort slot
+// allocates its set on its first plan-template bind and resets it to
+// empty on every later one; a slot that only ever binds the sparse
+// template holds none.
 type psState struct {
 	start     graph.VID
 	base      uint64
@@ -21,11 +24,11 @@ type psState struct {
 }
 
 // Session owns the mutable state of one run on an immutable Engine build:
-// the PS buffers, the session's copy of the kernel table (bound to those
-// buffers), the sample task and its work-item list, the per-worker
-// scratches, and — when metrics are on — a per-session registry whose
-// snapshot becomes that run's Result.Report and which folds into the
-// engine aggregate on Close.
+// the primary sampling slot (PS buffers and kernel table for the engine's
+// own spec), the cohort slots of mixed runs and steppers, the sample task
+// and its work-item list, the per-worker scratches, and — when metrics
+// are on — a per-session registry whose snapshot becomes that run's
+// Result.Report and which folds into the engine aggregate on Close.
 //
 // A Session is single-goroutine: one Run at a time per session. Engine
 // concurrency comes from multiple sessions — NewSession is safe to call
@@ -35,27 +38,14 @@ type Session struct {
 	e   *Engine
 	ctx context.Context
 
-	// ps[i] is partition i's pre-sample state (nil for DS partitions).
-	// Fresh on every acquisition: remaining is cleared, so a session's
-	// trajectories depend only on (engine seed, episode, step, partition,
-	// sub-shard) — bitwise-identical whether runs execute serially on one
-	// engine or concurrently on many sessions.
-	ps []*psState
+	// primary is the slot every solo run samples through: the engine's
+	// spec bound, per run, to the template its episode size selects.
+	// Mixed runs and steppers use the cohort slots below instead.
+	primary cohortState
 
-	// kern is the session's copy of the engine's kernel table with st
-	// bound to the session's psState. Re-copied from the template on every
-	// acquisition, so engine-side rebuilds (tests force fallback kernels)
-	// are picked up.
-	kern []vpKernel
-
-	// cx is the session's primary sampling context: the engine's spec
-	// bound to the session's kern/ps above. Every solo run samples through
-	// it; mixed runs use per-cohort contexts instead (cohorts below).
-	cx cohortCtx
-
-	// cohorts holds pooled per-cohort state for RunMixed (private PS
-	// buffers and kernel tables, one entry per cohort slot), grown on
-	// demand and reused across the session's mixed runs.
+	// cohorts holds pooled per-cohort state for RunMixed and steppers
+	// (PS buffers and kernel tables, one entry per cohort slot), grown on
+	// demand and reused across the session's runs.
 	cohorts []*cohortState
 
 	// sample is the session's pool task for the sample stage, re-armed per
@@ -68,7 +58,7 @@ type Session struct {
 
 	// ov is the session's delta overlay (nil for plain sessions): set at
 	// acquisition by NewSessionOverlay and propagated into every sampling
-	// context the session's runs build, never mutated mid-run.
+	// context the session's runs bind, never mutated mid-run.
 	ov *Overlay
 
 	// m is the session's metric set (nil unless Config.Metrics): a fresh
@@ -107,9 +97,7 @@ func (e *Engine) NewSessionOverlay(ctx context.Context, ov *Overlay) (*Session, 
 	if s == nil {
 		s = e.newSessionState()
 	}
-	s.rebind()
 	s.ov = ov
-	s.cx.ov = ov
 	s.ctx = ctx
 	s.closed = false
 	if e.cfg.Metrics {
@@ -119,49 +107,17 @@ func (e *Engine) NewSessionOverlay(ctx context.Context, ov *Overlay) (*Session, 
 	return s, nil
 }
 
-// newSessionState allocates a session's buffers: PS state per PS
-// partition (the dominant cost — one VID per edge of the partition) and
-// one scratch per pool worker.
+// newSessionState allocates a session's per-worker scratches. PS buffers
+// are not allocated here: each slot allocates its own on its first
+// plan-template bind (cohortState.bind).
 func (e *Engine) newSessionState() *Session {
-	s := &Session{
-		e:    e,
-		ps:   make([]*psState, e.plan.NumVPs()),
-		kern: make([]vpKernel, e.plan.NumVPs()),
-	}
-	for i, vp := range e.plan.VPs {
-		if !e.psVP[i] {
-			continue
-		}
-		edges := e.g.Offsets[vp.End] - e.g.Offsets[vp.Start]
-		s.ps[i] = &psState{
-			start:     vp.Start,
-			base:      e.g.Offsets[vp.Start],
-			buf:       make([]graph.VID, edges),
-			remaining: make([]uint32, vp.End-vp.Start),
-		}
-	}
+	s := &Session{e: e}
 	s.scratches = make([]*sampleScratch, e.pool.Workers())
 	for i := range s.scratches {
 		s.scratches[i] = newSampleScratch()
 	}
 	s.sample.s = s
-	s.cx = cohortCtx{e: e, spec: &e.spec, kern: s.kern, ps: s.ps,
-		weighted: e.weighted, class: classifySpec(&e.spec)}
 	return s
-}
-
-// rebind refreshes the session's kernel table from the engine template
-// and resets the PS buffers to empty, making the acquisition
-// indistinguishable from a freshly built session.
-func (s *Session) rebind() {
-	copy(s.kern, s.e.kern)
-	for i, st := range s.ps {
-		if st == nil {
-			continue
-		}
-		clear(st.remaining)
-		s.kern[i].st = st
-	}
 }
 
 // Close releases the session: its metrics fold into the engine-lifetime

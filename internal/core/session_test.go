@@ -22,14 +22,20 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		g := undirectedTestGraph(t, 600, 3)
 		for _, planner := range []PlannerKind{PlannerMCKP, PlannerUniformPS} {
 			cfg := Config{
-				Workers: 4, Seed: 11, Planner: planner, RecordHistory: true,
+				Workers: 4, Seed: 11, Planner: planner, RecordHistory: true, Metrics: true,
 				Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1},
 			}
 			e := newEngine(t, g, algo.DeepWalk(), cfg)
+			// At least W* walkers, so the uniform-PS leg binds the plan's
+			// PS kernels and their per-session buffers.
+			walkers := max(500, e.SparseSwitch())
 
-			serial, err := e.Run(500, 4)
+			serial, err := e.Run(walkers, 4)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if planner == PlannerUniformPS && psSteps(t, serial.Report) == 0 {
+				t.Fatalf("uniform-PS run of %d walkers ran no PS kernel (W* = %d)", walkers, e.SparseSwitch())
 			}
 
 			const sessions = 6
@@ -40,7 +46,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					results[i], errs[i] = e.Run(500, 4)
+					results[i], errs[i] = e.Run(walkers, 4)
 				}(i)
 			}
 			wg.Wait()
@@ -278,41 +284,54 @@ func TestConcurrentRunsWithMetrics(t *testing.T) {
 }
 
 // TestConcurrentSparseMixedWaves runs serving-sized mixed waves from
-// several sessions on one engine at once. A wave below the inline cutoff
-// runs every phase on its own goroutine, outside the pool's serialized
-// submissions, so only per-session state keeps concurrent waves apart;
-// the larger waves mixed in take the pooled path beside them. Every wave
-// must be bitwise-identical to the same wave run alone. CI repeats it
-// under the race detector.
+// several sessions on one engine at once, on a plan whose hubs
+// pre-sample. A wave below the inline cutoff runs every phase on its own
+// goroutine, outside the pool's serialized submissions, so only
+// per-session state keeps concurrent waves apart; the larger waves mixed
+// in take the pooled path beside them. Half the waves carry, beside
+// their sparse cohorts, one cohort at or above the sparse switch, which
+// binds the plan's PS kernels in the same sweep. Every cohort must be
+// bitwise-identical to its solo RunSeeded on an engine built for its
+// spec. CI repeats it under the race detector.
 func TestConcurrentSparseMixedWaves(t *testing.T) {
 	defer func(old int) { walk.InlineCutoff = old }(walk.InlineCutoff)
 	walk.InlineCutoff = 256
 
 	g := undirectedTestGraph(t, 600, 3)
-	cfg := mixedTestConfig()
-	cfg.Metrics = true
-	e := newEngine(t, g, algo.DeepWalk(), cfg)
-	defer e.Close()
+	cfg := psPlanConfig()
+	cfg.Workers = 4
+	cfg.RecordHistory = true
+	specs := []algo.Spec{algo.DeepWalk(), algo.Node2Vec(2, 0.5), algo.PageRankWalk(0.85)}
+	solos := map[string]*Engine{}
+	for _, sp := range specs {
+		solos[sp.Name] = newEngine(t, g, sp, cfg)
+		defer solos[sp.Name].Close()
+	}
+	e := solos[specs[0].Name]
+	ws := e.SparseSwitch()
 	wave := func(i int) []Cohort {
-		seed := uint64(100 + 3*i)
-		walkers := uint64(1 + i%3)
-		if i%4 == 3 {
-			walkers = 300 // above the cutoff: the pooled path
+		seed := uint64(100 + 4*i)
+		small := uint64(1 + i%3)
+		cohorts := []Cohort{
+			{Spec: specs[0], Walkers: small, Steps: 6, Seed: seed},
+			{Spec: specs[1], Walkers: small, Steps: 4, Seed: seed + 1},
+			{Spec: specs[2], Walkers: 1 + small/2, Steps: 5, Seed: seed + 2},
 		}
-		return []Cohort{
-			{Spec: algo.DeepWalk(), Walkers: walkers, Steps: 6, Seed: seed},
-			{Spec: algo.Node2Vec(2, 0.5), Walkers: walkers, Steps: 4, Seed: seed + 1},
-			{Spec: algo.PageRankWalk(0.85), Walkers: 1 + walkers/2, Steps: 5, Seed: seed + 2},
+		if i%2 == 1 {
+			// One plan-template cohort; every other one pushes the wave
+			// above the inline cutoff, onto the pooled path.
+			walkers := ws + uint64(i)
+			if i%4 == 3 {
+				walkers = ws + 100
+			}
+			cohorts = append(cohorts, Cohort{Spec: specs[i/2%3], Walkers: walkers, Steps: 3 + i%4, Seed: seed + 3})
 		}
+		return cohorts
 	}
 
 	const sessions, waves = 6, 4
-	serial := make([]*MixedResult, sessions*waves)
-	for i := range serial {
-		serial[i] = mixedRun(t, e, wave(i))
-	}
-	got := make([]*MixedResult, len(serial))
-	errs := make([]error, len(serial))
+	got := make([]*MixedResult, sessions*waves)
+	errs := make([]error, len(got))
 	var wg sync.WaitGroup
 	for si := 0; si < sessions; si++ {
 		wg.Add(1)
@@ -331,13 +350,17 @@ func TestConcurrentSparseMixedWaves(t *testing.T) {
 		}(si)
 	}
 	wg.Wait()
-	for i := range serial {
+	for i := range got {
 		if errs[i] != nil {
 			t.Fatalf("wave %d: %v", i, errs[i])
 		}
-		for c := range serial[i].Cohorts {
-			if !historiesEqual(serial[i].Cohorts[c].History, got[i].Cohorts[c].History) {
-				t.Fatalf("wave %d cohort %d diverged from its serial run", i, c)
+		for c, co := range wave(i) {
+			solo := seededRun(t, solos[co.Spec.Name], co.Seed, co.Walkers, co.Steps)
+			if ps := psSteps(t, solo.Report); (ps > 0) != (co.Walkers >= ws) {
+				t.Fatalf("wave %d cohort %d: %d walkers ran %d PS walker-steps (W* = %d)", i, c, co.Walkers, ps, ws)
+			}
+			if !historiesEqual(solo.History, got[i].Cohorts[c].History) {
+				t.Fatalf("wave %d cohort %d diverged from its solo run", i, c)
 			}
 		}
 	}

@@ -38,26 +38,39 @@ func TestInitEdgeUniformMatchesBinarySearch(t *testing.T) {
 // allocations and zero net goroutines — every stage runs on the
 // persistent pool (or inline on the caller) with reused scratch. Solo
 // runs, ragged mixed runs and a bare Stepper loop are each held to it,
-// on both step paths.
+// on both step paths, on a plan whose hubs pre-sample and with walker
+// counts above the sparse switch, so the PS kernels' refills are inside
+// the measured steps.
 func TestEngineSteadyStateStepCost(t *testing.T) {
 	onBothPaths(t, func(t *testing.T) {
-		g := undirectedTestGraph(t, 400, 22)
-		e := newEngine(t, g, algo.DeepWalk(), Config{
-			Workers: 4,
-			Seed:    7,
-			Part:    part.Config{TargetGroups: 16},
-		})
+		g := undirectedTestGraph(t, 600, 3)
+		steadyConfig := func(workers int) Config {
+			cfg := psPlanConfig()
+			cfg.Workers, cfg.Seed, cfg.Metrics = workers, 7, false
+			return cfg
+		}
+		e := newEngine(t, g, algo.DeepWalk(), steadyConfig(4))
 		defer e.Close()
+		if e.SparseDSVPs() == 0 || !e.bindsPlan(500) {
+			t.Fatalf("runs of 500+ walkers must bind PS kernels (W* = %d, %d PS partitions)", e.SparseSwitch(), e.SparseDSVPs())
+		}
 
+		// One held session: the engine's session pool may drop an idle
+		// session at a GC, and a fresh one allocates its PS buffers.
+		solo, err := e.NewSession(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer solo.Close()
 		mallocsFor := func(steps int) uint64 {
 			// One throwaway run warms every lazily-sized buffer.
-			if _, err := e.Run(2000, steps); err != nil {
+			if _, err := solo.Run(2000, steps); err != nil {
 				t.Fatal(err)
 			}
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := e.Run(2000, steps); err != nil {
+			if _, err := solo.Run(2000, steps); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -96,11 +109,7 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 		// allocation counts are taken on one worker: per-worker sample
 		// scratch grows to the largest chunk a worker has claimed, which
 		// depends on claim order when several workers share the items.
-		one := newEngine(t, g, algo.DeepWalk(), Config{
-			Workers: 1,
-			Seed:    7,
-			Part:    part.Config{TargetGroups: 16},
-		})
+		one := newEngine(t, g, algo.DeepWalk(), steadyConfig(1))
 		defer one.Close()
 		mixed := func(scale int) []Cohort {
 			return []Cohort{
@@ -155,7 +164,7 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.BindCohort(0, &spec); err != nil {
+			if err := st.BindCohort(0, &spec, 2000); err != nil {
 				t.Fatal(err)
 			}
 			w, wNext := make([]graph.VID, 2000), make([]graph.VID, 2000)
@@ -220,6 +229,109 @@ func TestEngineRaceMultiWorker(t *testing.T) {
 			}
 			checkPathsAreWalks(t, g, res.History)
 			e.Close()
+		}
+	})
+}
+
+// TestSparseRunsHoldNoPSState pins the cost side of the sparse template
+// on a plan that pre-samples its hubs. On a pooled session, runs below
+// the sparse switch — solo, mixed and through a stepper — allocate
+// nothing per extra step and leave the session and every cohort slot
+// without PS buffers; a plan-template run afterwards allocates them and
+// is bitwise-identical to the same run on a fresh session, as is a
+// second plan-template run on the same session.
+func TestSparseRunsHoldNoPSState(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		g := undirectedTestGraph(t, 600, 3)
+		cfg := psPlanConfig()
+		cfg.Workers = 1
+		cfg.RecordHistory = true
+		e := newEngine(t, g, algo.DeepWalk(), cfg)
+		defer e.Close()
+		sparse := e.SparseSwitch() - 1
+		s, err := e.NewSession(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+
+		const slack = 20
+		mallocs := func(run func(steps int)) (short, long uint64) {
+			measure := func(steps int) uint64 {
+				run(steps) // warms every lazily-sized buffer
+				runtime.GC()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run(steps)
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			return measure(2), measure(42)
+		}
+		solo := func(steps int) {
+			if _, err := s.RunSeeded(5, sparse, steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mixed := func(steps int) {
+			if _, err := s.RunMixed([]Cohort{
+				{Spec: algo.DeepWalk(), Walkers: sparse, Steps: steps, Seed: 1},
+				{Spec: algo.Node2Vec(2, 0.5), Walkers: 3, Steps: steps / 2, Seed: 2},
+				{Spec: algo.PageRankWalk(0.85), Walkers: 1, Steps: steps, Seed: 3},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.cfg.RecordHistory = false // history rows are per-step allocations
+		for name, run := range map[string]func(int){"solo": solo, "mixed": mixed} {
+			if short, long := mallocs(run); long > short+slack {
+				t.Errorf("sparse %s run: %d objects at 42 steps vs %d at 2, want 0 per extra step", name, long, short)
+			}
+		}
+		e.cfg.RecordHistory = true
+		st, err := s.NewStepper(int(sparse), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := algo.DeepWalk()
+		if err := st.BindCohort(0, &spec, sparse); err != nil {
+			t.Fatal(err)
+		}
+		if s.primary.ps != nil {
+			t.Error("session primary slot allocated PS state for sparse runs")
+		}
+		for k, cs := range s.cohorts {
+			if cs.ps != nil {
+				t.Errorf("cohort slot %d allocated PS state for sparse cohorts", k)
+			}
+		}
+
+		plan := func(s *Session) *Result {
+			res, err := s.RunSeeded(9, e.SparseSwitch(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if psSteps(t, res.Report) == 0 {
+				t.Fatal("run at the sparse switch ran no PS kernel")
+			}
+			return res
+		}
+		after := plan(s)
+		if s.primary.ps == nil {
+			t.Error("plan-template run did not allocate PS state")
+		}
+		again := plan(s)
+		fresh, err := e.NewSession(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		want := plan(fresh)
+		if !historiesEqual(after.History, want.History) {
+			t.Error("plan-template run after sparse runs diverged from a fresh session's")
+		}
+		if !historiesEqual(again.History, want.History) {
+			t.Error("second plan-template run on one session diverged from a fresh session's")
 		}
 	})
 }

@@ -100,7 +100,8 @@ func (s *Session) newStepper(maxWalkers, channels int) (*Stepper, error) {
 // NewStepper builds a per-step driver sized for maxWalkers walkers,
 // channels aux channels, and the given number of cohort slots. The
 // session's pooled cohort state backs the slots, so steppers acquired
-// across runs on one session reuse the PS buffers.
+// across runs on one session reuse their PS buffers (reset on every
+// plan-template bind).
 func (s *Session) NewStepper(maxWalkers, channels, cohorts int) (*Stepper, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -120,13 +121,17 @@ func (s *Session) NewStepper(maxWalkers, channels, cohorts int) (*Stepper, error
 	return st, nil
 }
 
-// BindCohort arms slot k for a cohort of the given spec: the slot's
-// kernel table is rebuilt for the spec's weighting and its PS buffers
-// reset to empty, exactly as a mixed run binds its cohorts. Admission
-// follows RunMixed's rules (ResolveCohorts, and the overlay's spec
-// restriction on an overlay session). The spec must stay alive and
-// unmodified while bound.
-func (st *Stepper) BindCohort(k int, spec *algo.Spec) error {
+// BindCohort arms slot k for a cohort of the given spec and walker
+// count, exactly as a mixed run binds its cohorts: the kernel template
+// is the one the count selects against the build's sparse switch, copied
+// for the spec's weighting, with PS buffers reset to empty when it is the
+// plan's. walkers is the cohort's global count — a shard passes the
+// cohort's resolved Walkers, not its fluctuating local population, so
+// every shard binds what a single engine would. Admission follows
+// RunMixed's rules (ResolveCohorts, and the overlay's spec restriction
+// on an overlay session). The spec must stay alive and unmodified while
+// bound.
+func (st *Stepper) BindCohort(k int, spec *algo.Spec, walkers uint64) error {
 	s := st.s
 	if k < 0 || k >= len(st.specs) {
 		return fmt.Errorf("core: cohort slot %d out of range [0, %d)", k, len(st.specs))
@@ -142,7 +147,7 @@ func (st *Stepper) BindCohort(k int, spec *algo.Spec) error {
 	if ch := auxChannelsFor(spec); ch > len(st.auxSW) {
 		return fmt.Errorf("core: spec needs %d aux channels but the stepper was built with %d", ch, len(st.auxSW))
 	}
-	st.slots[k].bind(s, spec)
+	st.slots[k].bind(s, spec, walkers)
 	st.specs[k] = spec
 	return nil
 }

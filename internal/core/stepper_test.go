@@ -23,7 +23,7 @@ func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BindCohort(0, spec); err != nil {
+	if err := st.BindCohort(0, spec, uint64(walkers)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,7 +119,7 @@ func TestStepperResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := algo.DeepWalk()
-	if err := st.BindCohort(0, &spec); err != nil {
+	if err := st.BindCohort(0, &spec, 200); err != nil {
 		t.Fatal(err)
 	}
 	w := make([]graph.VID, 201)

@@ -61,9 +61,6 @@ type Config struct {
 	// TargetGroups and MaxBins are the planner's G and P hyper-parameters
 	// (defaults 128 and 2048).
 	TargetGroups, MaxBins int
-	// PlanWalkers is the walker count the planner prices for (default |V|
-	// of each build).
-	PlanWalkers uint64
 	// CompactEvery, when positive, triggers a background compaction after
 	// that many freezes. Zero leaves compaction to explicit Compact calls.
 	CompactEvery int
@@ -239,7 +236,6 @@ func (s *System) build(ext *graph.CSR, prev *buildState) (*buildState, int, erro
 		Part: part.Config{
 			TargetGroups: s.cfg.TargetGroups,
 			MaxBins:      s.cfg.MaxBins,
-			Walkers:      s.cfg.PlanWalkers,
 		},
 	}
 	replanned := 0
@@ -248,9 +244,7 @@ func (s *System) build(ext *graph.CSR, prev *buildState) (*buildState, int, erro
 		// zero drift threshold reproduces the cold build's plan.
 		pcfg := ccfg.Part
 		pcfg.Model = s.model
-		if pcfg.Walkers == 0 {
-			pcfg.Walkers = uint64(reorder.Graph.NumVertices())
-		}
+		pcfg.Walkers = uint64(reorder.Graph.NumVertices())
 		plan, n, err := part.PlanIncremental(reorder.Graph, pcfg, prev.plan,
 			prev.mass, prev.snapshotSteps(), s.cfg.DriftThreshold)
 		if err != nil {

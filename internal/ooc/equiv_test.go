@@ -4,12 +4,17 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"flashmob/internal/algo"
 	"flashmob/internal/core"
 	"flashmob/internal/graph"
+	"flashmob/internal/obs"
+	"flashmob/internal/part"
+	"flashmob/internal/profile"
+	"flashmob/internal/shard"
 	"flashmob/internal/walk"
 )
 
@@ -337,4 +342,136 @@ func TestOOCPrefetchMetrics(t *testing.T) {
 	if occ1.Sum != occ1.Count {
 		t.Fatalf("depth-1 occupancy must be exactly 1 per block: sum=%d count=%d", occ1.Sum, occ1.Count)
 	}
+}
+
+// psHubPlan copies the ooc engine's plan with its first quarter of
+// partitions — the hubs of a degree-sorted graph — switched to PS.
+func psHubPlan(t *testing.T, p *part.Plan) *part.Plan {
+	t.Helper()
+	q := &part.Plan{V: p.V, GroupSizeLog: p.GroupSizeLog, Groups: slices.Clone(p.Groups)}
+	pol := slices.Clone(q.Groups[0].Policies)
+	for i := range pol[:max(1, len(pol)/4)] {
+		pol[i] = profile.PS
+	}
+	q.Groups[0].Policies = pol
+	if err := part.Finalize(q); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestSparseCountDriversAgree: below the sparse switch, on a plan with PS
+// partitions, every driver binds the sparse template and no PS kernel
+// runs — RunSeeded, a RunMixed cohort, the sharded channel topology, an
+// overlay session whose freeze added no new edge, and ooc, which
+// direct-samples every partition, all produce bitwise-identical
+// trajectories. Above the switch the same plan does run its PS kernels.
+func TestSparseCountDriversAgree(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		old := core.SubShardSize
+		core.SubShardSize = 64 // split the former PS chunks too
+		defer func() { core.SubShardSize = old }()
+
+		gf, g := writeGraph(t, 3000, 31)
+		const seed, walkers, steps = 97, uint64(2500), 8
+		oe, err := New(gf, Config{BlockBudget: 32 << 10, Seed: seed, RecordHistory: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer oe.Close()
+		ce, err := core.New(g, algo.DeepWalk(), core.Config{
+			Workers: 2, Seed: seed, Plan: psHubPlan(t, oe.Plan()), RecordHistory: true, Metrics: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ce.Close()
+		if ce.SparseDSVPs() == 0 || walkers >= ce.SparseSwitch() {
+			t.Fatalf("%d walkers must sit below W* = %d on a plan with PS partitions (%d)",
+				walkers, ce.SparseSwitch(), ce.SparseDSVPs())
+		}
+		psSteps := func(r *obs.Report) (n uint64) {
+			v, ok := r.Vector("core_sample_kernel_walker_steps")
+			if !ok {
+				t.Fatal("kernel vector missing")
+			}
+			for i, l := range v.Labels {
+				if l == "ps" || l == "ps-weighted" {
+					n += v.Values[i]
+				}
+			}
+			return n
+		}
+
+		ctx := context.Background()
+		s, err := ce.NewSession(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, err := s.RunSeeded(seed, walkers, steps)
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := psSteps(solo.Report); n != 0 {
+			t.Fatalf("solo run below W* took %d PS walker-steps", n)
+		}
+		if c, _ := solo.Report.Counter("core_sample_subshards_total"); c.Value == 0 {
+			t.Fatal("no chunk was split into sub-shards")
+		}
+
+		cohorts := []core.Cohort{{Spec: algo.DeepWalk(), Walkers: walkers, Steps: steps, Seed: seed}}
+		mixed, err := ce.RunMixed(cohorts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := psSteps(mixed.Report); n != 0 {
+			t.Fatalf("mixed cohort below W* took %d PS walker-steps", n)
+		}
+		diffHistories(t, "mixed", mixed.Cohorts[0].History, solo.History)
+
+		topo, err := shard.New(ce, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := topo.RunMixed(ctx, cohorts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffHistories(t, "sharded", sharded.Cohorts[0].History, solo.History)
+
+		// A freeze of edges the base already holds builds no overlay.
+		var dup []graph.Edge
+		for _, x := range g.Neighbors(0)[:2] {
+			dup = append(dup, graph.Edge{Src: 0, Dst: x})
+		}
+		ov, err := core.BuildOverlay(ce, dup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ovs, err := ce.NewSessionOverlay(ctx, ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlaid, err := ovs.RunSeeded(seed, walkers, steps)
+		ovs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffHistories(t, "overlay", overlaid.History, solo.History)
+
+		streamed, err := oe.Run(ctx, walkers, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffHistories(t, "ooc", streamed.History, solo.History)
+
+		dense, err := ce.Run(ce.SparseSwitch(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if psSteps(dense.Report) == 0 {
+			t.Fatal("run at W* took no PS walker-steps")
+		}
+	})
 }

@@ -18,7 +18,10 @@
 //
 // The engine processes direct-sampling partitions only: pre-sampling's
 // per-vertex buffers are themselves edge-sized and would defeat the
-// purpose on a disk-resident graph.
+// purpose on a disk-resident graph. Its kernel is therefore internal/core's
+// sparse template: on a plan whose partitions carry PS policies, a core
+// run below that build's sparse switch draws exactly what this engine
+// draws on the same partitions.
 package ooc
 
 import (

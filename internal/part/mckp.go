@@ -3,6 +3,7 @@ package part
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"flashmob/internal/graph"
 	"flashmob/internal/profile"
@@ -249,14 +250,8 @@ func solveMCKP(items [][]item, maxWeight int) ([]int, error) {
 func EvaluateNS(p *Plan, g *graph.CSR, walkers uint64, model profile.CostModel) (sampleNS, shuffleNS float64) {
 	density := float64(walkers) / float64(g.NumEdges())
 	for _, vp := range p.VPs {
-		edges := edgesIn(g, vp.Start, vp.End)
-		verts := uint64(vp.End - vp.Start)
-		shape := profile.VPShape{
-			Vertices:  verts,
-			AvgDegree: float64(edges) / float64(verts),
-			Density:   density,
-		}
-		sampleNS += float64(edges) * density * model.SampleStepNS(vp.Policy, shape)
+		steps, shape := vpLoad(g, vp, density)
+		sampleNS += steps * model.SampleStepNS(vp.Policy, shape)
 	}
 	// One outer level over all walkers, plus one inner level per
 	// extra-shuffle group's walkers.
@@ -268,4 +263,71 @@ func EvaluateNS(p *Plan, g *graph.CSR, walkers uint64, model profile.CostModel) 
 		}
 	}
 	return sampleNS, shuffleNS
+}
+
+// vpLoad returns the walker-steps partition vp serves per iteration at a
+// global walker density (proportional to its edges, per the Table 2
+// visit/edge correlation) and its shape for the cost model.
+func vpLoad(g *graph.CSR, vp VP, density float64) (steps float64, shape profile.VPShape) {
+	edges := edgesIn(g, vp.Start, vp.End)
+	verts := uint64(vp.End - vp.Start)
+	return float64(edges) * density, profile.VPShape{
+		Vertices:  verts,
+		AvgDegree: float64(edges) / float64(verts),
+		Density:   density,
+	}
+}
+
+// SparseSwitch returns the walker count W* from which a cohort should
+// sample the plan's PS partitions with PS rather than DS: the smallest w
+// at which those partitions, priced by the model at density w/|E| and
+// summed the way EvaluateNS sums, cost no more under PS than under DS.
+// It is capped at planned, the walker count the plan was priced for: at
+// that density the plan's own choice stands. A plan without PS
+// partitions returns 0. The search doubles w until PS wins, then
+// bisects the last doubling, so it prices O(log planned) densities.
+func SparseSwitch(p *Plan, g *graph.CSR, planned uint64, model profile.CostModel) uint64 {
+	if !slices.ContainsFunc(p.VPs, func(vp VP) bool { return vp.Policy == profile.PS && vp.End > vp.Start }) {
+		return 0
+	}
+	planned = max(planned, 1)
+	psWins := func(w uint64) bool {
+		psNS, dsNS := psDSCost(p, g, w, model)
+		return psNS <= dsNS
+	}
+	// After the doubling, PS loses at lo (or lo is 0) and wins at hi (or
+	// hi is the cap): bisect (lo, hi].
+	lo, hi := uint64(0), planned
+	for w := uint64(1); w < planned; w *= 2 {
+		if psWins(w) {
+			hi = w
+			break
+		}
+		lo = w
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if psWins(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// psDSCost prices the plan's non-empty PS partitions at a walker count,
+// as pre-sampled and as direct-sampled: the two sums SparseSwitch
+// compares.
+func psDSCost(p *Plan, g *graph.CSR, walkers uint64, model profile.CostModel) (ps, ds float64) {
+	density := float64(walkers) / float64(g.NumEdges())
+	for _, vp := range p.VPs {
+		if vp.Policy != profile.PS || vp.End == vp.Start {
+			continue
+		}
+		steps, shape := vpLoad(g, vp, density)
+		ps += steps * model.SampleStepNS(profile.PS, shape)
+		ds += steps * model.SampleStepNS(profile.DS, shape)
+	}
+	return ps, ds
 }

@@ -316,3 +316,46 @@ func TestEvaluateNSPositive(t *testing.T) {
 		t.Fatalf("EvaluateNS = (%v, %v), want positive", s, sh)
 	}
 }
+
+// TestSparseSwitch pins W*'s definition: on an MCKP plan that
+// pre-samples its hubs, the PS partitions cost no more under PS than
+// under DS at W* walkers and more one walker below; a plan without PS
+// partitions has no switch; and a plan whose PS never pays is capped at
+// the walker count it was priced for.
+func TestSparseSwitch(t *testing.T) {
+	g := testGraph(t, 50000, 8)
+	model := testModel()
+	const planned = 50000
+	plan, err := PlanMCKP(g, Config{Walkers: planned, Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := SparseSwitch(plan, g, planned, model)
+	if ws <= 1 || ws >= planned {
+		t.Fatalf("W* = %d, want inside (1, %d)", ws, planned)
+	}
+	if ps, ds := psDSCost(plan, g, ws, model); ps > ds {
+		t.Errorf("at W* = %d: PS %.0f ns > DS %.0f ns", ws, ps, ds)
+	}
+	if ps, ds := psDSCost(plan, g, ws-1, model); ps <= ds {
+		t.Errorf("below W* = %d: PS %.0f ns <= DS %.0f ns", ws, ps, ds)
+	}
+
+	allDS, err := PlanUniform(g, Config{Walkers: planned, Model: model}, profile.DS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := SparseSwitch(allDS, g, planned, model); got != 0 {
+		t.Errorf("all-DS plan: W* = %d, want 0", got)
+	}
+	allPS, err := PlanUniform(g, Config{Walkers: planned, Model: model}, profile.PS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps, ds := psDSCost(allPS, g, planned, model); ps <= ds {
+		t.Fatalf("all-PS plan pays at %d walkers (PS %.0f ns <= DS %.0f ns)", planned, ps, ds)
+	}
+	if got := SparseSwitch(allPS, g, planned, model); got != planned {
+		t.Errorf("all-PS plan that PS does not pay for: W* = %d, want the cap %d", got, planned)
+	}
+}

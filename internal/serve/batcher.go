@@ -350,10 +350,10 @@ func (g *engineGroup) execute(ws *waveScratch, batch []*pending) {
 
 // walkMixed performs the wave's engine run on a pooled session,
 // acquiring a fresh one only when the pool is empty. Reuse does not cost
-// reproducibility: a mixed run rebinds every cohort slot from its spec —
-// kernels, PS buffers, cursors — before the first step, so each cohort's
-// trajectories depend only on (build, algorithm, seed, walkers, steps),
-// exactly as on a fresh session. A session whose run failed is closed
+// reproducibility: a mixed run rebinds every cohort slot from its spec
+// and walker count — kernel template, PS buffers, cursors — before the
+// first step, so each cohort's trajectories depend only on (build,
+// algorithm, seed, walkers, steps), exactly as on a fresh session. A session whose run failed is closed
 // rather than pooled; a healthy one goes back unless the pool is full.
 func (g *engineGroup) walkMixed(cohorts []flashmob.CohortSpec) (*flashmob.MixedResult, uint64, error) {
 	if g.dyn != nil {

@@ -263,12 +263,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		p := b.sys.Plan()
 		resp.Algorithms = append(resp.Algorithms, PlanEntry{
-			Algorithm:  b.name,
-			NumVPs:     p.NumVPs,
-			NumGroups:  p.NumGroups,
-			Bins:       p.Bins,
-			PSVertices: p.PSVertices,
-			DSVertices: p.DSVertices,
+			Algorithm:    b.name,
+			NumVPs:       p.NumVPs,
+			NumGroups:    p.NumGroups,
+			Bins:         p.Bins,
+			PSVertices:   p.PSVertices,
+			DSVertices:   p.DSVertices,
+			SparseSwitch: p.SparseSwitch,
+			SparseDSVPs:  p.SparseDSVPs,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -107,6 +107,12 @@ type PlanEntry struct {
 	PSVertices uint32 `json:"ps_vertices"`
 	// DSVertices counts vertices under the direct-sampling policy.
 	DSVertices uint32 `json:"ds_vertices"`
+	// SparseSwitch is the walker count W* below which a cohort samples
+	// with the sparse kernel template (0: the plan pre-samples nothing).
+	SparseSwitch uint64 `json:"sparse_switch_walkers"`
+	// SparseDSVPs counts the partitions the sparse template
+	// direct-samples although the plan pre-samples them.
+	SparseDSVPs int `json:"sparse_ds_vps"`
 }
 
 // PlanResponse is the body of GET /v1/plan: every served algorithm's

@@ -99,7 +99,7 @@ func (r *shardRun) run(ctx context.Context) error {
 		return err
 	}
 	for k := range r.resolved {
-		if err := st.BindCohort(k, &r.resolved[k].Spec); err != nil {
+		if err := st.BindCohort(k, &r.resolved[k].Spec, r.resolved[k].Walkers); err != nil {
 			return err
 		}
 	}

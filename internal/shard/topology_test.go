@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +11,9 @@ import (
 	"flashmob/internal/core"
 	"flashmob/internal/gen"
 	"flashmob/internal/graph"
+	"flashmob/internal/mem"
 	"flashmob/internal/part"
+	"flashmob/internal/profile"
 )
 
 // testGraph builds a degree-sorted undirected power-law graph — the
@@ -201,5 +204,52 @@ func TestTopologyCancellation(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutine leak: %d before, %d after", before, after)
+	}
+}
+
+// TestTopologyBindsByGlobalCohortSize: every shard binds a cohort's
+// kernel template by the cohort's global walker count, as a single
+// engine does, although each shard steps only part of it. On a plan that
+// pre-samples its hubs, a cohort just above the sparse switch — each
+// shard's local share below it — runs the plan's PS kernels and must
+// match the single-engine run bitwise, beside a cohort below the switch.
+func TestTopologyBindsByGlobalCohortSize(t *testing.T) {
+	g := testGraph(t, 800, 3)
+	e, err := core.New(g, algo.DeepWalk(), core.Config{
+		Workers: 2, Seed: 11, Planner: core.PlannerMCKP, RecordHistory: true, Metrics: true,
+		// Caches scaled down with the graph, so the plan pre-samples hubs.
+		Model: profile.NewAnalyticalModel(mem.ScaledGeometry(100)),
+		Part:  part.Config{TargetGroups: 2, MinVPSizeLog: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ws := e.SparseSwitch()
+	if e.SparseDSVPs() == 0 || ws < 2 {
+		t.Fatalf("plan must pre-sample hubs below a switch above 1 (W* = %d, %d PS partitions)", ws, e.SparseDSVPs())
+	}
+	cohorts := []core.Cohort{
+		{Spec: algo.DeepWalk(), Walkers: ws + 1, Steps: 6, Seed: 51},
+		{Spec: algo.Node2Vec(0.5, 2), Walkers: ws / 2, Steps: 4, Seed: 52},
+	}
+	ref, err := e.RunMixed(cohorts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := ref.Report.Vector("core_sample_kernel_walker_steps")
+	if i := slices.Index(v.Labels, "ps"); i < 0 || v.Values[i] == 0 {
+		t.Fatal("the cohort at the switch ran no PS kernel")
+	}
+	topo, err := New(e, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := topo.RunMixed(context.Background(), cohorts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range cohorts {
+		historiesMatch(t, cohorts[k].Spec.Name, ref.Cohorts[k].History, res.Cohorts[k].History)
 	}
 }
