@@ -3,6 +3,7 @@ package flashmob
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -85,7 +86,8 @@ func TestWalkAfterClose(t *testing.T) {
 }
 
 // TestSessionLifecycle exercises the explicit session handle: repeated
-// Walks on one session, context cancellation, and idempotent Close.
+// Walks on one session, seeded walks on a held session, context
+// cancellation, and idempotent Close.
 func TestSessionLifecycle(t *testing.T) {
 	g := smallGraph(t)
 	sys, err := New(g, Options{Seed: 5, TargetGroups: 16})
@@ -111,6 +113,42 @@ func TestSessionLifecycle(t *testing.T) {
 	s.Close() // idempotent
 	if _, err := s.Walk(500, 3); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Walk on closed session: got %v, want ErrClosed", err)
+	}
+
+	// Seeded walks on a held session are pure functions of their
+	// arguments: two in a row equal the same walks on fresh sessions.
+	rec, err := New(g, Options{Seed: 5, TargetGroups: 16, RecordPaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	seededPaths := func(s *Session, seed uint64, walkers uint64) [][]VID {
+		r, err := s.WalkSeeded(seed, walkers, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, err := r.Paths()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	held, err := rec.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, run := range []struct{ seed, walkers uint64 }{{3, 400}, {9, 30}} {
+		got := seededPaths(held, run.seed, run.walkers)
+		fresh, err := rec.NewSession(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := seededPaths(fresh, run.seed, run.walkers)
+		fresh.Close()
+		if !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("WalkSeeded(%d, %d) on a held session differs from a fresh session's", run.seed, run.walkers)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

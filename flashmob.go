@@ -224,15 +224,13 @@ func (s *Session) Walk(walkers uint64, steps int) (*Result, error) {
 }
 
 // WalkSeeded is Walk with a per-run seed overriding Options.Seed: walker
-// placement and every edge draw derive from the given seed, so on a
-// freshly acquired session the trajectories are a pure function of
-// (System build, seed, walkers, steps) — reproducible no matter what
-// other runs execute before, after, or concurrently on other sessions.
-// This is the hook internal/serve uses to answer seeded walk queries
-// identically whether they ride a batch alone or coalesced with others.
-// Runs after the first on the same session inherit the PS buffer state
-// earlier runs left behind; acquire a fresh session per run when
-// reproducibility matters.
+// placement and every edge draw derive from the given seed, so the
+// trajectories are a pure function of (System build, seed, walkers,
+// steps) on any session — reproducible no matter what ran before on the
+// same session, or what runs concurrently on other sessions. Every run
+// starts from empty PS buffers. This is the hook internal/serve uses to
+// answer seeded walk queries identically whether they ride a batch alone
+// or coalesced with others.
 func (s *Session) WalkSeeded(seed uint64, walkers uint64, steps int) (*Result, error) {
 	res, err := s.inner.RunSeeded(seed, walkers, steps)
 	if err != nil {

@@ -179,12 +179,13 @@ type Engine struct {
 
 	// Session lifecycle: NewSession refuses after Close, Close waits for
 	// active sessions to finish before releasing the pool, and finished
-	// sessions park in sessions for reuse (their PS buffers are the
-	// dominant allocation).
-	mu       sync.Mutex
-	closed   bool
-	active   sync.WaitGroup
-	sessions sync.Pool
+	// sessions park in idle for reuse with their PS buffers and step
+	// state, until Close drops them (unlike a sync.Pool, a collection
+	// cycle never discards one, so a reused session never rebuilds).
+	mu     sync.Mutex
+	closed bool
+	active sync.WaitGroup
+	idle   []*Session
 }
 
 // New builds an engine. The graph must be degree-sorted (descending); use
@@ -315,6 +316,7 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.mu.Unlock()
 	e.active.Wait()
+	e.idle = nil
 	e.pool.Close()
 }
 

@@ -91,7 +91,7 @@ func (r *MixedResult) PerStepNS() float64 {
 type cohortState struct {
 	ps   []*psState // nil until the slot's first plan-template bind
 	kern []vpKernel
-	cx   cohortCtx
+	cx   cohortCtx // zero (nil spec) while the slot is unbound
 }
 
 // newPSStates allocates one PS state per PS partition of the plan (one
@@ -201,15 +201,6 @@ func (e *Engine) ResolveCohorts(cohorts []Cohort) ([]Cohort, int, error) {
 	return resolved, channels, nil
 }
 
-// cohortSlots grows the session's pooled cohort state to n slots and
-// returns it.
-func (s *Session) cohortSlots(n int) []*cohortState {
-	for len(s.cohorts) < n {
-		s.cohorts = append(s.cohorts, &cohortState{})
-	}
-	return s.cohorts[:n]
-}
-
 // RunMixed executes the given cohorts as one shared pipeline run on a
 // fresh session. See Session.RunMixed.
 func (e *Engine) RunMixed(cohorts []Cohort) (*MixedResult, error) {
@@ -238,9 +229,13 @@ func (e *Engine) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 // the same draws whatever rides alongside. (A solo RunSeeded must fit in
 // one episode for the comparison: mixed runs never episode-split, and
 // return an error when a MemoryBudget would force them to.)
+//
+// The run orders the cohorts longest walk first (ties in caller order),
+// binds slot k to the k-th, and makes one call of the session's run
+// driver at episode 0 — the driver RunSeeded calls once per episode.
 func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.begin(); err != nil {
+		return nil, err
 	}
 	e := s.e
 	resolved, channels, err := e.ResolveCohorts(cohorts)
@@ -274,134 +269,41 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 	slices.SortStableFunc(order, func(a, b int) int {
 		return resolved[b].Steps - resolved[a].Steps
 	})
-	offs := make([]uint64, len(order)+1)
-	for k, i := range order {
-		offs[k+1] = offs[k] + resolved[i].Walkers
-	}
 
-	// Per-cohort sampling state: the template the cohort's own walker
-	// count selects, private PS buffers when that is the plan's, the
-	// cohort's spec and seed.
+	// Slot k runs the k-th cohort of that order, bound to the template
+	// its own walker count selects, with private PS buffers when that is
+	// the plan's.
+	start := time.Now()
+	ordered := make([]Cohort, len(order))
 	slots := s.cohortSlots(len(order))
-	cxs := make([]*cohortCtx, len(order))
 	for k, i := range order {
+		ordered[k] = resolved[i]
 		slots[k].bind(s, &resolved[i].Spec, resolved[i].Walkers)
-		cxs[k] = &slots[k].cx
+	}
+	hist, err := s.drive(ordered, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &MixedResult{
 		Cohorts: make([]CohortResult, len(resolved)),
 		Walkers: totalWalkers,
 	}
-	start := time.Now()
-
-	st, err := s.newStepper(int(totalWalkers), channels)
-	if err != nil {
-		return nil, err
-	}
-	w, wNext := make([]graph.VID, totalWalkers), make([]graph.VID, totalWalkers)
-	auxW, auxNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
-	for c := range auxW {
-		auxW[c], auxNext[c] = make([]graph.VID, totalWalkers), make([]graph.VID, totalWalkers)
-	}
-	views, viewsNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
-
-	// Per-cohort init, the exact solo formula at episode 0: a cohort's
-	// start placement depends only on its own seed and segment length.
-	histories := make([]*walk.History, len(order))
-	for k, i := range order {
-		c := &resolved[i]
-		seg := w[offs[k]:offs[k+1]]
-		e.initEpisode(c.Seed, 0, seg)
-		for ch := 0; ch < auxChannelsFor(&c.Spec); ch++ {
-			copy(auxW[ch][offs[k]:offs[k+1]], seg)
-		}
-		if e.cfg.RecordHistory {
-			histories[k] = walk.NewHistory(len(seg))
-			if err := histories[k].Append(seg); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	maxSteps := 0
-	for _, c := range resolved {
-		if c.Steps > maxSteps {
-			maxSteps = c.Steps
-		}
-	}
-	lay := newCohortLayout(len(order), e.plan.NumVPs(), int(totalWalkers))
-	prefixes := make([]uint64, len(order))
-
-	if s.m != nil {
-		s.m.episodes.Inc()
-	}
-	active := len(order)
-	for step := 0; step < maxSteps; step++ {
-		if err := s.ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Retire cohorts whose walks completed: the active set is the
-		// prefix still owing steps, and the stepper shrinks to it in place.
-		for active > 0 && resolved[order[active-1]].Steps <= step {
-			active--
-		}
-		aw := int(offs[active])
-		if aw == 0 {
-			break
-		}
-		for k := 0; k < active; k++ {
-			prefixes[k] = SampleSeedPrefix(resolved[order[k]].Seed, 0, step)
-		}
-		var l *cohortLayout
-		if active > 1 {
-			lay.count(e.plan.Lookup(), w, offs[:active+1])
-			l = lay
-		}
-		for c := range views {
-			views[c], viewsNext[c] = auxW[c][:aw], auxNext[c][:aw]
-		}
-		if err := st.step(w[:aw], wNext[:aw], views, viewsNext, cxs[:active], prefixes[:active], l); err != nil {
-			return nil, err
-		}
-
-		if e.cfg.StepSink != nil {
-			// The sink sees the still-active walker prefix: cur[j] → next[j]
-			// is position j's transition this step, cohort segments in the
-			// same contiguous layout the run was built with.
-			e.cfg.StepSink(step, w[:aw], wNext[:aw])
-		}
-		w, wNext = wNext, w
-		auxW, auxNext = auxNext, auxW
-		if e.cfg.RecordHistory {
-			for k := 0; k < active; k++ {
-				if err := histories[k].Append(w[offs[k]:offs[k+1]]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
 	for k, i := range order {
 		c := &resolved[i]
 		res.Cohorts[i] = CohortResult{
 			Walkers:    c.Walkers,
 			Steps:      c.Steps,
 			TotalSteps: c.Walkers * uint64(c.Steps),
-			History:    histories[k],
+			History:    hist[k],
 		}
 		res.TotalSteps += res.Cohorts[i].TotalSteps
 	}
-	res.VPSteps = st.vpSteps
-	res.StageTimes = st.times
-	res.finish(start)
 	if m := s.m; m != nil {
-		m.runs.Inc()
 		m.mixedRuns.Inc()
 		m.mixedRunCohorts.Observe(uint64(len(resolved)))
-		m.walkers.Add(totalWalkers)
-		res.Report = m.reg.Snapshot()
 	}
+	res.StageTimes, res.VPSteps, res.Report = s.finish(start, totalWalkers)
 	return res, nil
 }
 
@@ -423,25 +325,26 @@ type cohortLayout struct {
 	touched []int32
 }
 
-// newCohortLayout allocates a layout for up to cohorts cohorts and walkers
-// walkers over nvp partitions.
-func newCohortLayout(cohorts, nvp, walkers int) *cohortLayout {
-	l := &cohortLayout{counts: make([][]uint32, cohorts), words: (cohorts + 63) / 64}
-	for k := range l.counts {
-		l.counts[k] = make([]uint32, nvp)
+// grow sizes the layout for up to cohorts cohorts over nvp partitions,
+// keeping what it already holds: a session's layout grows to its
+// high-water cohort count and is never rebuilt per run.
+func (l *cohortLayout) grow(cohorts, nvp int) {
+	if words := (cohorts + 63) / 64; words > l.words {
+		l.clear() // the last count's cells, under the old word stride
+		l.occ, l.words = make([]uint64, nvp*words), words
+		if l.touched == nil {
+			l.touched = make([]int32, 0, nvp) // one entry per partition at most
+		}
 	}
-	l.occ = make([]uint64, nvp*l.words)
-	l.touched = make([]int32, 0, min(nvp, walkers)) // one partition per walker at most
-	return l
+	for len(l.counts) < cohorts {
+		l.counts = append(l.counts, make([]uint32, nvp))
+	}
 }
 
-// count recomputes the layout from the pre-shuffle walker array w, in
-// which cohort k occupies w[offs[k]:offs[k+1]]. It is one pass over the
-// active walkers.
-func (l *cohortLayout) count(lk *part.Lookup, w []graph.VID, offs []uint64) {
-	// Reset only the cells the previous step touched: touched lists their
-	// partitions and occ their cohorts, and they number at most the active
-	// walkers — no scan or clear of the dense partitions×words grid.
+// clear resets the cells the last count set. touched lists their
+// partitions and occ their cohorts, and they number at most the walkers
+// counted — no scan or clear of the dense partitions×words grid.
+func (l *cohortLayout) clear() {
 	for _, vp := range l.touched {
 		row := l.occ[int(vp)*l.words : (int(vp)+1)*l.words]
 		for wd, m := range row {
@@ -452,6 +355,13 @@ func (l *cohortLayout) count(lk *part.Lookup, w []graph.VID, offs []uint64) {
 		}
 	}
 	l.touched = l.touched[:0]
+}
+
+// count recomputes the layout from the pre-shuffle walker array w, in
+// which cohort k occupies w[offs[k]:offs[k+1]]. It is one pass over the
+// active walkers.
+func (l *cohortLayout) count(lk *part.Lookup, w []graph.VID, offs []uint64) {
+	l.clear()
 	for k := 0; k+1 < len(offs); k++ {
 		counts := l.counts[k]
 		bit := uint64(1) << (uint(k) & 63)

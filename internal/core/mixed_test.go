@@ -278,22 +278,42 @@ func TestRunMixedMetrics(t *testing.T) {
 	}
 }
 
+// sparseWaveSteps is the walk length of sparseWave's cohorts.
+const sparseWaveSteps = 32
+
+// sparseWaveEngine builds the serving-wave benchmark's engine: a
+// 2-worker uniform-DS plan of over 1,500 partitions.
+func sparseWaveEngine(tb testing.TB) *Engine {
+	tb.Helper()
+	g := undirectedTestGraph(tb, 60000, 5)
+	e, err := New(g, algo.DeepWalk(), Config{Workers: 2, Seed: 1, Planner: PlannerUniformDS})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n := e.Plan().NumVPs(); n < 1500 {
+		e.Close()
+		tb.Fatalf("plan has %d partitions, want at least 1500", n)
+	}
+	return e
+}
+
+// sparseWave is one serving-sized wave: a DeepWalk and a node2vec cohort
+// of the given walker count each.
+func sparseWave(walkers uint64) []Cohort {
+	return []Cohort{
+		{Spec: algo.DeepWalk(), Walkers: walkers, Steps: sparseWaveSteps, Seed: 1},
+		{Spec: algo.Node2Vec(2, 0.5), Walkers: walkers, Steps: sparseWaveSteps, Seed: 2},
+	}
+}
+
 // BenchmarkSparseMixedWave measures serving-sized mixed waves on a plan
 // of over 1,500 partitions: two cohorts (DeepWalk and node2vec) of 1 or
 // 128 walkers each, 32 steps, on a 2-worker engine. Such a wave occupies
 // a handful of partitions, so its cost is the per-step bookkeeping and
 // dispatch rather than walker work; ns/step is what one step of it costs.
 func BenchmarkSparseMixedWave(b *testing.B) {
-	g := undirectedTestGraph(b, 60000, 5)
-	e, err := New(g, algo.DeepWalk(), Config{Workers: 2, Seed: 1, Planner: PlannerUniformDS})
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := sparseWaveEngine(b)
 	defer e.Close()
-	if n := e.Plan().NumVPs(); n < 1500 {
-		b.Fatalf("plan has %d partitions, want at least 1500", n)
-	}
-	const steps = 32
 	for _, walkers := range []uint64{1, 128} {
 		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
 			s, err := e.NewSession(context.Background())
@@ -301,10 +321,7 @@ func BenchmarkSparseMixedWave(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			cohorts := []Cohort{
-				{Spec: algo.DeepWalk(), Walkers: walkers, Steps: steps, Seed: 1},
-				{Spec: algo.Node2Vec(2, 0.5), Walkers: walkers, Steps: steps, Seed: 2},
-			}
+			cohorts := sparseWave(walkers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -314,7 +331,7 @@ func BenchmarkSparseMixedWave(b *testing.B) {
 			}
 			wave := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(wave, "ns/wave")
-			b.ReportMetric(wave/steps, "ns/step")
+			b.ReportMetric(wave/sparseWaveSteps, "ns/step")
 		})
 	}
 }

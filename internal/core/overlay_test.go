@@ -255,7 +255,7 @@ func TestOverlaySpecRestriction(t *testing.T) {
 	if _, err := s2.RunSeeded(1, 100, 3); err != nil {
 		t.Fatalf("second-order run on plain session after overlay session: %v", err)
 	}
-	if s2.primary.cx.ov != nil {
+	if s2.cohorts[0].cx.ov != nil {
 		t.Fatal("run on a plain session bound a stale overlay")
 	}
 }

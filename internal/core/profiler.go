@@ -170,7 +170,7 @@ func measurePoint(geom mem.Geometry, pol profile.Policy, ws uint64, d uint32, rh
 	}
 	defer sess.Close()
 	// Profile the policy itself, whatever the build's switch would pick.
-	sess.primary.bindTemplate(sess, &e.spec, true)
+	sess.cohortSlots(1)[0].bindTemplate(sess, &e.spec, true)
 	walkers := int(rho * float64(n) * float64(d))
 	if walkers < 1 {
 		walkers = 1

@@ -99,19 +99,21 @@ func (s *Session) Run(totalWalkers uint64, steps int) (*Result, error) {
 // the serving layer uses to give independently seeded requests
 // reproducible walks on one shared engine.
 //
-// The run binds the session's primary slot to the kernel template its
-// episode size selects (EpisodeWalkers(totalWalkers) against the build's
-// sparse switch, the rule every driver applies): at or above the switch
-// the plan's template with PS buffers reset to empty, below it the
-// sparse template, which direct-samples every partition and touches no
-// PS buffer. It is then an episode loop over one Stepper: each
-// memory-resident episode places its walkers, then steps the primary
-// context with the episode index in the sample-seed schedule. All
-// per-run state is allocated before the first step; the steps
-// themselves allocate nothing and create no goroutines.
+// The run binds cohort slot 0 once, to the kernel template its first
+// (largest) episode selects (EpisodeWalkers(totalWalkers) against the
+// build's sparse switch, the rule every driver applies): at or above the
+// switch the plan's template with PS buffers reset to empty, below it
+// the sparse template, which direct-samples every partition and touches
+// no PS buffer. A ragged last episode keeps that template, and PS
+// buffers carry from episode to episode. It is then an episode loop over
+// the session's run driver, one cohort per memory-resident episode, with
+// the episode index in both the start placement and the sample-seed
+// schedule; History holds the last episode. Once the session's step
+// state has grown to the run's size, the steps allocate nothing and
+// create no goroutines.
 func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Result, error) {
-	if s.closed {
-		return nil, ErrClosed
+	if err := s.begin(); err != nil {
+		return nil, err
 	}
 	e := s.e
 	if s.ov != nil {
@@ -130,83 +132,23 @@ func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Resul
 	}
 	res := &Result{Steps: steps}
 	start := time.Now()
-
-	// The first episode is the largest: size everything for it, and let
-	// a ragged last episode step a prefix.
-	maxEp := int(e.EpisodeWalkers(totalWalkers))
-	channels := e.auxChannels()
-	st, err := s.newStepper(maxEp, channels)
-	if err != nil {
-		return nil, err
-	}
-	w, wNext := make([]graph.VID, maxEp), make([]graph.VID, maxEp)
-	auxW, auxNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
-	for c := range auxW {
-		auxW[c], auxNext[c] = make([]graph.VID, maxEp), make([]graph.VID, maxEp)
-	}
-	views, viewsNext := make([][]graph.VID, channels), make([][]graph.VID, channels)
-	s.primary.bind(s, &e.spec, uint64(maxEp))
-	st.cxs[0] = &s.primary.cx
-
+	s.cohortSlots(1)[0].bind(s, &e.spec, e.EpisodeWalkers(totalWalkers))
 	for remaining := totalWalkers; remaining > 0; {
-		if err := s.ctx.Err(); err != nil {
-			return nil, err
-		}
 		ep := e.EpisodeWalkers(remaining)
-		n, episode := int(ep), res.Episodes
 		// Mix the episode index into the init seed so episodes decorrelate
 		// (identical per-episode seeds would replay the same start
 		// placement and walk randomness every round).
-		e.initEpisode(seed, episode, w[:n])
-		for c := range auxW {
-			// Predecessors start as the walker's own start vertex, which
-			// makes the first higher-order step uniform over neighbours.
-			copy(auxW[c][:n], w[:n])
+		hist, err := s.drive([]Cohort{{Walkers: ep, Steps: steps, Seed: seed}}, res.Episodes)
+		if err != nil {
+			return nil, err
 		}
-		if e.cfg.RecordHistory {
-			res.History = walk.NewHistory(n)
-			if err := res.History.Append(w[:n]); err != nil {
-				return nil, err
-			}
-		}
-		if s.m != nil {
-			s.m.episodes.Inc()
-		}
-		for step := 0; step < steps; step++ {
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-			st.prefixes[0] = SampleSeedPrefix(seed, episode, step)
-			for c := range views {
-				views[c], viewsNext[c] = auxW[c][:n], auxNext[c][:n]
-			}
-			if err := st.step(w[:n], wNext[:n], views, viewsNext, st.cxs, st.prefixes, nil); err != nil {
-				return nil, err
-			}
-			if e.cfg.StepSink != nil {
-				e.cfg.StepSink(step, w[:n], wNext[:n])
-			}
-			w, wNext = wNext, w
-			auxW, auxNext = auxNext, auxW
-			if e.cfg.RecordHistory {
-				if err := res.History.Append(w[:n]); err != nil {
-					return nil, err
-				}
-			}
-		}
+		res.History = hist[0]
 		remaining -= ep
 		res.Episodes++
 		res.Walkers += ep
 	}
 	res.TotalSteps = res.Walkers * uint64(steps)
-	res.VPSteps = st.vpSteps
-	res.StageTimes = st.times
-	res.finish(start)
-	if m := s.m; m != nil {
-		m.runs.Inc()
-		m.walkers.Add(res.Walkers)
-		res.Report = m.reg.Snapshot()
-	}
+	res.StageTimes, res.VPSteps, res.Report = s.finish(start, res.Walkers)
 	return res, nil
 }
 
@@ -221,10 +163,9 @@ type sampleItem struct {
 	vp     int32
 	lo, hi uint64
 	seed   uint64
-	// cx is the sampling context the item executes under: the session's
-	// primary context for solo runs, the owning cohort's for mixed runs —
-	// which is how one sample stage interleaves work items of different
-	// walk specs.
+	// cx is the sampling context of the cohort owning the item's walkers
+	// (slot 0 for a solo run) — which is how one sample stage interleaves
+	// work items of different walk specs.
 	cx *cohortCtx
 }
 

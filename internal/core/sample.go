@@ -14,9 +14,9 @@ import (
 // to this context's PS buffers, and the weighted sampler when (and only
 // when) the spec samples by weight. Every function of the sample stage
 // hangs off this receiver, so one stage can interleave work items of
-// different walks without sharing mutable state: the solo run path uses
-// the session's primary context (spec = the engine's, state = the
-// session's), and RunMixed gives each cohort its own.
+// different walks without sharing mutable state: every cohort of a run
+// samples through its own slot's context, a solo run's being slot 0's
+// (spec = the engine's).
 type cohortCtx struct {
 	e    *Engine
 	spec *algo.Spec
@@ -198,15 +198,15 @@ const batchThreshold = 64
 // place (§4.2): a single sequential scan of the walker chunk, with all
 // random accesses confined to the partition's working set.
 func (s *Session) sampleVP(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src *rng.XorShift1024Star) {
-	s.primary.cx.sampleVPScratch(vpIdx, chunk, aux, src, newSampleScratch())
+	s.cohorts[0].cx.sampleVPScratch(vpIdx, chunk, aux, src, newSampleScratch())
 }
 
-// sampleVPScratch runs the session's primary walk (the engine spec) over
-// one partition chunk under whatever template the primary slot was last
-// bound to — the solo-run entry point, retained so the equivalence suites
-// drive the exact call the solo pipeline makes.
+// sampleVPScratch runs the walk bound to cohort slot 0 — the engine spec,
+// after a solo run — over one partition chunk under whatever template
+// the slot was last bound to: the solo-run entry point, retained so the
+// equivalence suites drive the exact call the solo pipeline makes.
 func (s *Session) sampleVPScratch(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src *rng.XorShift1024Star, scr *sampleScratch) {
-	s.primary.cx.sampleVPScratch(vpIdx, chunk, aux, src, scr)
+	s.cohorts[0].cx.sampleVPScratch(vpIdx, chunk, aux, src, scr)
 }
 
 // sampleVPScratch dispatches one partition chunk to the walk-shape

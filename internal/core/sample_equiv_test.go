@@ -44,8 +44,8 @@ func newRefSampler(s *Session) *refSampler {
 		g: e.g, spec: e.spec, plan: e.plan,
 		regularDeg: e.regularDeg, weighted: e.weighted,
 	}
-	r.ps = make([]*psState, len(s.primary.cx.ps))
-	for i, st := range s.primary.cx.ps {
+	r.ps = make([]*psState, len(s.cohorts[0].cx.ps))
+	for i, st := range s.cohorts[0].cx.ps {
 		if st == nil {
 			continue
 		}
@@ -361,11 +361,11 @@ func matchFrozenScalar(t *testing.T, sc equivScenario, eK, eS *Engine, plan bool
 		t.Fatal(err)
 	}
 	defer sS.Close()
-	sK.primary.bindTemplate(sK, &eK.spec, plan)
-	sS.primary.bindTemplate(sS, &eS.spec, plan)
+	sK.cohortSlots(1)[0].bindTemplate(sK, &eK.spec, plan)
+	sS.cohortSlots(1)[0].bindTemplate(sS, &eS.spec, plan)
 	// The PS scenarios must exercise PS under the plan's template, and no
 	// scenario may under the sparse one.
-	hasPS := slices.ContainsFunc(sK.primary.kern, func(k vpKernel) bool {
+	hasPS := slices.ContainsFunc(sK.cohorts[0].kern, func(k vpKernel) bool {
 		return k.kind == kernPS || k.kind == kernPSWeighted
 	})
 	if (plan && sc.planner == PlannerUniformPS && !hasPS) || (!plan && hasPS) {

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"flashmob/internal/graph"
+	"flashmob/internal/walk"
 )
 
 // psState holds one PS partition's pre-sampled edge buffers (§4.2): buf
@@ -12,10 +13,9 @@ import (
 // samples. The buffers are consumed and refilled as the walk progresses,
 // which is exactly why they are per-context state: two concurrent runs
 // sharing one buffer would interleave their consumption and destroy both
-// determinism and the refill accounting. A session or cohort slot
-// allocates its set on its first plan-template bind and resets it to
-// empty on every later one; a slot that only ever binds the sparse
-// template holds none.
+// determinism and the refill accounting. A cohort slot allocates its
+// set on its first plan-template bind and resets it to empty on every
+// later one; a slot that only ever binds the sparse template holds none.
 type psState struct {
 	start     graph.VID
 	base      uint64
@@ -23,30 +23,57 @@ type psState struct {
 	remaining []uint32
 }
 
-// Session owns the mutable state of one run on an immutable Engine build:
-// the primary sampling slot (PS buffers and kernel table for the engine's
-// own spec), the cohort slots of mixed runs and steppers, the sample task
-// and its work-item list, the per-worker scratches, and — when metrics
-// are on — a per-session registry whose snapshot becomes that run's
-// Result.Report and which folds into the engine aggregate on Close.
+// Session owns the mutable state of runs on an immutable Engine build,
+// and is the engine's one sample→shuffle stepper: the cohort slots (PS
+// buffers and kernel tables, slot 0 serving solo runs), the shuffler and
+// shuffled intermediates, the walker arrays the run driver steps, the
+// per-step cohort layout, the sample task and per-worker scratches, the
+// per-run counters, and — when metrics are on — a per-session registry
+// whose snapshot becomes a run's Report and which folds into the engine
+// aggregate on Close.
 //
-// A Session is single-goroutine: one Run at a time per session. Engine
-// concurrency comes from multiple sessions — NewSession is safe to call
-// from concurrent goroutines and sessions interleave their stage phases
-// on the engine's shared worker pool.
+// The step state is built on first use and grown in place to the
+// session's high-water walker, channel and cohort counts; it is never
+// rebuilt per run, and pooled sessions carry it across acquisitions.
+// Per-run counters (VPSteps, stage times) reset at every run start and
+// at acquisition, and acquisition unbinds every cohort slot.
+//
+// A Session is single-goroutine: one Run or Step at a time per session.
+// Engine concurrency comes from multiple sessions — NewSession is safe
+// to call from concurrent goroutines and sessions interleave their stage
+// phases on the engine's shared worker pool.
 type Session struct {
 	e   *Engine
 	ctx context.Context
 
-	// primary is the slot every solo run samples through: the engine's
-	// spec bound, per run, to the template its episode size selects.
-	// Mixed runs and steppers use the cohort slots below instead.
-	primary cohortState
+	// cohorts holds the sampling slots (PS buffers and kernel tables),
+	// grown on demand and reused across the session's runs; cxs[k] and
+	// prefixes[k] are slot k's sampling context and its current step's
+	// folded seed prefix, in the walker-array order sampleTask.run takes.
+	cohorts  []*cohortState
+	cxs      []*cohortCtx
+	prefixes []uint64
 
-	// cohorts holds pooled per-cohort state for RunMixed and steppers
-	// (PS buffers and kernel tables, one entry per cohort slot), grown on
-	// demand and reused across the session's runs.
-	cohorts []*cohortState
+	// shuffler, sw and auxSW are the step's shuffle and its shuffled
+	// intermediates; views holds the per-step channel views of auxSW.
+	shuffler *walk.Shuffler
+	sw       []graph.VID
+	auxSW    [][]graph.VID
+	views    [][]graph.VID
+	// w, wNext, auxW and auxNext are the run driver's walker arrays, and
+	// offs its cohort segment bounds; in and out hold its per-step channel
+	// views.
+	w, wNext      []graph.VID
+	auxW, auxNext [][]graph.VID
+	offs          []uint64
+	in, out       [][]graph.VID
+	// lay locates several cohorts' walkers in each step's partitions.
+	lay cohortLayout
+
+	// vpSteps and times are the per-run counters: walker-steps per
+	// partition and the stage split, accumulated by every step.
+	vpSteps []uint64
+	times   StageTimes
 
 	// sample is the session's pool task for the sample stage, re-armed per
 	// step; items is its reusable work-item list.
@@ -71,8 +98,8 @@ type Session struct {
 // NewSession acquires a run handle on the engine. A nil ctx means
 // context.Background(); a canceled ctx aborts the session's Run between
 // pipeline steps with the context's error. Sessions are pooled: Close
-// returns the PS buffers and scratches for reuse. Returns ErrClosed after
-// Engine.Close.
+// parks the session, with its PS buffers and step state, for the next
+// acquisition. Returns ErrClosed after Engine.Close.
 func (e *Engine) NewSession(ctx context.Context) (*Session, error) {
 	return e.NewSessionOverlay(ctx, nil)
 }
@@ -92,8 +119,11 @@ func (e *Engine) NewSessionOverlay(ctx context.Context, ov *Overlay) (*Session, 
 		return nil, ErrClosed
 	}
 	e.active.Add(1)
+	var s *Session
+	if n := len(e.idle); n > 0 {
+		s, e.idle = e.idle[n-1], e.idle[:n-1]
+	}
 	e.mu.Unlock()
-	s, _ := e.sessions.Get().(*Session)
 	if s == nil {
 		s = e.newSessionState()
 	}
@@ -104,14 +134,22 @@ func (e *Engine) NewSessionOverlay(ctx context.Context, ov *Overlay) (*Session, 
 		s.m = newEngineMetrics(e, e.metrics)
 		s.sample.m = s.m
 	}
+	if s.shuffler != nil {
+		s.shuffler.SetPoolMetrics(s.poolMetrics())
+	}
+	for _, cs := range s.cohorts {
+		cs.cx = cohortCtx{}
+	}
+	s.resetCounters()
 	return s, nil
 }
 
-// newSessionState allocates a session's per-worker scratches. PS buffers
-// are not allocated here: each slot allocates its own on its first
-// plan-template bind (cohortState.bind).
+// newSessionState allocates a session's per-worker scratches and
+// per-partition counters. PS buffers are not allocated here: each slot
+// allocates its own on its first plan-template bind (cohortState.bind),
+// and the step state on the session's first step.
 func (e *Engine) newSessionState() *Session {
-	s := &Session{e: e}
+	s := &Session{e: e, vpSteps: make([]uint64, e.plan.NumVPs())}
 	s.scratches = make([]*sampleScratch, e.pool.Workers())
 	for i := range s.scratches {
 		s.scratches[i] = newSampleScratch()
@@ -121,7 +159,7 @@ func (e *Engine) newSessionState() *Session {
 }
 
 // Close releases the session: its metrics fold into the engine-lifetime
-// aggregate, its buffers return to the engine's session pool, and the
+// aggregate, it parks on the engine's idle list for reuse, and the
 // engine's Close (if waiting) is unblocked. Idempotent. A held Session
 // must be Closed before Engine.Close can return.
 func (s *Session) Close() {
@@ -136,6 +174,8 @@ func (s *Session) Close() {
 		s.sample.m = nil
 	}
 	s.ctx = nil
-	e.sessions.Put(s)
+	e.mu.Lock()
+	e.idle = append(e.idle, s)
+	e.mu.Unlock()
 	e.active.Done()
 }

@@ -290,7 +290,9 @@ func TestConcurrentRunsWithMetrics(t *testing.T) {
 // per-session state keeps concurrent waves apart; the larger waves mixed
 // in take the pooled path beside them. Half the waves carry, beside
 // their sparse cohorts, one cohort at or above the sparse switch, which
-// binds the plan's PS kernels in the same sweep. Every cohort must be
+// binds the plan's PS kernels in the same sweep. Each goroutine holds
+// one session across its waves, so every wave after the first runs on
+// step state an earlier wave of another size grew. Every cohort must be
 // bitwise-identical to its solo RunSeeded on an engine built for its
 // spec. CI repeats it under the race detector.
 func TestConcurrentSparseMixedWaves(t *testing.T) {

@@ -37,10 +37,10 @@ func TestInitEdgeUniformMatchesBinarySearch(t *testing.T) {
 // full engine: once an episode is warm, extra steps cost zero heap
 // allocations and zero net goroutines — every stage runs on the
 // persistent pool (or inline on the caller) with reused scratch. Solo
-// runs, ragged mixed runs and a bare Stepper loop are each held to it,
-// on both step paths, on a plan whose hubs pre-sample and with walker
-// counts above the sparse switch, so the PS kernels' refills are inside
-// the measured steps.
+// runs, ragged mixed runs and a bare BindCohort/Step loop are each held
+// to it, on both step paths, on a plan whose hubs pre-sample and with
+// walker counts above the sparse switch, so the PS kernels' refills are
+// inside the measured steps.
 func TestEngineSteadyStateStepCost(t *testing.T) {
 	onBothPaths(t, func(t *testing.T) {
 		g := undirectedTestGraph(t, 600, 3)
@@ -55,8 +55,9 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 			t.Fatalf("runs of 500+ walkers must bind PS kernels (W* = %d, %d PS partitions)", e.SparseSwitch(), e.SparseDSVPs())
 		}
 
-		// One held session: the engine's session pool may drop an idle
-		// session at a GC, and a fresh one allocates its PS buffers.
+		// One held session, so no concurrent run can take the warm one
+		// from the engine's idle list and leave a fresh one, which
+		// allocates its PS buffers and step state.
 		solo, err := e.NewSession(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +106,7 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 
 		// The same holds for a ragged multi-cohort mixed run — retirements
 		// shrink the sweep in place and the per-step cohort layout is reused —
-		// and for a bare Stepper loop, the sharded topology's driver. Their
+		// and for a bare Step loop, the sharded topology's driver. Their
 		// allocation counts are taken on one worker: per-worker sample
 		// scratch grows to the largest chunk a worker has claimed, which
 		// depends on claim order when several workers share the items.
@@ -119,8 +120,7 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 			}
 		}
 		// One held session, so the warm-up run and the measured run share
-		// their pooled cohort state (the engine's session pool may drop an
-		// idle session at a GC).
+		// their cohort and step state.
 		held, err := one.NewSession(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -160,11 +160,7 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 
 		spec := algo.Node2Vec(2, 0.5)
 		stepperLoop := func(s *Session, steps int, measure bool) (mallocs uint64, goroutines []int) {
-			st, err := s.NewStepper(2000, AuxChannelsFor(&spec), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.BindCohort(0, &spec, 2000); err != nil {
+			if err := s.BindCohort(0, &spec, 2000); err != nil {
 				t.Fatal(err)
 			}
 			w, wNext := make([]graph.VID, 2000), make([]graph.VID, 2000)
@@ -177,7 +173,7 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 					runtime.GC()
 					runtime.ReadMemStats(&before)
 				}
-				if err := st.Step(0, 9, step, w, wNext, aux, auxNext); err != nil {
+				if err := s.Step(0, 9, step, w, wNext, aux, auxNext); err != nil {
 					t.Fatal(err)
 				}
 				w, wNext = wNext, w
@@ -208,6 +204,34 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 	})
 }
 
+// TestHeldSessionWaveAllocs bounds what a whole serving wave allocates
+// once its session is warm: the step state is held, so the second
+// RunMixed of two 1-walker cohorts on BenchmarkSparseMixedWave's plan of
+// over 1,500 partitions allocates only its results, under 32 KiB.
+func TestHeldSessionWaveAllocs(t *testing.T) {
+	e := sparseWaveEngine(t)
+	defer e.Close()
+	s, err := e.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cohorts := sparseWave(1)
+	if _, err := s.RunMixed(cohorts); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.RunMixed(cohorts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 32<<10 {
+		t.Errorf("warm 1-walker wave allocated %d B in %d objects, want under 32 KiB",
+			bytes, after.Mallocs-before.Mallocs)
+	}
+}
+
 // TestEngineRaceMultiWorker exercises the pooled pipeline — shuffle
 // phases, parallel inner shuffle, sample stage — with many workers and
 // aux channels so `go test -race` can check the barriers. Also serves as
@@ -235,7 +259,7 @@ func TestEngineRaceMultiWorker(t *testing.T) {
 
 // TestSparseRunsHoldNoPSState pins the cost side of the sparse template
 // on a plan that pre-samples its hubs. On a pooled session, runs below
-// the sparse switch — solo, mixed and through a stepper — allocate
+// the sparse switch — solo, mixed and through Step — allocate
 // nothing per extra step and leave the session and every cohort slot
 // without PS buffers; a plan-template run afterwards allocates them and
 // is bitwise-identical to the same run on a fresh session, as is a
@@ -289,16 +313,9 @@ func TestSparseRunsHoldNoPSState(t *testing.T) {
 			}
 		}
 		e.cfg.RecordHistory = true
-		st, err := s.NewStepper(int(sparse), 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		spec := algo.DeepWalk()
-		if err := st.BindCohort(0, &spec, sparse); err != nil {
+		if err := s.BindCohort(0, &spec, sparse); err != nil {
 			t.Fatal(err)
-		}
-		if s.primary.ps != nil {
-			t.Error("session primary slot allocated PS state for sparse runs")
 		}
 		for k, cs := range s.cohorts {
 			if cs.ps != nil {
@@ -317,7 +334,7 @@ func TestSparseRunsHoldNoPSState(t *testing.T) {
 			return res
 		}
 		after := plan(s)
-		if s.primary.ps == nil {
+		if s.cohorts[0].ps == nil {
 			t.Error("plan-template run did not allocate PS state")
 		}
 		again := plan(s)

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"flashmob/internal/algo"
 	"flashmob/internal/graph"
+	"flashmob/internal/obs"
 	"flashmob/internal/rng"
 	"flashmob/internal/walk"
 )
@@ -31,110 +33,36 @@ func (e *Engine) initEpisode(seed uint64, episode int, w []graph.VID) {
 // wire protocol size per-walker records without re-deriving the rule.
 func AuxChannelsFor(sp *algo.Spec) int { return auxChannelsFor(sp) }
 
-// Stepper is the engine's single pipeline step, the one place a step is
-// executed and timed:
-//
-//	W --forward shuffle--> SW --sample (in place)--> SW' --reverse gather--> W'
-//
-// It owns the shuffler, the shuffled intermediates SW and their aux
-// channels, the per-partition step counts, and the stage timings and
-// per-step metrics. Three drivers run over it: RunSeeded steps the
-// session's primary context episode by episode; RunMixed steps the
-// active cohorts' prefix of one shared walker array, retiring cohorts by
-// passing a shorter one; and the sharded topology (internal/shard)
-// advances its local walkers one cohort-step at a time through Step,
-// handing emigrants to the cross-shard exchange in between. Sample seeds
-// key on global partition indices and chunk-local sub-shard offsets, so
-// every driver draws the same randomness for the same walkers.
-//
-// A Stepper belongs to its Session and follows the same discipline: one
-// goroutine, one Step at a time. The walker arrays are the caller's —
-// the stepper only owns the shuffled intermediates.
-type Stepper struct {
-	s        *Session
-	shuffler *walk.Shuffler
-	cur      int // current shuffler size, to skip redundant Resizes
-	sw       []graph.VID
-	auxSW    [][]graph.VID
-	views    [][]graph.VID // per-call channel views of auxSW, reused
-	vpSteps  []uint64
-	times    StageTimes
-
-	// Cohort slots bound through BindCohort, and the one-cohort context
-	// and seed-prefix lists that Step and solo runs sample under.
-	slots    []*cohortState
-	specs    []*algo.Spec
-	cxs      []*cohortCtx
-	prefixes []uint64
+// cohortSlots grows the session's cohort slots, with their context
+// pointers and seed prefixes, to n and returns the first n slots.
+func (s *Session) cohortSlots(n int) []*cohortState {
+	for len(s.cohorts) < n {
+		cs := &cohortState{}
+		s.cohorts = append(s.cohorts, cs)
+		s.cxs = append(s.cxs, &cs.cx)
+		s.prefixes = append(s.prefixes, 0)
+	}
+	return s.cohorts[:n]
 }
 
-// newStepper builds a stepper for up to maxWalkers walkers carrying up
-// to channels aux channels, with no cohort slots.
-func (s *Session) newStepper(maxWalkers, channels int) (*Stepper, error) {
-	e := s.e
-	shuffler, err := walk.NewShufflerPool(e.plan, maxWalkers, e.pool)
-	if err != nil {
-		return nil, err
-	}
-	if s.m != nil {
-		shuffler.SetPprofLabels(true)
-		shuffler.SetPoolMetrics(s.m.pool)
-	}
-	st := &Stepper{
-		s:        s,
-		shuffler: shuffler,
-		cur:      maxWalkers,
-		sw:       make([]graph.VID, maxWalkers),
-		auxSW:    make([][]graph.VID, channels),
-		views:    make([][]graph.VID, 0, channels),
-		vpSteps:  make([]uint64, e.plan.NumVPs()),
-		cxs:      make([]*cohortCtx, 1),
-		prefixes: make([]uint64, 1),
-	}
-	for c := range st.auxSW {
-		st.auxSW[c] = make([]graph.VID, maxWalkers)
-	}
-	return st, nil
-}
-
-// NewStepper builds a per-step driver sized for maxWalkers walkers,
-// channels aux channels, and the given number of cohort slots. The
-// session's pooled cohort state backs the slots, so steppers acquired
-// across runs on one session reuse their PS buffers (reset on every
-// plan-template bind).
-func (s *Session) NewStepper(maxWalkers, channels, cohorts int) (*Stepper, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if maxWalkers <= 0 {
-		return nil, fmt.Errorf("core: stepper needs a positive walker capacity")
-	}
-	if cohorts <= 0 {
-		return nil, fmt.Errorf("core: stepper needs at least one cohort slot")
-	}
-	st, err := s.newStepper(maxWalkers, channels)
-	if err != nil {
-		return nil, err
-	}
-	st.slots = s.cohortSlots(cohorts)
-	st.specs = make([]*algo.Spec, cohorts)
-	return st, nil
-}
-
-// BindCohort arms slot k for a cohort of the given spec and walker
-// count, exactly as a mixed run binds its cohorts: the kernel template
+// BindCohort arms cohort slot k for a cohort of the given spec and
+// walker count, exactly as a run binds its cohorts: the kernel template
 // is the one the count selects against the build's sparse switch, copied
-// for the spec's weighting, with PS buffers reset to empty when it is the
-// plan's. walkers is the cohort's global count — a shard passes the
+// for the spec's weighting, with PS buffers reset to empty when it is
+// the plan's. walkers is the cohort's global count — a shard passes the
 // cohort's resolved Walkers, not its fluctuating local population, so
 // every shard binds what a single engine would. Admission follows
 // RunMixed's rules (ResolveCohorts, and the overlay's spec restriction
-// on an overlay session). The spec must stay alive and unmodified while
+// on an overlay session). Slots are created on demand; a slot stays
+// bound until it is rebound, a run on the session binds it, or the
+// session is reacquired. The spec must stay alive and unmodified while
 // bound.
-func (st *Stepper) BindCohort(k int, spec *algo.Spec, walkers uint64) error {
-	s := st.s
-	if k < 0 || k >= len(st.specs) {
-		return fmt.Errorf("core: cohort slot %d out of range [0, %d)", k, len(st.specs))
+func (s *Session) BindCohort(k int, spec *algo.Spec, walkers uint64) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if k < 0 {
+		return fmt.Errorf("core: negative cohort slot %d", k)
 	}
 	if _, _, err := s.e.ResolveCohorts([]Cohort{{Spec: *spec, Walkers: 1, Steps: 1}}); err != nil {
 		return err
@@ -144,11 +72,7 @@ func (st *Stepper) BindCohort(k int, spec *algo.Spec, walkers uint64) error {
 			return err
 		}
 	}
-	if ch := auxChannelsFor(spec); ch > len(st.auxSW) {
-		return fmt.Errorf("core: spec needs %d aux channels but the stepper was built with %d", ch, len(st.auxSW))
-	}
-	st.slots[k].bind(s, spec, walkers)
-	st.specs[k] = spec
+	s.cohortSlots(k + 1)[k].bind(s, spec, walkers)
 	return nil
 }
 
@@ -158,27 +82,25 @@ func (st *Stepper) BindCohort(k int, spec *algo.Spec, walkers uint64) error {
 // reverse-gathered into wNext. aux/auxNext carry the cohort's
 // predecessor channels (exactly AuxChannelsFor of its spec) and are
 // permuted identically with the walkers. len(w) may differ call to call
-// — up to the stepper's capacity — which is how the sharded topology
-// steps a fluctuating local walker population.
-func (st *Stepper) Step(k int, seed uint64, step int, w, wNext []graph.VID, aux, auxNext [][]graph.VID) error {
-	s := st.s
+// — the session's step state grows to the largest — which is how the
+// sharded topology steps a fluctuating local walker population. The
+// walker arrays are the caller's; the session owns only the shuffled
+// intermediates.
+func (s *Session) Step(k int, seed uint64, step int, w, wNext []graph.VID, aux, auxNext [][]graph.VID) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	if k < 0 || k >= len(st.specs) || st.specs[k] == nil {
+	if k < 0 || k >= len(s.cohorts) || s.cohorts[k].cx.spec == nil {
 		return fmt.Errorf("core: cohort slot %d is not bound", k)
 	}
 	n := len(w)
 	if len(wNext) != n {
 		return fmt.Errorf("core: walker arrays disagree: %d vs %d", n, len(wNext))
 	}
-	if n > len(st.sw) {
-		return fmt.Errorf("core: %d walkers exceed the stepper's %d capacity", n, len(st.sw))
-	}
-	channels := auxChannelsFor(st.specs[k])
+	channels := auxChannelsFor(s.cohorts[k].cx.spec)
 	if len(aux) != channels || len(auxNext) != channels {
 		return fmt.Errorf("core: spec carries %d aux channels, got %d in / %d out", channels, len(aux), len(auxNext))
 	}
@@ -190,45 +112,61 @@ func (st *Stepper) Step(k int, seed uint64, step int, w, wNext []graph.VID, aux,
 	if n == 0 {
 		return nil
 	}
-	st.cxs[0] = &st.slots[k].cx
-	st.prefixes[0] = SampleSeedPrefix(seed, 0, step)
-	return st.step(w, wNext, aux, auxNext, st.cxs, st.prefixes, nil)
+	s.prefixes[k] = SampleSeedPrefix(seed, 0, step)
+	return s.step(w, wNext, aux, auxNext, s.cxs[k:k+1], s.prefixes[k:k+1], nil)
 }
 
-// step runs one pipeline step over the n = len(w) walkers in w, writing
-// their successors to wNext and carrying len(aux) aux channels. cxs,
-// prefixes and lay describe the cohorts the walkers belong to (see
-// sampleTask.run); lay is nil for a single cohort.
-func (st *Stepper) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) error {
-	s := st.s
+// VPSteps returns the per-partition walker-step counts accumulated by
+// the steps since the session's last run start or acquisition (the
+// Figure 10b weighting, per shard). The slice is the session's own and
+// restarts from zero with the next run: copy it to keep it.
+func (s *Session) VPSteps() []uint64 { return s.vpSteps }
+
+// step is the engine's single pipeline step, the one place a step is
+// executed and timed:
+//
+//	W --forward shuffle--> SW --sample (in place)--> SW' --reverse gather--> W'
+//
+// over the n = len(w) walkers in w, writing their successors to wNext
+// and carrying len(aux) aux channels. cxs, prefixes and lay describe the
+// cohorts the walkers belong to (see sampleTask.run); lay is nil for a
+// single cohort. The shuffler and shuffled intermediates are built on
+// the session's first step and grown in place past their high-water
+// mark; sample seeds key on global partition indices and chunk-local
+// sub-shard offsets, so every driver draws the same randomness for the
+// same walkers.
+func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) error {
 	n := len(w)
-	if n != st.cur {
-		if err := st.shuffler.Resize(n); err != nil {
+	if s.shuffler == nil {
+		sh, err := walk.NewShufflerPool(s.e.plan, n, s.e.pool)
+		if err != nil {
 			return err
 		}
-		st.cur = n
+		sh.SetPprofLabels(s.m != nil)
+		sh.SetPoolMetrics(s.poolMetrics())
+		s.shuffler = sh
+	} else if err := s.shuffler.Resize(n); err != nil {
+		return err
 	}
-	sw := st.sw[:n]
-	views := st.views[:0]
-	for c := range aux {
-		views = append(views, st.auxSW[c][:n])
-	}
-	st.views = views
+	s.sw = grown(s.sw, n)
+	s.auxSW = grownChannels(s.auxSW, len(aux), n)
+	sw := s.sw[:n]
+	s.views = channelViews(s.views, s.auxSW[:len(aux)], n)
 
 	t0 := time.Now()
-	if err := st.shuffler.ForwardMulti(w, sw, aux, views); err != nil {
+	if err := s.shuffler.ForwardMulti(w, sw, aux, s.views); err != nil {
 		return err
 	}
 	t1 := time.Now()
-	s.sample.run(st.shuffler.Chunks(), sw, views, st.vpSteps, cxs, prefixes, lay)
+	s.sample.run(s.shuffler.Chunks(), sw, s.views, s.vpSteps, cxs, prefixes, lay)
 	t2 := time.Now()
-	if err := st.shuffler.ReverseMulti(w, sw, wNext, views, auxNext); err != nil {
+	if err := s.shuffler.ReverseMulti(w, sw, wNext, s.views, auxNext); err != nil {
 		return err
 	}
 	t3 := time.Now()
-	st.times.ShuffleFwdTime += t1.Sub(t0)
-	st.times.SampleTime += t2.Sub(t1)
-	st.times.ShuffleRevTime += t3.Sub(t2)
+	s.times.ShuffleFwdTime += t1.Sub(t0)
+	s.times.SampleTime += t2.Sub(t1)
+	s.times.ShuffleRevTime += t3.Sub(t2)
 	if m := s.m; m != nil {
 		m.steps.Inc()
 		m.shuffleFwdStepNS.Observe(uint64(t1.Sub(t0)))
@@ -238,6 +176,165 @@ func (st *Stepper) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []
 	return nil
 }
 
-// VPSteps returns the per-partition walker-step counts accumulated
-// across the stepper's Steps (the Figure 10b weighting, per shard).
-func (st *Stepper) VPSteps() []uint64 { return st.vpSteps }
+// drive is the one run driver: it steps one episode of the cohorts
+// bound to slots [0, len(cohorts)), whose walker counts, step counts
+// and seeds cohorts gives, longest walk first. Cohort k's walkers are
+// segment k of the session's walker array, placed from the cohort's
+// seed and the episode index; each step samples slot k's walkers under
+// SampleSeedPrefix(seed, episode, step). Cohorts whose walks are done
+// retire from the sweep: the active cohorts stay a prefix, so the step
+// just shrinks. It returns each cohort's history (nil entries unless
+// Config.RecordHistory).
+func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) {
+	e := s.e
+	s.offs = append(s.offs[:0], 0)
+	channels := 0
+	for k, c := range cohorts {
+		s.offs = append(s.offs, s.offs[k]+c.Walkers)
+		channels = max(channels, auxChannelsFor(s.cohorts[k].cx.spec))
+	}
+	offs := s.offs
+	total := int(offs[len(cohorts)])
+	s.w, s.wNext = grown(s.w, total), grown(s.wNext, total)
+	s.auxW, s.auxNext = grownChannels(s.auxW, channels, total), grownChannels(s.auxNext, channels, total)
+	if len(cohorts) > 1 {
+		s.lay.grow(len(cohorts), e.plan.NumVPs())
+	}
+	w, wNext := s.w, s.wNext
+	auxW, auxNext := s.auxW[:channels], s.auxNext[:channels]
+
+	// Per-cohort init, the solo formula: a cohort's start placement
+	// depends only on its own seed, the episode and its segment length.
+	hist := make([]*walk.History, len(cohorts))
+	for k, c := range cohorts {
+		seg := w[offs[k]:offs[k+1]]
+		e.initEpisode(c.Seed, episode, seg)
+		for ch := 0; ch < auxChannelsFor(s.cohorts[k].cx.spec); ch++ {
+			// Predecessors start as the walker's own start vertex, which
+			// makes the first higher-order step uniform over neighbours.
+			copy(auxW[ch][offs[k]:offs[k+1]], seg)
+		}
+		if e.cfg.RecordHistory {
+			hist[k] = walk.NewHistory(len(seg))
+			if err := hist[k].Append(seg); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if s.m != nil {
+		s.m.episodes.Inc()
+	}
+	active := len(cohorts)
+	for step := 0; ; step++ {
+		if err := s.ctx.Err(); err != nil {
+			return nil, err
+		}
+		for active > 0 && cohorts[active-1].Steps <= step {
+			active--
+		}
+		aw := int(offs[active])
+		if aw == 0 {
+			return hist, nil
+		}
+		for k := 0; k < active; k++ {
+			s.prefixes[k] = SampleSeedPrefix(cohorts[k].Seed, episode, step)
+		}
+		var lay *cohortLayout
+		if active > 1 {
+			s.lay.count(e.plan.Lookup(), w, offs[:active+1])
+			lay = &s.lay
+		}
+		s.in, s.out = channelViews(s.in, auxW, aw), channelViews(s.out, auxNext, aw)
+		if err := s.step(w[:aw], wNext[:aw], s.in, s.out, s.cxs[:active], s.prefixes[:active], lay); err != nil {
+			return nil, err
+		}
+		if e.cfg.StepSink != nil {
+			// The sink sees the still-active walker prefix: cur[j] → next[j]
+			// is position j's transition this step, cohort segments in the
+			// run's contiguous layout.
+			e.cfg.StepSink(step, w[:aw], wNext[:aw])
+		}
+		w, wNext = wNext, w
+		auxW, auxNext = auxNext, auxW
+		if e.cfg.RecordHistory {
+			for k := 0; k < active; k++ {
+				if err := hist[k].Append(w[offs[k]:offs[k+1]]); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+}
+
+// begin opens a run: a closed session refuses it, and the per-run
+// counters restart from zero.
+func (s *Session) begin() error {
+	if s.closed {
+		return ErrClosed
+	}
+	s.resetCounters()
+	return nil
+}
+
+// resetCounters zeroes the per-run counters.
+func (s *Session) resetCounters() {
+	clear(s.vpSteps)
+	s.times = StageTimes{}
+}
+
+// finish closes a run that began at start and advanced walkers walkers:
+// its stage split, a copy of the per-partition counts (the held ones
+// restart with the next run), and, with metrics, the run's counters and
+// the session's report.
+func (s *Session) finish(start time.Time, walkers uint64) (StageTimes, []uint64, *obs.Report) {
+	t := s.times
+	t.finish(start)
+	var rep *obs.Report
+	if m := s.m; m != nil {
+		m.runs.Inc()
+		m.walkers.Add(walkers)
+		rep = m.reg.Snapshot()
+	}
+	return t, slices.Clone(s.vpSteps), rep
+}
+
+// poolMetrics is the pool accounting the session's shuffle phases carry
+// (nil without metrics).
+func (s *Session) poolMetrics() *obs.PoolMetrics {
+	if s.m == nil {
+		return nil
+	}
+	return s.m.pool
+}
+
+// grown returns b if it holds at least n walkers and a fresh n-walker
+// array otherwise: held arrays are reallocated, never copied, when a run
+// outgrows them, because every run overwrites them from the start.
+func grown(b []graph.VID, n int) []graph.VID {
+	if len(b) < n {
+		return make([]graph.VID, n)
+	}
+	return b
+}
+
+// grownChannels grows bufs to at least channels channels of at least n
+// walkers each.
+func grownChannels(bufs [][]graph.VID, channels, n int) [][]graph.VID {
+	for len(bufs) < channels {
+		bufs = append(bufs, nil)
+	}
+	for c := 0; c < channels; c++ {
+		bufs[c] = grown(bufs[c], n)
+	}
+	return bufs
+}
+
+// channelViews refills views with the first n walkers of each of bufs'
+// channels.
+func channelViews(views, bufs [][]graph.VID, n int) [][]graph.VID {
+	views = views[:0]
+	for _, b := range bufs {
+		views = append(views, b[:n])
+	}
+	return views
+}

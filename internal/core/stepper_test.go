@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"flashmob/internal/algo"
@@ -9,8 +10,8 @@ import (
 	"flashmob/internal/part"
 )
 
-// stepperWalk drives a full walker population through the per-step
-// Stepper API — the way the sharded topology does, minus the exchange —
+// stepperWalk drives a full walker population through the session's
+// per-step API — the way the sharded topology does, minus the exchange —
 // and records the per-step positions.
 func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers, steps int) [][]graph.VID {
 	t.Helper()
@@ -19,11 +20,7 @@ func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers,
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st, err := s.NewStepper(walkers, AuxChannelsFor(spec), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.BindCohort(0, spec, uint64(walkers)); err != nil {
+	if err := s.BindCohort(0, spec, uint64(walkers)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,7 +39,7 @@ func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers,
 	rows := make([][]graph.VID, 0, steps+1)
 	rows = append(rows, append([]graph.VID(nil), w...))
 	for step := 0; step < steps; step++ {
-		if err := st.Step(0, seed, step, w, wNext, aux, auxNext); err != nil {
+		if err := s.Step(0, seed, step, w, wNext, aux, auxNext); err != nil {
 			t.Fatal(err)
 		}
 		w, wNext = wNext, w
@@ -52,7 +49,7 @@ func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers,
 	return rows
 }
 
-// TestStepperMatchesRunSeeded pins the Stepper's contract: stepping a
+// TestStepperMatchesRunSeeded pins the Step contract: stepping a
 // cohort one step at a time reproduces the closed RunSeeded loop
 // bitwise, across kernel families (DS, node2vec aux channels, stop-prob
 // restarts) and with sub-sharding forced on.
@@ -101,32 +98,40 @@ func TestStepperMatchesRunSeeded(t *testing.T) {
 
 // TestStepperResize steps a shrinking then regrowing walker prefix —
 // the shard runtime's fluctuating local population — and checks each
-// step still advances along graph edges.
+// step still advances along graph edges. Stepping past the largest
+// count so far grows the session's step state, and the step equals a
+// fresh session's. Slots bound before the session's acquisition are
+// unbound.
 func TestStepperResize(t *testing.T) {
 	g := undirectedTestGraph(t, 400, 2)
-	e := newEngine(t, g, algo.DeepWalk(), Config{
+	cfg := Config{
 		Workers: 2, Seed: 5, Planner: PlannerMCKP,
 		Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1},
-	})
+	}
+	e := newEngine(t, g, algo.DeepWalk(), cfg)
 	defer e.Close()
+	// Bind slots 0 and 1 on the session the engine hands out next.
+	if _, err := e.RunMixed([]Cohort{
+		{Spec: algo.DeepWalk(), Walkers: 20, Steps: 2, Seed: 1},
+		{Spec: algo.DeepWalk(), Walkers: 20, Steps: 1, Seed: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	s, err := e.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st, err := s.NewStepper(200, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := algo.DeepWalk()
-	if err := st.BindCohort(0, &spec, 200); err != nil {
+	if err := s.BindCohort(0, &spec, 200); err != nil {
 		t.Fatal(err)
 	}
-	w := make([]graph.VID, 201)
-	wNext := make([]graph.VID, 201)
+	const grown = 1000
+	w := make([]graph.VID, grown)
+	wNext := make([]graph.VID, grown)
 	e.InitWalkersSeeded(7, w)
 	for step, n := range []int{200, 120, 37, 0, 120, 200} {
-		if err := st.Step(0, 7, step, w[:n], wNext[:n], nil, nil); err != nil {
+		if err := s.Step(0, 7, step, w[:n], wNext[:n], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < n; j++ {
@@ -145,10 +150,27 @@ func TestStepperResize(t *testing.T) {
 		copy(w[:n], wNext[:n])
 	}
 
-	if err := st.Step(0, 7, 0, w[:201], wNext[:201], nil, nil); err == nil {
-		t.Fatal("stepping past capacity accepted")
+	if err := s.Step(0, 7, 6, w, wNext, nil, nil); err != nil {
+		t.Fatalf("stepping past the largest count so far: %v", err)
 	}
-	if err := st.Step(1, 7, 0, w[:10], wNext[:10], nil, nil); err == nil {
-		t.Fatal("stepping an unbound slot accepted")
+	ref := newEngine(t, g, algo.DeepWalk(), cfg)
+	defer ref.Close()
+	fresh, err := ref.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.BindCohort(0, &spec, 200); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]graph.VID, grown)
+	if err := fresh.Step(0, 7, 6, w, want, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(wNext, want) {
+		t.Fatal("step grown past the session's capacity differs from a fresh session's")
+	}
+	if err := s.Step(1, 7, 0, w[:10], wNext[:10], nil, nil); err == nil {
+		t.Fatal("stepping a slot bound before the session's acquisition accepted")
 	}
 }

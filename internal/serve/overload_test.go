@@ -90,16 +90,27 @@ func TestOverloadRetryAfter(t *testing.T) {
 		QueueDepth: 1, Executors: 1, MaxBatchRequests: 1, MaxWait: time.Millisecond,
 	})
 	// Saturate: one executing batch, one queued, one held by the
-	// dispatcher; then the next request must bounce.
+	// dispatcher; then the next request must bounce. The load keeps
+	// coming until the probe is done, so a fast host cannot drain the
+	// queue before the probe lands.
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			postWalk(t, hs.URL, WalkRequest{Walkers: 1024, Steps: 400})
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				postWalk(t, hs.URL, WalkRequest{Walkers: 1024, Steps: 400})
+			}
 		}()
 	}
 	defer wg.Wait()
+	defer close(stop)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, err := http.Post(hs.URL+"/v1/walk", "application/json",

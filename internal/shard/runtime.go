@@ -13,7 +13,7 @@ import (
 
 // shardCohort is one cohort's per-shard walker state. Three generations
 // of each channel rotate through a superstep: cur (pre-step), next (the
-// stepper's output scratch), and ex (the exchange's merged output, which
+// step's output scratch), and ex (the exchange's merged output, which
 // becomes cur). All are full-capacity — sized for the cohort's whole
 // walker population, the worst case of everyone walking into one shard —
 // with n tracking the live prefix.
@@ -73,33 +73,25 @@ type shardRun struct {
 	vpSteps []uint64
 }
 
-// run executes the superstep loop. Every shard iterates supersteps and
-// cohorts in the same order, so the per-(superstep, cohort) exchange
-// rounds pair up across the mesh; a cohort past its last step is skipped
-// identically everywhere. The exchange is skipped after a cohort's final
-// step — a walker crossing shards as it finishes is a finished walker,
-// not a message.
+// run executes the superstep loop on one engine session, which is the
+// shard's stepper: cohort k is bound to slot k, and each cohort-step is
+// one Session.Step over the shard's local walkers, whose step state
+// grows to the largest local population it meets. Every shard iterates
+// supersteps and cohorts in the same order, so the per-(superstep,
+// cohort) exchange rounds pair up across the mesh; a cohort past its
+// last step is skipped identically everywhere. The exchange is skipped
+// after a cohort's final step — a walker crossing shards as it finishes
+// is a finished walker, not a message.
 func (r *shardRun) run(ctx context.Context) error {
 	sess, err := r.eng.NewSession(ctx)
 	if err != nil {
 		return err
 	}
 	defer sess.Close()
-	maxWalkers, maxSteps := 0, 0
-	for _, c := range r.resolved {
-		if int(c.Walkers) > maxWalkers {
-			maxWalkers = int(c.Walkers)
-		}
-		if c.Steps > maxSteps {
-			maxSteps = c.Steps
-		}
-	}
-	st, err := sess.NewStepper(maxWalkers, r.channels, len(r.resolved))
-	if err != nil {
-		return err
-	}
-	for k := range r.resolved {
-		if err := st.BindCohort(k, &r.resolved[k].Spec, r.resolved[k].Walkers); err != nil {
+	maxSteps := 0
+	for k, c := range r.resolved {
+		maxSteps = max(maxSteps, c.Steps)
+		if err := sess.BindCohort(k, &r.resolved[k].Spec, c.Walkers); err != nil {
 			return err
 		}
 	}
@@ -126,7 +118,7 @@ func (r *shardRun) run(ctx context.Context) error {
 				viewsNext = append(viewsNext, co.auxNext[ch][:n])
 			}
 			co.views, co.viewsNext = views, viewsNext
-			if err := st.Step(k, c.Seed, t, co.w[:n], co.wNext[:n], views, viewsNext); err != nil {
+			if err := sess.Step(k, c.Seed, t, co.w[:n], co.wNext[:n], views, viewsNext); err != nil {
 				return err
 			}
 			if err := r.record(k, t+1, co.ids[:n], co.wNext[:n]); err != nil {
@@ -150,7 +142,7 @@ func (r *shardRun) run(ctx context.Context) error {
 			}
 		}
 	}
-	copy(r.vpSteps, st.VPSteps())
+	copy(r.vpSteps, sess.VPSteps())
 	return nil
 }
 

@@ -15,8 +15,8 @@ import (
 // Topology runs sharded mixed walks with every shard in-process: one
 // engine build shared by all shards (each shard only ever samples the
 // partitions it owns, so sharing the immutable build costs nothing and
-// keeps memory flat), per-shard sessions and steppers off the engine's
-// pools, and a ChanMesh exchange. Safe for concurrent RunMixed calls —
+// keeps memory flat), per-shard sessions off the engine's pool (each
+// session is its shard's stepper), and a ChanMesh exchange. Safe for concurrent RunMixed calls —
 // each run gets its own mesh and sessions — which is what lets the
 // serving layer drive one Topology from many executors.
 type Topology struct {

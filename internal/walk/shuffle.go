@@ -99,7 +99,7 @@ type Shuffler struct {
 	active int
 
 	numWalkers int
-	maxWalkers int     // construction-time walker capacity (Resize ceiling)
+	maxWalkers int     // largest walker count so far (slotFinal/scratch length)
 	vpBin      []int32 // partition → outer bin
 	// counts[w][vp] is worker w's walker count per VP over its walker
 	// range in w's last count pass, and occ[w] has bit vp set exactly
@@ -202,9 +202,8 @@ func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuff
 		counts:     make([][]uint32, workers),
 		occ:        make([][]uint64, workers),
 		union:      make([]uint64, words),
-		// A pass occupies at most one partition and bin per walker.
-		chunks:     make([]Chunk, 0, min(nvp, numWalkers)),
-		spans:      make([]binSpan, 0, min(len(bins), numWalkers)),
+		chunks:     make([]Chunk, 0, nvp),
+		spans:      make([]binSpan, 0, len(bins)),
 		cursors:    make([][]uint64, workers),
 		wcScatter:  false,
 		wcGather:   true,
@@ -232,7 +231,7 @@ func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuff
 		s.slotFinal = make([]uint32, numWalkers)
 		s.scratch = make([]graph.VID, numWalkers)
 		s.vpCur = make([]uint64, nvp)
-		s.extraSpans = make([]int, 0, min(extraBins, numWalkers))
+		s.extraSpans = make([]int, 0, extraBins)
 	}
 	s.gatherStage = make([]LineStage[uint32], workers)
 	for w := 0; w < workers; w++ {
@@ -242,19 +241,22 @@ func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuff
 	return s, nil
 }
 
-// Resize re-targets the shuffler at a smaller (or equal) walker count
-// without reallocating. Mixed runs retire whole cohorts between steps;
-// all scratch the shuffler owns is sized by the plan and worker count
-// except the inner-level slot maps, and a shrunken walker set uses a
-// prefix of those. Growing past the construction size is refused —
-// build a new shuffler instead.
+// Resize re-targets the shuffler at numWalkers walkers. Everything the
+// shuffler owns is sized by the plan and worker count except the inner
+// level's slot maps, which are walker-sized: a smaller count uses a
+// prefix of them, and a count past the largest so far regrows them, so
+// one shuffler serves any sequence of walker counts with the same
+// permutations a freshly built one would produce.
 func (s *Shuffler) Resize(numWalkers int) error {
 	if numWalkers < 0 {
 		return fmt.Errorf("walk: negative walker count")
 	}
 	if numWalkers > s.maxWalkers {
-		return fmt.Errorf("walk: Resize to %d walkers exceeds the %d the shuffler was built for",
-			numWalkers, s.maxWalkers)
+		if s.hasExtra {
+			s.slotFinal = make([]uint32, numWalkers)
+			s.scratch = make([]graph.VID, numWalkers)
+		}
+		s.maxWalkers = numWalkers
 	}
 	s.numWalkers = numWalkers
 	return nil

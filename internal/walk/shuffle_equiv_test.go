@@ -412,9 +412,12 @@ func confinedWalkers(plan *part.Plan, vps []int, n int, seed uint64) []graph.VID
 // of partitions and extra-shuffle bins, the occupied set changing every
 // step, so a count, cursor, chunk or staging fill left behind by the
 // previous step would corrupt the next. Walker counts cross the inline
-// cutoff in both directions on the same shuffler (shrunk through
+// cutoff in both directions on the same shuffler (resized through
 // Resize), so pooled steps also follow inline ones whose counts only
-// worker 0 refreshed. Every step must match the frozen reference.
+// worker 0 refreshed, and the last step grows past the count the
+// shuffler was built for, which regrows its inner-level slot maps.
+// Every step must match the frozen reference, a shuffler built fresh
+// for that step.
 func TestSparseShuffleEquivalence(t *testing.T) {
 	const cutoff = 64
 	withInlineCutoff(t, cutoff)
@@ -436,17 +439,14 @@ func TestSparseShuffleEquivalence(t *testing.T) {
 		{700, []int{0, 1, 2, 128, 129}}, // adjacent partitions, two bins
 		{1, []int{4095}},
 		{900, []int{64, 65, 66, 67, 68, 69, 70, 71, 72, 2048, 2049}},
-	}
-	maxN := 0
-	for _, st := range steps {
-		maxN = max(maxN, st.n)
+		{3000, []int{5, 63, 64, 70, 127, 200, 2048, 4095}}, // past the built 900
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, channels := range []int{0, 2} {
 			t.Run(fmt.Sprintf("w%d/ch%d", workers, channels), func(t *testing.T) {
 				p := pool.New(workers)
 				defer p.Close()
-				for _, mode := range shuffleModes(plan, maxN, workers, p) {
+				for _, mode := range shuffleModes(plan, steps[0].n, workers, p) {
 					s := mode.shuffler(t)
 					for i, st := range steps {
 						w := confinedWalkers(plan, st.vps, st.n, uint64(i+1))
