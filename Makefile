@@ -61,9 +61,10 @@ bench-mixed:
 	@mkdir -p bench/out
 	$(GO) run ./cmd/fmbench -exp mixed -repeats 5 -outdir bench/out
 
-# Out-of-core streaming overlap curve: prefetch depth × IO workers ×
-# parallel sampling × resident-tier budget on a disk-resident graph,
-# mean/std over 5 repeats. Writes a raw BENCH_ooc.json under bench/out/.
+# Out-of-core streaming: double-buffered block reads across sample
+# workers and the resident-tier budget on a disk-resident graph, beside
+# the in-memory ns/step, mean/std over 5 repeats. Writes a raw
+# BENCH_ooc.json under bench/out/.
 bench-ooc:
 	@mkdir -p bench/out
 	$(GO) run ./cmd/fmbench -exp ooc -repeats 5 -outdir bench/out

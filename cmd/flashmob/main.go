@@ -40,8 +40,6 @@ func main() {
 		paths       = flag.Bool("paths", false, "record full paths (memory heavy)")
 		oocMode     = flag.Bool("ooc", false, "out-of-core mode: stream the graph from disk (-graph must be a binary CSR; deepwalk only)")
 		oocBudget   = flag.Uint64("oocbudget", 64<<20, "DRAM budget for streamed edge blocks in -ooc mode")
-		oocDepth    = flag.Int("oocdepth", ooc.DefaultPrefetchDepth, "prefetch ring depth in -ooc mode (1 = no overlap)")
-		oocIOW      = flag.Int("oociow", 0, "IO workers issuing block reads ahead in -ooc mode (0 = auto)")
 		oocResident = flag.Uint64("oocresident", 0, "DRAM budget for pinning hot partition blocks in -ooc mode (0 = off)")
 		corpusOut   = flag.String("corpus", "", "write the walk corpus (one path per line) to this file; implies -paths")
 		edgesOut    = flag.String("edgestream", "", "stream sampled edges to this file in binary format during the walk")
@@ -53,7 +51,7 @@ func main() {
 		if *graphPath == "" {
 			fatal(fmt.Errorf("-ooc requires -graph pointing at a binary CSR file"))
 		}
-		if err := runOOC(*graphPath, *oocBudget, *oocResident, *walkers, *steps, *workers, *oocDepth, *oocIOW, *seed); err != nil {
+		if err := runOOC(*graphPath, *oocBudget, *oocResident, *walkers, *steps, *workers, *seed); err != nil {
 			fatal(err)
 		}
 		return
@@ -187,7 +185,7 @@ func loadGraph(path, preset string, scaleDiv uint32, seed uint64, undirected boo
 }
 
 // runOOC walks a disk-resident binary CSR with the out-of-core engine.
-func runOOC(path string, budget, residentBudget uint64, walkers uint64, steps, workers, depth, ioWorkers int, seed uint64) error {
+func runOOC(path string, budget, residentBudget uint64, walkers uint64, steps, workers int, seed uint64) error {
 	gf, err := graph.OpenFile(path)
 	if err != nil {
 		return err
@@ -196,14 +194,13 @@ func runOOC(path string, budget, residentBudget uint64, walkers uint64, steps, w
 	fmt.Printf("graph (on disk): |V|=%d |E|=%d\n", gf.NumVertices(), gf.NumEdges())
 	before := runtime.NumGoroutine()
 	e, err := ooc.New(gf, ooc.Config{
-		BlockBudget: budget, Seed: seed, Workers: workers,
-		PrefetchDepth: depth, IOWorkers: ioWorkers, ResidentBudget: residentBudget,
+		BlockBudget: budget, Seed: seed, Workers: workers, ResidentBudget: residentBudget,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("plan: %d streaming partitions, block budget %.1fMB, prefetch depth %d\n",
-		e.Plan().NumVPs(), float64(budget)/(1<<20), depth)
+	fmt.Printf("plan: %d streaming partitions, block budget %.1fMB\n",
+		e.Plan().NumVPs(), float64(budget)/(1<<20))
 	if e.ResidentPartitions() > 0 {
 		fmt.Printf("resident tier: %d partitions pinned, %.1fMB\n",
 			e.ResidentPartitions(), float64(e.ResidentBytes())/(1<<20))

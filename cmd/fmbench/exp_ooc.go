@@ -17,8 +17,6 @@ import (
 // -repeats runs of the same engine.
 type oocVariant struct {
 	Name           string  `json:"name"`
-	Depth          int     `json:"prefetch_depth"`
-	IOWorkers      int     `json:"io_workers"`
 	Workers        int     `json:"workers"`
 	ResidentBudget uint64  `json:"resident_budget_bytes"`
 	ResidentBytes  uint64  `json:"resident_bytes"`
@@ -34,9 +32,9 @@ type oocVariant struct {
 	Speedup        float64 `json:"speedup_vs_baseline"`
 }
 
-// oocReport is the schema of BENCH_ooc.json: the overlap curve of the
-// streaming engine across prefetch depth, IO workers, sample workers, and
-// the resident-tier budget.
+// oocReport is the schema of BENCH_ooc.json: the streaming engine's
+// per-step cost across sample workers and the resident-tier budget,
+// beside the in-memory engine's.
 type oocReport struct {
 	Experiment  string       `json:"experiment"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
@@ -53,13 +51,13 @@ type oocReport struct {
 
 // expOOC measures the paper's future-work direction (§4.5, §7): walking a
 // disk-resident graph by streaming its edge blocks through a small DRAM
-// window. The experiment sweeps the overlap axes — prefetch depth (1 =
-// the synchronous single-threaded baseline, the engine's old behavior),
-// IO workers issuing reads ahead of the consumer, parallel block sampling
-// on the worker pool, and a resident tier pinning the hottest blocks in
-// RAM — and records the curve in BENCH_ooc.json. Trajectories are
-// identical across every variant (and to the in-memory engine; see
-// internal/ooc's equivalence suite), so the sweep isolates pure overlap.
+// window, double-buffered so one block is sampled while the next is
+// read. The variants are one sample worker, cfg.Workers sample workers,
+// and cfg.Workers with a resident tier pinning the hottest blocks in RAM
+// (a quarter of the CSR); each is recorded beside the in-memory engine's
+// ns/step in BENCH_ooc.json, with speedups relative to the first.
+// Trajectories are identical across every variant (and to the in-memory
+// engine; see internal/ooc's equivalence suite).
 func expOOC(w io.Writer, cfg benchConfig) error {
 	const graphName = "YT"
 	g, err := presetGraphSized(graphName, cfg, cfg.MinCSR)
@@ -133,13 +131,9 @@ func expOOC(w io.Writer, cfg benchConfig) error {
 	}
 
 	variants := []oocVariant{
-		{Name: "baseline-sync", Depth: 1, IOWorkers: 1, Workers: 1},
-		{Name: "depth2", Depth: 2, IOWorkers: 1, Workers: 1},
-		{Name: "depth4-io2", Depth: 4, IOWorkers: 2, Workers: 1},
-		{Name: "depth4-io2-par", Depth: 4, IOWorkers: 2, Workers: cfg.Workers},
-		{Name: "depth8-io4-par", Depth: 8, IOWorkers: 4, Workers: cfg.Workers},
-		{Name: "depth8-io4-par-resident", Depth: 8, IOWorkers: 4, Workers: cfg.Workers,
-			ResidentBudget: csrBytes / 4},
+		{Name: "workers1", Workers: 1},
+		{Name: "workersN", Workers: cfg.Workers},
+		{Name: "workersN-resident", Workers: cfg.Workers, ResidentBudget: csrBytes / 4},
 	}
 
 	fmt.Fprintf(w, "graph %s (%d MiB CSR), block budget %d KiB, in-mem %.1f ns/step, x%d repeats\n\n",
@@ -152,8 +146,6 @@ func expOOC(w io.Writer, cfg benchConfig) error {
 			BlockBudget:    budget,
 			Seed:           cfg.Seed,
 			Workers:        v.Workers,
-			PrefetchDepth:  v.Depth,
-			IOWorkers:      v.IOWorkers,
 			ResidentBudget: v.ResidentBudget,
 			ColdCache:      coldCache,
 			Metrics:        collector != nil,

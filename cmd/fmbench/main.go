@@ -80,7 +80,7 @@ var experiments = []experiment{
 	{"shard", "sharded topology sweep: shard count x transport (chan, TCP pair) vs the single engine on identical cohorts (writes BENCH_shard.json)", expShard},
 	{"dynamic", "ingest-under-load: walk goodput and tail latency while an edge stream freezes epochs and compactions swap the engine (writes BENCH_dynamic.json)", expDynamic},
 	{"prep", "pre-processing overhead: counting sort + MCKP planning", expPrep},
-	{"ooc", "out-of-core streaming: prefetch depth / IO workers / parallel sampling / resident tier overlap curve (§4.5 future work)", expOOC},
+	{"ooc", "out-of-core streaming: double-buffered block reads across sample workers and the resident tier, beside the in-memory ns/step (§4.5 future work)", expOOC},
 	{"ablate", "design-choice ablations: LLC policy, prefetcher, regular DS indexing (simulated)", expAblate},
 	{"report", "observability demo: one metered DeepWalk run, annotated counters + full JSON report (docs/OBSERVABILITY.md)", expReport},
 }

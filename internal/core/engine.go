@@ -15,6 +15,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -28,6 +29,7 @@ import (
 	"flashmob/internal/pool"
 	"flashmob/internal/profile"
 	"flashmob/internal/rng"
+	"flashmob/internal/walk"
 )
 
 // ErrClosed is returned by Run and NewSession after Close has released
@@ -171,6 +173,10 @@ type Engine struct {
 	// otherwise).
 	weighted *algo.WeightedSampler
 
+	// src supplies the edge blocks of a streamed engine (NewStreamed),
+	// whose g carries Offsets only; nil on engines that hold their CSR.
+	src BlockSource
+
 	// metrics is the engine-lifetime aggregate registry (nil unless
 	// Config.Metrics): sessions record into their own registries and fold
 	// them in here on close. It also carries the shared pprof label
@@ -207,14 +213,10 @@ func New(g *graph.CSR, spec algo.Spec, cfg Config) (*Engine, error) {
 	if spec.Weighted && spec.Order == 2 {
 		return nil, fmt.Errorf("core: weighted second-order walks are not supported (rejection sampling assumes uniform candidates)")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.Model == nil {
 		cfg.Model = profile.NewAnalyticalModel(mem.PaperGeometry())
 	}
 	e := &Engine{g: g, spec: spec, cfg: cfg}
-	e.pool = pool.New(cfg.Workers)
 
 	if spec.Weighted {
 		ws, err := algo.NewWeightedSampler(g)
@@ -252,31 +254,117 @@ func New(g *graph.CSR, spec algo.Spec, cfg Config) (*Engine, error) {
 	} else if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("core: supplied plan invalid: %w", err)
 	}
+	if err := e.setPlan(plan); err != nil {
+		return nil, err
+	}
+	e.sparseSwitch = part.SparseSwitch(plan, g, planned, cfg.Model)
+	e.buildKernels()
+	return e, nil
+}
+
+// BlockSource supplies the edge blocks of a streamed engine: internal/ooc
+// streams them from disk. Blocks is handed each step's occupied-partition
+// chunks, in ascending partition order. It calls sample once per
+// contiguous group of chunks whose edges it has loaded, with a block
+// holding at least the group's edge range and the edge index of the
+// block's first entry, and returns once every chunk has been sampled or
+// with the first error (ctx.Err() on cancellation). Item seeds key on
+// (step, partition, sub-shard), so trajectories do not depend on the
+// grouping. Sessions call Blocks from their own goroutine, one step at a
+// time each.
+type BlockSource interface {
+	Blocks(ctx context.Context, chunks []walk.Chunk, sample func(group []walk.Chunk, block []graph.VID, base uint64)) error
+}
+
+// NewStreamed builds an engine whose graph stays on src: offsets are the
+// graph's CSR offsets, held in memory, and cfg.Plan is a direct-sampling
+// plan over them. Its sample stage reads each partition's edges from the
+// blocks src supplies instead of an edge array, so it refuses every path
+// that would read one: PS partitions, weighted, second-order and history
+// specs, ScalarSample, and — at admission — overlays and such cohorts. The
+// graph need not be degree-sorted.
+func NewStreamed(offsets []uint64, spec algo.Spec, src BlockSource, cfg Config) (*Engine, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if len(offsets) < 2 {
+		return nil, fmt.Errorf("core: empty graph")
+	}
+	if src == nil || cfg.Plan == nil {
+		return nil, fmt.Errorf("core: a streamed engine needs a block source and a plan")
+	}
+	if cfg.ScalarSample {
+		return nil, fmt.Errorf("core: a streamed engine has no scalar sample path")
+	}
+	if err := cfg.Plan.Validate(); err != nil {
+		return nil, fmt.Errorf("core: supplied plan invalid: %w", err)
+	}
+	for i, vp := range cfg.Plan.VPs {
+		if vp.Policy == profile.PS {
+			return nil, fmt.Errorf("core: a streamed engine direct-samples every partition; partition %d is PS", i)
+		}
+	}
+	e := &Engine{g: &graph.CSR{Offsets: offsets}, spec: spec, cfg: cfg, src: src}
+	if err := e.streamable(&spec); err != nil {
+		return nil, err
+	}
+	if err := e.setPlan(cfg.Plan); err != nil {
+		return nil, err
+	}
+	e.buildKernels() // no PS partition: sparseSwitch stays 0
+	return e, nil
+}
+
+// streamable refuses, on a streamed engine, a spec whose sampling would
+// read the edge array outside the direct-sampling kernels.
+func (e *Engine) streamable(sp *algo.Spec) error {
+	if e.src != nil && (sp.Order != 1 || sp.Weighted) {
+		return fmt.Errorf("core: a streamed engine samples first-order unweighted walks only")
+	}
+	return nil
+}
+
+// setPlan installs a validated plan over the engine's graph: it starts
+// the worker pool, classifies the partitions and, with Config.Metrics,
+// builds the aggregate registry.
+func (e *Engine) setPlan(plan *part.Plan) error {
+	g := e.g
 	if plan.V != g.NumVertices() {
-		return nil, fmt.Errorf("core: plan covers %d vertices, graph has %d", plan.V, g.NumVertices())
+		return fmt.Errorf("core: plan covers %d vertices, graph has %d", plan.V, g.NumVertices())
 	}
 	e.plan = plan
+	if e.cfg.Workers <= 0 {
+		e.cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	e.pool = pool.New(e.cfg.Workers)
 
 	// Classify partitions; the PS buffers themselves are per-session.
 	e.regularDeg = make([]int64, plan.NumVPs())
 	e.psVP = make([]bool, plan.NumVPs())
 	for i, vp := range plan.VPs {
-		first := g.Degree(vp.Start)
-		last := g.Degree(vp.End - 1)
-		if first == last {
-			e.regularDeg[i] = int64(first)
-		} else {
-			e.regularDeg[i] = -1
+		// Equal end degrees pin a degree-sorted partition's every degree;
+		// a streamed graph need not be sorted, so it checks them all.
+		e.regularDeg[i] = -1
+		if d := g.Degree(vp.Start); d == g.Degree(vp.End-1) && (e.src == nil || sameDegree(g, vp.Start, vp.End, d)) {
+			e.regularDeg[i] = int64(d)
 		}
 		e.psVP[i] = vp.Policy == profile.PS
 	}
 	e.noPS = make([]*psState, plan.NumVPs())
-	e.sparseSwitch = part.SparseSwitch(plan, g, planned, cfg.Model)
-	e.buildKernels()
-	if cfg.Metrics {
+	if e.cfg.Metrics {
 		e.metrics = newEngineMetrics(e, nil)
 	}
-	return e, nil
+	return nil
+}
+
+// sameDegree reports whether every vertex of [start, end) has degree d.
+func sameDegree(g *graph.CSR, start, end graph.VID, d uint32) bool {
+	for v := start; v < end; v++ {
+		if g.Degree(v) != d {
+			return false
+		}
+	}
+	return true
 }
 
 // Plan returns the partitioning decision in effect.
@@ -320,7 +408,8 @@ func (e *Engine) Close() {
 	e.pool.Close()
 }
 
-// Graph returns the engine's graph.
+// Graph returns the engine's graph; a streamed engine's carries its
+// Offsets only.
 func (e *Engine) Graph() *graph.CSR { return e.g }
 
 // Spec returns the walk specification.

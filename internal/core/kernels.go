@@ -134,8 +134,11 @@ func (e *Engine) template(plan, weighted bool) []vpKernel {
 }
 
 // runChunkKernel advances a first-order chunk through the partition's
-// kernel. Draw-for-draw identical to the scalar sampleFirst loop.
-func (c *cohortCtx) runChunkKernel(vpIdx int, chunk []graph.VID, src *rng.XorShift1024Star) {
+// kernel. Draw-for-draw identical to the scalar sampleFirst loop. The DS
+// kernels read the partition's edges from block, whose first entry is
+// edge index base (the graph's Targets and 0 in memory); the others read
+// the graph's Targets, which a streamed engine never reaches.
+func (c *cohortCtx) runChunkKernel(vpIdx int, chunk []graph.VID, src *rng.XorShift1024Star, block []graph.VID, base uint64) {
 	e := c.e
 	// Delta-overlay sessions: partitions holding delta edges (one mask
 	// test on overlay sessions, one nil check on plain ones) sample over
@@ -151,9 +154,9 @@ func (c *cohortCtx) runChunkKernel(vpIdx int, chunk []graph.VID, src *rng.XorShi
 	case kernPSWeighted:
 		c.kernChunkPSWeighted(k.st, chunk, src)
 	case kernDSRegular:
-		kernChunkRegular(e.g.Targets, k, chunk, src)
+		kernChunkRegular(block, k.base-base, k, chunk, src)
 	case kernDSCSR:
-		kernChunkCSR(e.g.Offsets, e.g.Targets, chunk, src)
+		kernChunkCSR(e.g.Offsets, block, base, chunk, src)
 	case kernDSWeighted:
 		c.kernChunkWeighted(chunk, src)
 	}
@@ -214,24 +217,26 @@ func (c *cohortCtx) kernChunkPSWeighted(st *psState, chunk []graph.VID, src *rng
 
 // kernChunkRegular is the DS kernel for uniform-degree partitions: the
 // walker's edge block is located arithmetically (§4.2's compact storage),
-// so the loop body is one bounded draw and one Targets load.
-func kernChunkRegular(targets []graph.VID, k *vpKernel, chunk []graph.VID, src *rng.XorShift1024Star) {
+// so the loop body is one bounded draw and one targets load. first is the
+// partition's first edge within targets.
+func kernChunkRegular(targets []graph.VID, first uint64, k *vpKernel, chunk []graph.VID, src *rng.XorShift1024Star) {
 	d := k.deg
-	base, start := k.base, uint64(k.start)
+	start := uint64(k.start)
 	for j, v := range chunk {
-		chunk[j] = targets[base+(uint64(v)-start)*uint64(d)+uint64(src.Uint32n(d))]
+		chunk[j] = targets[first+(uint64(v)-start)*uint64(d)+uint64(src.Uint32n(d))]
 	}
 }
 
-// kernChunkCSR is the mixed-degree DS fallback.
-func kernChunkCSR(offs []uint64, targets []graph.VID, chunk []graph.VID, src *rng.XorShift1024Star) {
+// kernChunkCSR is the mixed-degree DS fallback; targets[0] is edge index
+// base.
+func kernChunkCSR(offs []uint64, targets []graph.VID, base uint64, chunk []graph.VID, src *rng.XorShift1024Star) {
 	for j, v := range chunk {
 		off := offs[v]
 		d := uint32(offs[v+1] - off)
 		if d == 0 {
 			continue
 		}
-		chunk[j] = targets[off+uint64(src.Uint32n(d))]
+		chunk[j] = targets[off-base+uint64(src.Uint32n(d))]
 	}
 }
 

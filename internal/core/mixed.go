@@ -177,6 +177,9 @@ func (e *Engine) ResolveCohorts(cohorts []Cohort) ([]Cohort, int, error) {
 		if err := c.Spec.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("core: cohort %d: %w", i, err)
 		}
+		if err := e.streamable(&c.Spec); err != nil {
+			return nil, 0, fmt.Errorf("cohort %d: %w", i, err)
+		}
 		if c.Spec.Weighted {
 			if c.Spec.Order == 2 {
 				return nil, 0, fmt.Errorf("core: cohort %d: weighted second-order walks are not supported", i)

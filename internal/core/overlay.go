@@ -76,6 +76,9 @@ func BuildOverlay(e *Engine, edges []graph.Edge) (*Overlay, error) {
 	if e.weighted != nil || e.g.Weights != nil {
 		return nil, fmt.Errorf("core: overlays require an unweighted build")
 	}
+	if e.src != nil {
+		return nil, fmt.Errorf("core: a streamed engine takes no overlay")
+	}
 	n := e.g.NumVertices()
 	for _, ed := range edges {
 		if ed.Src >= n || ed.Dst >= n {

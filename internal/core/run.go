@@ -173,19 +173,17 @@ type sampleItem struct {
 // direct-sampling chunks: chunks of at least twice this size are cut into
 // SubShardSize pieces (the ragged tail absorbed into the last piece) so
 // one giant DS tail partition cannot serialize the stage behind a single
-// worker. A var so tests can shrink it to force sub-sharding on small
-// inputs. Exported because the out-of-core engine (internal/ooc) must cut
-// its chunks on exactly these boundaries to stay bitwise-identical to the
-// in-memory engine.
+// worker. A var so tests, in this package and others, can shrink it to
+// force sub-sharding on small inputs.
 var SubShardSize = uint64(1) << 16
 
-// SubShardEnd returns the end of the sub-shard that starts at a in a
+// subShardEnd returns the end of the sub-shard that starts at a in a
 // splittable chunk ending at hi. Pieces are SubShardSize walkers, and the
 // ragged tail is absorbed into the last piece, so a chunk shorter than
 // twice SubShardSize is one piece. Cutting from a chunk's start with
 // sub = 0, 1, … gives the (partition, sub-shard) coordinates of the item
-// seeds (SampleSeedAt); internal/ooc cuts its chunks through this too.
-func SubShardEnd(a, hi uint64) uint64 {
+// seeds (sampleSeedAt).
+func subShardEnd(a, hi uint64) uint64 {
 	b := a + SubShardSize
 	if b >= hi || hi-b < SubShardSize {
 		return hi // absorb the ragged tail into the last piece
@@ -193,29 +191,21 @@ func SubShardEnd(a, hi uint64) uint64 {
 	return b
 }
 
-// sampleSeed derives one work item's RNG seed. Chained Mix64 rounds
-// avalanche every coordinate, so distinct (episode, step, partition,
-// sub-shard) tuples get independent streams. The (seed, episode, step)
-// coordinates are constant across one step's whole item list, so the
-// item-building loops fold them once with SampleSeedPrefix and finish
-// each item with SampleSeedAt — bit-identical to the full chain.
-func sampleSeed(seed uint64, episode, step, vp, sub int) uint64 {
-	return SampleSeedAt(SampleSeedPrefix(seed, episode, step), vp, sub)
-}
-
-// SampleSeedPrefix folds sampleSeed's per-step coordinates. Exported,
-// together with SampleSeedAt and SubShardSize, as the engine's work-item
-// seed schedule: the out-of-core engine reuses it verbatim so its
-// trajectories are bitwise-identical to this engine's on the same plan.
-func SampleSeedPrefix(seed uint64, episode, step int) uint64 {
+// sampleSeedPrefix and sampleSeedAt derive one work item's RNG seed.
+// Chained Mix64 rounds avalanche every coordinate, so distinct (episode,
+// step, partition, sub-shard) tuples get independent streams. The (seed,
+// episode, step) coordinates are constant across one step's whole item
+// list, so the item builder folds them once with sampleSeedPrefix and
+// finishes each item with sampleSeedAt.
+func sampleSeedPrefix(seed uint64, episode, step int) uint64 {
 	h := rng.Mix64(seed ^ 0x5b8315f3a2ca3357)
 	h = rng.Mix64(h + uint64(episode))
 	return rng.Mix64(h + uint64(step))
 }
 
-// SampleSeedAt finishes sampleSeed's chain for one (partition,
-// sub-shard) item.
-func SampleSeedAt(prefix uint64, vp, sub int) uint64 {
+// sampleSeedAt finishes the seed chain for one (partition, sub-shard)
+// item.
+func sampleSeedAt(prefix uint64, vp, sub int) uint64 {
 	return rng.Mix64(rng.Mix64(prefix+uint64(vp)) + uint64(sub))
 }
 
@@ -232,6 +222,17 @@ type sampleTask struct {
 	sw      []graph.VID
 	auxSW   [][]graph.VID
 	vpSteps []uint64
+	// cxs, prefixes and lay are the step's active cohorts (see run).
+	cxs      []*cohortCtx
+	prefixes []uint64
+	lay      *cohortLayout
+	// block is the edge block the armed group's DS kernels read, and
+	// base the edge index of its first entry: the graph's Targets and 0
+	// in memory, a loaded block on a streamed engine.
+	block []graph.VID
+	base  uint64
+	// nItems and subShards count the step's items across its groups.
+	nItems, subShards int
 }
 
 // itemClaim is how many work items one shared-counter claim covers:
@@ -245,6 +246,7 @@ const itemClaim = 4
 func (t *sampleTask) RunShard(_, worker, _ int) {
 	s := t.s
 	scr := s.scratches[worker]
+	scr.block, scr.base = t.block, t.base
 	for {
 		end := int(t.next.Add(itemClaim)) + 1
 		if end-itemClaim >= len(t.items) {
@@ -277,59 +279,82 @@ func (t *sampleTask) RunShard(_, worker, _ int) {
 	}
 }
 
-// run executes one sample stage over the shuffled walkers sw: build the
-// work-item list from the shuffle's occupied-partition chunks, then let
-// pool workers claim items off the shared counter — or, for a step small
-// enough to run inline (walk.RunsInline), claim them all on the calling
-// goroutine. cxs and prefixes are the active cohorts' sampling contexts
-// and folded per-step seed prefixes, in walker-array order. A single
-// cohort owns every partition chunk whole; with several, lay locates each
-// cohort's subrange of each chunk — the shuffle is stable, so a cohort's
-// walkers are contiguous in every chunk. The lay.occ bitmask narrows the
-// per-partition cohort scan to the cohorts present; set bits are visited
-// in ascending cohort order, so subranges follow walker-array order.
+// run executes one sample stage over the shuffled walkers sw, whose
+// occupied-partition chunks are chunks. cxs and prefixes are the active
+// cohorts' sampling contexts and folded per-step seed prefixes, in
+// walker-array order; lay locates several cohorts' walkers in each chunk
+// (nil for one cohort). An engine holding its CSR samples all chunks as
+// one group over its Targets; a streamed engine hands the chunks to its
+// block source, which calls back once per group it has loaded and may
+// fail the step.
+func (t *sampleTask) run(chunks []walk.Chunk, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) error {
+	e := t.s.e
+	t.sw, t.auxSW, t.vpSteps = sw, auxSW, vpSteps
+	t.cxs, t.prefixes, t.lay = cxs, prefixes, lay
+	t.nItems, t.subShards = 0, 0
+	var err error
+	if e.src != nil {
+		err = e.src.Blocks(t.s.ctx, chunks, t.sampleGroup)
+	} else {
+		t.sampleGroup(chunks, e.g.Targets, 0)
+	}
+	if m := t.m; m != nil {
+		m.sampleItems.Observe(uint64(t.nItems))
+		m.sampleSubShards.Add(uint64(t.subShards))
+	}
+	t.sw, t.auxSW, t.vpSteps = nil, nil, nil
+	t.cxs, t.prefixes, t.lay, t.block = nil, nil, nil, nil
+	return err
+}
+
+// sampleGroup samples the armed step's walkers in a group of its chunks,
+// whose edges block holds from edge index base on: build the group's
+// work items, then let pool workers claim them off the shared counter —
+// or, for a step small enough to run inline (walk.RunsInline), claim them
+// all on the calling goroutine. A single cohort owns every partition
+// chunk whole; with several, lay locates each cohort's subrange of each
+// chunk — the shuffle is stable, so a cohort's walkers are contiguous in
+// every chunk. The lay.occ bitmask narrows the per-partition cohort scan
+// to the cohorts present; set bits are visited in ascending cohort order,
+// so subranges follow walker-array order.
 //
 // Sub-shard boundaries are cut from each subrange's start, so a cohort's
 // (partition, sub-shard) items — and their seeds — are the same whether
-// it runs alone, beside other cohorts, or as one shard's local walkers.
-func (t *sampleTask) run(chunks []walk.Chunk, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) {
-	e := t.s.e
+// it runs alone, beside other cohorts, as one shard's local walkers, or
+// in any grouping of a streamed step's chunks.
+func (t *sampleTask) sampleGroup(chunks []walk.Chunk, block []graph.VID, base uint64) {
 	items := t.items[:0]
-	subShards := 0
+	cxs, prefixes, lay := t.cxs, t.prefixes, t.lay
 	for _, c := range chunks {
 		vp, lo, hi := c.VP, c.Lo, c.Hi
 		if len(cxs) == 1 {
-			items = cutChunk(items, &subShards, cxs[0], prefixes[0], vp, lo, hi)
+			items = cutChunk(items, &t.subShards, cxs[0], prefixes[0], vp, lo, hi)
 			continue
 		}
-		base := vp * lay.words
+		row := vp * lay.words
 		for wd := 0; wd < lay.words; wd++ {
-			for m := lay.occ[base+wd]; m != 0; m &= m - 1 {
+			for m := lay.occ[row+wd]; m != 0; m &= m - 1 {
 				k := wd<<6 + bits.TrailingZeros64(m)
 				n := uint64(lay.counts[k][vp])
-				items = cutChunk(items, &subShards, cxs[k], prefixes[k], vp, lo, lo+n)
+				items = cutChunk(items, &t.subShards, cxs[k], prefixes[k], vp, lo, lo+n)
 				lo += n
 			}
 		}
 	}
 	t.items = items
-	t.sw, t.auxSW = sw, auxSW
-	t.vpSteps = vpSteps
+	t.nItems += len(items)
+	t.block, t.base = block, base
 	t.next.Store(-1)
 	var ctx context.Context
 	var pm *obs.PoolMetrics
 	if m := t.m; m != nil {
-		m.sampleItems.Observe(uint64(len(items)))
-		m.sampleSubShards.Add(uint64(subShards))
 		ctx, pm = m.sampleCtx, m.pool
 	}
-	if walk.RunsInline(len(sw)) {
+	if walk.RunsInline(len(t.sw)) {
 		pool.Inline(t, 0, ctx, pm)
 	} else {
-		e.pool.Submit(t, 0, ctx, pm)
+		t.s.e.pool.Submit(t, 0, ctx, pm)
 	}
-	t.sw, t.auxSW = nil, nil
-	t.vpSteps = nil
 }
 
 // cutChunk appends the work items for one cohort's walkers [lo, hi) of
@@ -343,10 +368,10 @@ func cutChunk(items []sampleItem, subShards *int, cx *cohortCtx, prefix uint64, 
 	for a := lo; a < hi; sub++ {
 		b := hi
 		if split {
-			b = SubShardEnd(a, hi)
+			b = subShardEnd(a, hi)
 		}
 		items = append(items, sampleItem{vp: int32(vp), lo: a, hi: b,
-			seed: SampleSeedAt(prefix, vp, sub), cx: cx})
+			seed: sampleSeedAt(prefix, vp, sub), cx: cx})
 		a = b
 	}
 	if sub > 1 {

@@ -182,6 +182,10 @@ type sampleScratch struct {
 	pending []uint64
 	auxView [][]graph.VID
 	hist    []graph.VID
+	// block and base are the edge block the DS kernels read and the edge
+	// index of its first entry, copied from the sample task per claim run.
+	block []graph.VID
+	base  uint64
 }
 
 // newSampleScratch allocates a scratch with its own generator (reseeded
@@ -198,7 +202,7 @@ const batchThreshold = 64
 // place (§4.2): a single sequential scan of the walker chunk, with all
 // random accesses confined to the partition's working set.
 func (s *Session) sampleVP(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src *rng.XorShift1024Star) {
-	s.cohorts[0].cx.sampleVPScratch(vpIdx, chunk, aux, src, newSampleScratch())
+	s.sampleVPScratch(vpIdx, chunk, aux, src, newSampleScratch())
 }
 
 // sampleVPScratch runs the walk bound to cohort slot 0 — the engine spec,
@@ -206,6 +210,7 @@ func (s *Session) sampleVP(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src 
 // the slot was last bound to: the solo-run entry point, retained so the
 // equivalence suites drive the exact call the solo pipeline makes.
 func (s *Session) sampleVPScratch(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src *rng.XorShift1024Star, scr *sampleScratch) {
+	scr.block, scr.base = s.e.g.Targets, 0
 	s.cohorts[0].cx.sampleVPScratch(vpIdx, chunk, aux, src, scr)
 }
 
@@ -266,7 +271,7 @@ func (c *cohortCtx) sampleVPSegment(vpIdx int, chunk []graph.VID, aux [][]graph.
 		}
 		return
 	}
-	c.runChunkKernel(vpIdx, chunk[lo:hi], src)
+	c.runChunkKernel(vpIdx, chunk[lo:hi], src, scr.block, scr.base)
 }
 
 // sampleVPStop advances a chunk under stochastic termination (Monte-Carlo

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"flashmob/internal/graph"
 	"flashmob/internal/walk"
@@ -110,6 +111,9 @@ func (e *Engine) NewSession(ctx context.Context) (*Session, error) {
 // A non-empty overlay restricts the session's runs to first-order
 // history-free specs (see Overlay). A nil overlay is exactly NewSession.
 func (e *Engine) NewSessionOverlay(ctx context.Context, ov *Overlay) (*Session, error) {
+	if ov != nil && e.src != nil {
+		return nil, fmt.Errorf("core: a streamed engine takes no overlay")
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -112,7 +112,7 @@ func (s *Session) Step(k int, seed uint64, step int, w, wNext []graph.VID, aux, 
 	if n == 0 {
 		return nil
 	}
-	s.prefixes[k] = SampleSeedPrefix(seed, 0, step)
+	s.prefixes[k] = sampleSeedPrefix(seed, 0, step)
 	return s.step(w, wNext, aux, auxNext, s.cxs[k:k+1], s.prefixes[k:k+1], nil)
 }
 
@@ -158,7 +158,9 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 		return err
 	}
 	t1 := time.Now()
-	s.sample.run(s.shuffler.Chunks(), sw, s.views, s.vpSteps, cxs, prefixes, lay)
+	if err := s.sample.run(s.shuffler.Chunks(), sw, s.views, s.vpSteps, cxs, prefixes, lay); err != nil {
+		return err
+	}
 	t2 := time.Now()
 	if err := s.shuffler.ReverseMulti(w, sw, wNext, s.views, auxNext); err != nil {
 		return err
@@ -181,7 +183,7 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 // and seeds cohorts gives, longest walk first. Cohort k's walkers are
 // segment k of the session's walker array, placed from the cohort's
 // seed and the episode index; each step samples slot k's walkers under
-// SampleSeedPrefix(seed, episode, step). Cohorts whose walks are done
+// sampleSeedPrefix(seed, episode, step). Cohorts whose walks are done
 // retire from the sweep: the active cohorts stay a prefix, so the step
 // just shrinks. It returns each cohort's history (nil entries unless
 // Config.RecordHistory).
@@ -237,7 +239,7 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 			return hist, nil
 		}
 		for k := 0; k < active; k++ {
-			s.prefixes[k] = SampleSeedPrefix(cohorts[k].Seed, episode, step)
+			s.prefixes[k] = sampleSeedPrefix(cohorts[k].Seed, episode, step)
 		}
 		var lay *cohortLayout
 		if active > 1 {

@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -74,50 +75,54 @@ func diffHistories(t *testing.T, label string, got, want interface {
 	}
 }
 
-// TestOOCMatchesInMemoryEngine pins the tentpole's determinism claim: for
-// every prefetch depth / IO worker / sample worker / resident-budget
-// setting, ooc trajectories are bitwise-identical to internal/core running
+// TestOOCMatchesInMemoryEngine pins the determinism claim: for every
+// sample-worker count and resident budget (none, part of the graph, all
+// of it), ooc trajectories are bitwise-identical to internal/core running
 // the same plan and seed — the ooc analogue of
-// core.TestConcurrentRunsMatchSerial. Run under -race in CI.
+// core.TestConcurrentRunsMatchSerial. Each engine also runs a sparse
+// walk, whose walker-free partitions separate the resident runs' chunks.
+// Run under -race in CI.
 func TestOOCMatchesInMemoryEngine(t *testing.T) {
 	gf, g := writeGraph(t, 3000, 31)
-	const seed, walkers, steps = 97, uint64(2500), 8
-	cases := []struct {
-		name string
-		cfg  Config
+	const seed, steps = 97, 8
+	residents := []struct {
+		name   string
+		budget uint64
 	}{
-		{"depth1-serial", Config{PrefetchDepth: 1, IOWorkers: 1, Workers: 1}},
-		{"depth2-serial", Config{PrefetchDepth: 2, IOWorkers: 1, Workers: 1}},
-		{"depth4-io2-workers4", Config{PrefetchDepth: 4, IOWorkers: 2, Workers: 4}},
-		{"depth8-io4-workers2", Config{PrefetchDepth: 8, IOWorkers: 4, Workers: 2}},
-		{"depth4-resident", Config{PrefetchDepth: 4, IOWorkers: 2, Workers: 4,
-			ResidentBudget: 1 << 20}},
-		{"depth4-all-resident", Config{PrefetchDepth: 4, IOWorkers: 2, Workers: 4,
-			ResidentBudget: 1 << 40}},
+		{"none", 0},
+		{"partial", gf.NumEdges() * graph.VIDBytes / 4},
+		{"all", 1 << 40},
 	}
-	var ref *core.Result
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			onBothPaths(t, func(t *testing.T) {
-				cfg := tc.cfg
-				cfg.BlockBudget = 32 << 10
-				cfg.Seed = seed
-				cfg.RecordHistory = true
-				e, err := New(gf, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				res, err := e.Run(context.Background(), walkers, steps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = coreHistory(t, g, e, seed, walkers, steps)
-				}
-				diffHistories(t, tc.name, res.History, ref.History)
+	refs := map[uint64]*core.Result{}
+	for _, workers := range []int{1, 2, 4} {
+		for _, rb := range residents {
+			name := fmt.Sprintf("workers%d-%s", workers, rb.name)
+			t.Run(name, func(t *testing.T) {
+				onBothPaths(t, func(t *testing.T) {
+					e, err := New(gf, Config{
+						BlockBudget: 32 << 10, Seed: seed, RecordHistory: true,
+						Workers: workers, ResidentBudget: rb.budget,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					if n, nvp := e.ResidentPartitions(), e.Plan().NumVPs(); rb.name == "partial" && (n == 0 || n == nvp) {
+						t.Fatalf("partial budget pinned %d of %d partitions", n, nvp)
+					}
+					for _, walkers := range []uint64{2500, 40} {
+						res, err := e.Run(context.Background(), walkers, steps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if refs[walkers] == nil {
+							refs[walkers] = coreHistory(t, g, e, seed, walkers, steps)
+						}
+						diffHistories(t, fmt.Sprintf("%s/%d walkers", name, walkers), res.History, refs[walkers].History)
+					}
+				})
 			})
-		})
+		}
 	}
 }
 
@@ -133,8 +138,7 @@ func TestOOCMatchesCoreWithSubShards(t *testing.T) {
 		gf, g := writeGraph(t, 1500, 33)
 		const seed, walkers, steps = 41, uint64(4000), 6
 		e, err := New(gf, Config{
-			BlockBudget: 1 << 20, Seed: seed, RecordHistory: true,
-			PrefetchDepth: 4, IOWorkers: 2, Workers: 4,
+			BlockBudget: 1 << 20, Seed: seed, RecordHistory: true, Workers: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -147,44 +151,6 @@ func TestOOCMatchesCoreWithSubShards(t *testing.T) {
 		ref := coreHistory(t, g, e, seed, walkers, steps)
 		diffHistories(t, "subshards", res.History, ref.History)
 	})
-}
-
-// TestOOCRingOrderedDeliveryStress hammers the prefetch ring with many
-// more jobs than ring slots across repeated runs. This is the regression
-// test for the token-steal race: with a dynamic job claim, a worker
-// holding job i+depth could take slot (i%depth)'s token before the worker
-// holding job i, delivering blocks out of order — the consumer then pairs
-// job i's walker chunk with a wrong-sized buffer (corruption, or a panic
-// that deadlocked the old defer ordering). Static slot ownership makes
-// delivery ordered; the consumer's load.job assertion and the bitwise
-// check against core would both catch a recurrence.
-func TestOOCRingOrderedDeliveryStress(t *testing.T) {
-	gf, g := writeGraph(t, 4000, 43)
-	const seed, walkers, steps = 7, uint64(3000), 6
-	e, err := New(gf, Config{
-		// A tiny block budget maximizes jobs per step (many partitions),
-		// so every step laps the ring many times per slot.
-		BlockBudget: 8 << 10, Seed: seed, RecordHistory: true,
-		PrefetchDepth: 4, IOWorkers: 4, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if nvp := e.Plan().NumVPs(); nvp < 16 {
-		t.Fatalf("want many streaming partitions to lap the ring, got %d", nvp)
-	}
-	var ref *core.Result
-	for rep := 0; rep < 10; rep++ {
-		res, err := e.Run(context.Background(), walkers, steps)
-		if err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		if ref == nil {
-			ref = coreHistory(t, g, e, seed, walkers, steps)
-		}
-		diffHistories(t, "ring-stress", res.History, ref.History)
-	}
 }
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -209,10 +175,7 @@ func TestOOCRunCancellation(t *testing.T) {
 	gf, _ := writeGraph(t, 2000, 35)
 	base := runtime.NumGoroutine()
 
-	e, err := New(gf, Config{
-		BlockBudget: 16 << 10, Seed: 3,
-		PrefetchDepth: 4, IOWorkers: 2, Workers: 2,
-	})
+	e, err := New(gf, Config{BlockBudget: 16 << 10, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +223,7 @@ func TestOOCResidentTier(t *testing.T) {
 		t.Helper()
 		e, err := New(gf, Config{
 			BlockBudget: 16 << 10, Seed: seed, ResidentBudget: budget,
-			PrefetchDepth: 4, IOWorkers: 2, Workers: 2, Metrics: true,
+			Workers: 2, Metrics: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -304,43 +267,21 @@ func TestOOCResidentTier(t *testing.T) {
 	}
 }
 
-// TestOOCPrefetchMetrics checks the pipeline's observability: ring
-// occupancy observed per consumed block, raw pread time accounted, and
-// depth-1 occupancy pinned at exactly 1.
+// TestOOCPrefetchMetrics checks the reader's observability: raw pread
+// time is accounted beside the sampler's wait for it.
 func TestOOCPrefetchMetrics(t *testing.T) {
 	gf, _ := writeGraph(t, 2000, 39)
-	run := func(depth int) *Result {
-		t.Helper()
-		e, err := New(gf, Config{
-			BlockBudget: 16 << 10, Seed: 5, Metrics: true,
-			PrefetchDepth: depth, IOWorkers: 2, Workers: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		res, err := e.Run(context.Background(), 3000, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	e, err := New(gf, Config{BlockBudget: 16 << 10, Seed: 5, Metrics: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := run(4)
-	occ, ok := res.Report.Histogram("ooc_prefetch_ready")
-	if !ok || occ.Count != res.Blocks {
-		t.Fatalf("ooc_prefetch_ready count = %+v, want one observation per block (%d)", occ, res.Blocks)
+	defer e.Close()
+	res, err := e.Run(context.Background(), 3000, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if rd, ok := res.Report.Counter("ooc_io_read_ns"); !ok || rd.Value == 0 {
 		t.Fatal("ooc_io_read_ns missing or zero")
-	}
-
-	single := run(1)
-	occ1, ok := single.Report.Histogram("ooc_prefetch_ready")
-	if !ok || occ1.Count == 0 {
-		t.Fatal("depth-1 run recorded no occupancy")
-	}
-	if occ1.Sum != occ1.Count {
-		t.Fatalf("depth-1 occupancy must be exactly 1 per block: sum=%d count=%d", occ1.Sum, occ1.Count)
 	}
 }
 

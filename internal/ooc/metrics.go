@@ -4,7 +4,7 @@ import "flashmob/internal/obs"
 
 // oocMetrics is the out-of-core engine's observability state, built once
 // per engine when Config.Metrics is set; a nil *oocMetrics disables every
-// recording site. The streaming loop records per block, never per walker.
+// recording site. The block source records per block, never per walker.
 type oocMetrics struct {
 	reg *obs.Registry
 
@@ -22,12 +22,10 @@ type oocMetrics struct {
 	residentBytes  *obs.Gauge
 	residentParts  *obs.Gauge
 
-	// Per-block distributions: streamed block size, in-memory sample
-	// time over the block's walkers, and prefetch-ring occupancy at the
-	// moment each block is consumed.
+	// Per-block distributions: streamed block size and in-memory sample
+	// time over the block's walkers.
 	blockBytes    *obs.Histogram
 	blockSampleNS *obs.Histogram
-	prefetchReady *obs.Histogram
 }
 
 // newOOCMetrics builds the engine's metric set.
@@ -57,11 +55,11 @@ func newOOCMetrics() *oocMetrics {
 		}),
 		ioWaitNS: reg.Counter(obs.Desc{
 			Name: "ooc_io_wait_ns", Unit: "ns", Stage: "stream",
-			Help: "time the sample loop spent blocked on disk reads, after prefetch overlap",
+			Help: "time the sample stage spent blocked on block reads, after overlap with sampling",
 		}),
 		ioReadNS: reg.Counter(obs.Desc{
 			Name: "ooc_io_read_ns", Unit: "ns", Stage: "stream",
-			Help: "time spent inside block preads across IO workers (the raw IO cost prefetch overlaps)",
+			Help: "time the reader spent inside block preads (the raw IO cost double buffering overlaps)",
 		}),
 		residentHits: reg.Counter(obs.Desc{
 			Name: "ooc_resident_hits_total", Unit: "count", Stage: "resident",
@@ -90,10 +88,6 @@ func newOOCMetrics() *oocMetrics {
 		blockSampleNS: reg.Histogram(obs.Desc{
 			Name: "ooc_block_sample_ns", Unit: "ns", Stage: "sample",
 			Help: "in-memory sample time per streamed IO run",
-		}),
-		prefetchReady: reg.Histogram(obs.Desc{
-			Name: "ooc_prefetch_ready", Unit: "count", Stage: "stream",
-			Help: "blocks already loaded and waiting (ring occupancy, incl. the one being consumed) when the sample loop takes a block; pinned at 1 when depth=1, approaches the ring depth when IO keeps ahead",
 		}),
 	}
 }

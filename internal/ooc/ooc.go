@@ -6,22 +6,24 @@
 // paper estimates a full 80-step DeepWalk needs ~5GB/s of streaming
 // bandwidth, within commodity NVMe range.
 //
-// The engine is overlap-first: an N-deep asynchronous prefetch ring of
-// pooled block buffers keeps IOWorkers reads in flight ahead of the
-// consumer with ordered delivery, each delivered block is sampled in
-// parallel on the engine's worker pool using the in-memory engine's exact
-// per-(step, partition, sub-shard) seed schedule (trajectories are
-// worker-count- and depth-independent, and bitwise-identical to
-// internal/core on the same plan), and a resident tier pins the
-// hottest partition blocks in DRAM — a storage-level MCKP solved with
-// profile.PlanResident — so they are never re-read.
+// An Engine only supplies blocks: it plans the partitions from the block
+// budget, pins a resident tier, and streams the rest, while a streamed
+// internal/core engine (core.NewStreamed) steps the walkers — the same
+// session, forward shuffle, sample stage and reverse gather as an
+// in-memory run, so trajectories are bitwise-identical to internal/core
+// on the same plan and seed, for any worker count or resident budget.
+// Each step, partitions pinned in DRAM — the hottest blocks, chosen by a
+// storage-level MCKP (profile.PlanResident) — are sampled with no IO
+// while a single reader goroutine preads the streamed ones, coalesced
+// into bandwidth-sized runs, into two block buffers: the worker pool
+// samples one run while the next is read (double buffering).
 //
 // The engine processes direct-sampling partitions only: pre-sampling's
 // per-vertex buffers are themselves edge-sized and would defeat the
-// purpose on a disk-resident graph. Its kernel is therefore internal/core's
-// sparse template: on a plan whose partitions carry PS policies, a core
-// run below that build's sparse switch draws exactly what this engine
-// draws on the same partitions.
+// purpose on a disk-resident graph. Its kernels are therefore
+// internal/core's sparse template: on a plan whose partitions carry PS
+// policies, a core run below that build's sparse switch draws exactly
+// what this engine draws on the same partitions.
 package ooc
 
 import (
@@ -29,45 +31,28 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"flashmob/internal/algo"
 	"flashmob/internal/core"
 	"flashmob/internal/graph"
 	"flashmob/internal/obs"
 	"flashmob/internal/part"
-	"flashmob/internal/pool"
 	"flashmob/internal/profile"
-	"flashmob/internal/rng"
 	"flashmob/internal/walk"
 )
 
-// DefaultPrefetchDepth is the prefetch ring size when Config.PrefetchDepth
-// is unset: enough lookahead to hide one block's latency behind sampling
-// plus slack for jitter, without multiplying the buffer footprint much.
-const DefaultPrefetchDepth = 4
-
 // Config tunes the out-of-core engine.
 type Config struct {
-	// BlockBudget sizes the streamed partitions: every partition's edge
-	// block must fit half of it (the footprint of the classic
-	// double-buffered window, kept as the partitioning rule so plans — and
-	// therefore trajectories — do not change with PrefetchDepth). The
-	// prefetch ring holds up to PrefetchDepth such blocks. Default 64 MiB.
+	// BlockBudget sizes the streamed partitions and the read buffers:
+	// every partition's edge block must fit half of it, and the reader's
+	// two buffers hold half of it each. Default 64 MiB.
 	BlockBudget uint64
 	// Seed drives sampling.
 	Seed uint64
 	// Workers is the engine's worker-pool size, parallelizing both block
 	// sampling and the shuffle stages. Trajectories do not depend on it.
 	Workers int
-	// PrefetchDepth is the number of block buffers in the prefetch ring —
-	// how many reads may be in flight or parked ahead of the consumer.
-	// 1 disables overlap entirely (the synchronous baseline); default
-	// DefaultPrefetchDepth.
-	PrefetchDepth int
-	// IOWorkers is the number of goroutines issuing block reads ahead of
-	// the consumer. Clamped to PrefetchDepth; default min(2, depth).
-	IOWorkers int
 	// ResidentBudget is the DRAM allowance, in bytes, for pinning hot
 	// partition blocks so they are never re-read (0 disables the tier).
 	// The pin set is chosen at New by a storage-level knapsack
@@ -78,17 +63,17 @@ type Config struct {
 	// value means profile.DefaultSSD().
 	Storage profile.StorageParams
 	// ColdCache evicts the graph file's page cache (best-effort,
-	// graph.File.DropCache) before every step, modeling the steady state
-	// of a graph far larger than RAM where no block survives in cache
-	// between steps. Benchmarks use it: a just-written file is
+	// graph.File.DropCache) before every step's reads, modeling the steady
+	// state of a graph far larger than RAM where no block survives in
+	// cache between steps. Benchmarks use it: a just-written file is
 	// page-cache-hot and its warm "reads" are memcpys that neither block
 	// nor overlap. Trajectories are unaffected.
 	ColdCache bool
 	// RecordHistory keeps the W_i arrays (for tests; memory heavy).
 	RecordHistory bool
-	// Metrics enables the observability layer: streaming and sampling
-	// counters accumulated on a registry and snapshotted into
-	// Result.Report. Off by default (see docs/OBSERVABILITY.md).
+	// Metrics enables the observability layer: streaming counters
+	// accumulated on a registry and snapshotted into Result.Report. Off by
+	// default (see docs/OBSERVABILITY.md).
 	Metrics bool
 }
 
@@ -109,8 +94,8 @@ type Result struct {
 	// ResidentHits counts partition visits served from the pinned
 	// resident tier instead of a disk read.
 	ResidentHits uint64
-	// IOWait is time the consumer spent blocked waiting for block
-	// delivery (after overlap with sampling via the prefetch ring).
+	// IOWait is time the sample stage spent blocked waiting for a block
+	// read (after overlap with sampling of the previous block).
 	IOWait time.Duration
 	// History holds recorded W_i arrays when requested.
 	History *walk.History
@@ -142,25 +127,39 @@ type Engine struct {
 	gf   *graph.File
 	plan *part.Plan
 	cfg  Config
-	// ringCap is the capacity of each prefetch ring buffer, in edge
-	// entries. It doubles as the coalescing cap: adjacent streamed
-	// partitions merge into one IO run until the run would outgrow a
-	// ring buffer. Half the block budget (double-buffer rule), clamped
-	// to what streaming can actually need.
-	ringCap uint64
-	// pool runs block sampling and the shuffle stages.
-	pool *pool.Pool
-	// scratch holds one reseedable sample RNG per pool worker.
-	scratch []*rng.XorShift1024Star
-	// resident holds the pinned edge block of each partition chosen by the
-	// storage-tier knapsack (nil entry = streamed).
-	resident [][]graph.VID
+	// ce is the streamed core engine that steps the walks, with this
+	// engine as its block source.
+	ce *core.Engine
+	// bufs are the reader's two block buffers, allocated at New. Each
+	// holds one IO run: adjacent streamed partitions merge into one pread
+	// until the run would outgrow a buffer. Half the block budget
+	// (double-buffer rule), clamped to what streaming can actually need.
+	bufs [2][]graph.VID
+	// raw is the reader's transfer scratch (see graph.ReadTargetsInto).
+	raw []byte
+	// pinned[vp] indexes partition vp's run in runs, or is -1 when the
+	// partition is streamed.
+	pinned []int32
+	// runs holds the resident tier: each maximal range of adjacent
+	// partitions the storage-tier knapsack pinned, loaded as one block.
+	runs []residentRun
 	// residentBytes is the DRAM spent on pinned blocks.
 	residentBytes uint64
 	// residentCount is the number of pinned partitions.
 	residentCount int
+	// jobs is a step's IO runs, reused across steps.
+	jobs []streamJob
+	// res is the Run in progress, which each step's blocks account into.
+	res *Result
 	// metrics is the observability state (nil unless Config.Metrics).
 	metrics *oocMetrics
+}
+
+// residentRun is one pinned block: the edges of adjacent partitions and
+// the edge index of its first entry.
+type residentRun struct {
+	block []graph.VID
+	base  uint64
 }
 
 // New prepares an engine over an opened graph file. The partition plan is
@@ -178,64 +177,49 @@ func New(gf *graph.File, cfg Config) (*Engine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.PrefetchDepth <= 0 {
-		cfg.PrefetchDepth = DefaultPrefetchDepth
-	}
-	if cfg.IOWorkers <= 0 {
-		cfg.IOWorkers = 2
-		if cfg.IOWorkers > cfg.PrefetchDepth {
-			cfg.IOWorkers = cfg.PrefetchDepth
-		}
-	}
-	if cfg.IOWorkers > cfg.PrefetchDepth {
-		cfg.IOWorkers = cfg.PrefetchDepth
-	}
 	if (cfg.Storage == profile.StorageParams{}) {
 		cfg.Storage = profile.DefaultSSD()
 	}
-	n := gf.NumVertices()
-	if n == 0 {
+	if gf.NumVertices() == 0 {
 		return nil, fmt.Errorf("ooc: empty graph")
 	}
 	plan, maxBlock, err := planForBudget(gf, cfg.BlockBudget/2)
 	if err != nil {
 		return nil, err
 	}
-	ringCap := cfg.BlockBudget / 2 / graph.VIDBytes
-	if ringCap > gf.NumEdges() {
-		ringCap = gf.NumEdges()
-	}
-	if ringCap < maxBlock {
-		ringCap = maxBlock
-	}
-	e := &Engine{gf: gf, plan: plan, cfg: cfg, ringCap: ringCap}
+	e := &Engine{gf: gf, plan: plan, cfg: cfg}
 	if cfg.ColdCache {
-		// The ring reads exactly the runs it needs, ahead of time; kernel
-		// readahead past them only hides device time the modeled
+		// The reader reads exactly the runs it needs, ahead of time;
+		// kernel readahead past them only hides device time the modeled
 		// DRAM-constrained regime would pay.
 		_ = gf.AdviseRandom()
 	}
 	if cfg.Metrics {
 		e.metrics = newOOCMetrics()
 	}
-	if err := e.pinResident(); err != nil {
+	streamedEdges, err := e.pinResident()
+	if err != nil {
 		return nil, err
 	}
-	e.pool = pool.New(cfg.Workers)
-	e.scratch = make([]*rng.XorShift1024Star, e.pool.Workers())
-	for i := range e.scratch {
-		e.scratch[i] = rng.NewXorShift1024Star(uint64(i) + 1)
+	// A buffer never needs more than the streamed remainder: even a
+	// maximally coalesced run cannot exceed the sum of non-pinned blocks.
+	bufCap := min(max(cfg.BlockBudget/2/graph.VIDBytes, maxBlock), streamedEdges)
+	for i := range e.bufs {
+		e.bufs[i] = make([]graph.VID, bufCap)
+	}
+	e.ce, err = core.NewStreamed(gf.Offsets, algo.DeepWalk(), (*blockSource)(e), core.Config{
+		Workers: cfg.Workers, Seed: cfg.Seed, Plan: plan, RecordHistory: cfg.RecordHistory,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
 // Close releases the engine's worker pool. The graph file stays open (the
-// caller owns it). Idempotent.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
-}
+// caller owns it). Idempotent; Run returns an error wrapping
+// core.ErrClosed afterwards.
+func (e *Engine) Close() { e.ce.Close() }
 
 // Plan returns the streaming partition plan.
 func (e *Engine) Plan() *part.Plan { return e.plan }
@@ -248,21 +232,28 @@ func (e *Engine) ResidentBytes() uint64 { return e.residentBytes }
 func (e *Engine) ResidentPartitions() int { return e.residentCount }
 
 // pinResident solves the storage-level knapsack over the plan's
-// partitions and eagerly loads the chosen blocks. Value of pinning a
-// block = its stream-in time (Storage params) × the probability at least
-// one of |V| walkers touches the partition in a step (degree-proportional
-// landing approximation); weight = its bytes.
-func (e *Engine) pinResident() error {
-	e.resident = make([][]graph.VID, e.plan.NumVPs())
+// partitions and eagerly loads the chosen blocks, one read per run of
+// adjacent pinned partitions. Value of pinning a block = its stream-in
+// time (Storage params) × the probability at least one of |V| walkers
+// touches the partition in a step (degree-proportional landing
+// approximation); weight = its bytes. It returns the edge count left to
+// stream.
+func (e *Engine) pinResident() (uint64, error) {
+	nvp := e.plan.NumVPs()
+	e.pinned = make([]int32, nvp)
+	for vp := range e.pinned {
+		e.pinned[vp] = -1
+	}
+	offs := e.gf.Offsets
 	if e.cfg.ResidentBudget == 0 {
-		return nil
+		return e.gf.NumEdges(), nil
 	}
 	totalEdges := float64(e.gf.NumEdges())
 	walkers := float64(e.gf.NumVertices())
-	classes := make([]profile.ResidentClass, e.plan.NumVPs())
+	classes := make([]profile.ResidentClass, nvp)
 	for vp := range classes {
 		vpMeta := e.plan.VPs[vp]
-		edges := e.gf.Offsets[vpMeta.End] - e.gf.Offsets[vpMeta.Start]
+		edges := offs[vpMeta.End] - offs[vpMeta.Start]
 		bytes := edges * graph.VIDBytes
 		touch := 0.0
 		if edges > 0 && totalEdges > 0 {
@@ -280,34 +271,33 @@ func (e *Engine) pinResident() error {
 	}
 	pinned := profile.PlanResident(classes, e.cfg.ResidentBudget)
 	var raw []byte
-	sumStreamed := uint64(0)
-	for vp, pin := range pinned {
-		vpMeta := e.plan.VPs[vp]
-		lo, hi := e.gf.Offsets[vpMeta.Start], e.gf.Offsets[vpMeta.End]
-		if !pin {
-			sumStreamed += hi - lo
+	for vp := 0; vp < nvp; {
+		if !pinned[vp] {
+			vp++
 			continue
 		}
-		buf := make([]graph.VID, hi-lo)
-		var err error
-		raw, err = e.gf.ReadTargetsInto(lo, hi, buf, raw)
-		if err != nil {
-			return fmt.Errorf("ooc: load resident block %d: %w", vp, err)
+		end := vp + 1
+		for end < nvp && pinned[end] {
+			end++
 		}
-		e.resident[vp] = buf
-		e.residentBytes += classes[vp].Bytes
-		e.residentCount++
-	}
-	// Ring buffers never need more than the streamed remainder: even a
-	// maximally coalesced run cannot exceed the sum of non-pinned blocks.
-	if sumStreamed < e.ringCap {
-		e.ringCap = sumStreamed
+		lo, hi := offs[e.plan.VPs[vp].Start], offs[e.plan.VPs[end-1].End]
+		block := make([]graph.VID, hi-lo)
+		var err error
+		if raw, err = e.gf.ReadTargetsInto(lo, hi, block, raw); err != nil {
+			return 0, fmt.Errorf("ooc: load resident partitions [%d,%d): %w", vp, end, err)
+		}
+		for ; vp < end; vp++ {
+			e.pinned[vp] = int32(len(e.runs))
+			e.residentBytes += classes[vp].Bytes
+			e.residentCount++
+		}
+		e.runs = append(e.runs, residentRun{block: block, base: lo})
 	}
 	if m := e.metrics; m != nil {
 		m.residentBytes.Set(int64(e.residentBytes))
 		m.residentParts.Set(int64(e.residentCount))
 	}
-	return nil
+	return e.gf.NumEdges() - e.residentBytes/graph.VIDBytes, nil
 }
 
 // planForBudget cuts the vertex array into equal power-of-2 DS partitions
@@ -370,367 +360,196 @@ func singleGroupPlan(n graph.VID, szLog uint) (*part.Plan, error) {
 	return plan, nil
 }
 
-// oocItem is one sample work item: a contiguous walker range of one
-// partition, with its own RNG seed and the edge block it draws from.
-type oocItem struct {
-	buf  []graph.VID // edge block (ring buffer or resident)
-	base uint64      // first edge index of the block
-	lo   uint64      // walker range [lo, hi) in the shuffled array
-	hi   uint64
-	seed uint64
-}
-
-// oocSampleTask is the pool task advancing walkers over delivered blocks:
-// workers claim items off a shared counter; every item reseeds the
-// worker's scratch RNG with its own (step, partition, sub-shard) seed, so
-// claim order — and therefore worker count — never affects trajectories.
-type oocSampleTask struct {
-	e     *Engine
-	next  atomic.Int64
-	items []oocItem
-	sw    []graph.VID
-}
-
-// RunShard implements pool.Task.
-func (t *oocSampleTask) RunShard(_, worker, _ int) {
-	offs := t.e.gf.Offsets
-	src := t.e.scratch[worker]
-	for {
-		idx := int(t.next.Add(1)) - 1
-		if idx >= len(t.items) {
-			return
-		}
-		it := t.items[idx]
-		src.Reseed(it.seed)
-		chunk := t.sw[it.lo:it.hi]
-		for i, v := range chunk {
-			off := offs[v]
-			d := uint32(offs[v+1] - off)
-			if d == 0 {
-				continue
-			}
-			chunk[i] = it.buf[off-it.base+uint64(src.Uint32n(d))]
-		}
-	}
-}
-
-// appendItems cuts one partition's walker chunk into work items exactly
-// the way internal/core does — same sub-shard boundaries
-// (core.SubShardEnd), same seeds (core.SampleSeedAt) — which is what
-// keeps ooc trajectories bitwise-identical to the in-memory engine. Every
-// ooc chunk is splittable in core's sense: first-order walks, no history
-// transition, and DS partitions carry no PS state.
-func appendItems(items []oocItem, vp int, lo, hi uint64, prefix uint64, buf []graph.VID, base uint64) []oocItem {
-	for a, sub := lo, 0; a < hi; sub++ {
-		b := core.SubShardEnd(a, hi)
-		items = append(items, oocItem{buf: buf, base: base, lo: a, hi: b,
-			seed: core.SampleSeedAt(prefix, vp, sub)})
-		a = b
-	}
-	return items
-}
-
-// streamJob is one IO run of the prefetch ring: adjacent streamed
-// partitions — the shuffle's chunks [c0, c1), consecutive in partition
-// index — coalesced into a single pread of the edge range [lo, hi).
-// Coalescing decouples the IO unit from the partition
-// geometry: the plan's uniform power-of-2 cut is sized by the hub
-// partition, so a skewed graph yields thousands of KiB-scale tail
-// partitions, and one latency-bound read per partition would leave the
-// device idle between tiny transfers.
+// streamJob is one IO run: adjacent streamed partitions — the step's
+// chunks [c0, c1), consecutive in partition index — coalesced into a
+// single pread of the edge range [lo, hi). Coalescing decouples the IO
+// unit from the partition geometry: the plan's uniform power-of-2 cut is
+// sized by the hub partition, so a skewed graph yields thousands of
+// KiB-scale tail partitions, and one latency-bound read per partition
+// would leave the device idle between tiny transfers.
 type streamJob struct {
 	c0, c1 int    // chunk range [c0, c1) covered by the run
 	lo, hi uint64 // edge index range of the run
 }
 
-// blockLoad is one prefetched edge-block run, delivered in job order.
+// blockLoad is one read IO run, handed from the reader to the sampler.
 type blockLoad struct {
-	job    int
 	buf    []graph.VID
 	err    error
 	readNS int64
 }
 
-// Run walks totalWalkers walkers (0 = |V|) for the given steps. ctx
-// cancels the run between and during block waits: on cancellation every
-// prefetch goroutine is drained before Run returns (no leaks) and
-// ctx.Err() is reported. An Engine runs one Run at a time.
+// Run walks totalWalkers walkers (0 = |V|) for the given steps on a
+// session of the engine's streamed core engine. ctx cancels the run
+// between steps and during block waits: the reader is joined before Run
+// returns (no leaks) and ctx.Err() is reported. An Engine runs one Run at
+// a time.
 func (e *Engine) Run(ctx context.Context, totalWalkers uint64, steps int) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if steps <= 0 {
 		return nil, fmt.Errorf("ooc: steps must be positive")
 	}
 	if totalWalkers == 0 {
 		totalWalkers = uint64(e.gf.NumVertices())
 	}
-	walkers := int(totalWalkers)
-
-	w := make([]graph.VID, walkers)
-	sw := make([]graph.VID, walkers)
-	wNext := make([]graph.VID, walkers)
-	n := e.gf.NumVertices()
-	for j := range w {
-		w[j] = graph.VID(uint32(j) % n)
-	}
-
-	shuffler, err := walk.NewShufflerPool(e.plan, walkers, e.pool)
+	s, err := e.ce.NewSession(ctx)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ooc: %w", err)
 	}
+	defer s.Close()
 	res := &Result{Walkers: totalWalkers, Steps: steps, TotalSteps: totalWalkers * uint64(steps)}
-	if e.cfg.RecordHistory {
-		res.History = walk.NewHistory(walkers)
-		if err := res.History.Append(w); err != nil {
-			return nil, err
-		}
-	}
-
-	depth := e.cfg.PrefetchDepth
-	ring := make([][]graph.VID, depth)
-	for i := range ring {
-		ring[i] = make([]graph.VID, e.ringCap)
-	}
-	task := &oocSampleTask{e: e}
-	jobs := make([]streamJob, 0, e.plan.NumVPs())
-	streamed := 0 // partitions without a resident block
-	for _, buf := range e.resident {
-		if buf == nil {
-			streamed++
-		}
-	}
-
+	e.res = res
 	if m := e.metrics; m != nil {
 		m.runs.Inc()
 	}
-	start := time.Now()
-	for st := 0; st < steps; st++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if e.cfg.ColdCache {
-			_ = e.gf.DropCache() // best-effort; no-op off Linux
-		}
-		if m := e.metrics; m != nil {
-			m.steps.Inc()
-		}
-		if err := shuffler.Forward(w, sw, nil, nil); err != nil {
-			return nil, err
-		}
-		chunks := shuffler.Chunks()
-		prefix := core.SampleSeedPrefix(e.cfg.Seed, 0, st)
-
-		// Resident pass: partitions pinned in DRAM sample with no IO.
-		// Streamed partitions with walkers coalesce into IO runs —
-		// adjacent blocks merge until a run would outgrow a ring buffer —
-		// so each pread stays bandwidth-sized even when the partition
-		// geometry is KiB-scale. A resident or walker-free partition
-		// breaks the run (its bytes are never read); walker-free ones are
-		// the gaps in the chunk list's partition indexes.
-		items := task.items[:0]
-		jobs = jobs[:0]
-		read := 0 // streamed partitions with walkers this step
-		for ci, c := range chunks {
-			vp, lo, hi := c.VP, c.Lo, c.Hi
-			if buf := e.resident[vp]; buf != nil {
-				base := e.gf.Offsets[e.plan.VPs[vp].Start]
-				items = appendItems(items, vp, lo, hi, prefix, buf, base)
-				res.ResidentHits++
-				if m := e.metrics; m != nil {
-					m.residentHits.Inc()
-					m.residentSaved.Add(uint64(len(buf)) * graph.VIDBytes)
-				}
-				continue
-			}
-			read++
-			vpMeta := e.plan.VPs[vp]
-			if m := e.metrics; m != nil {
-				m.residentMisses.Inc()
-			}
-			elo, ehi := e.gf.Offsets[vpMeta.Start], e.gf.Offsets[vpMeta.End]
-			if n := len(jobs); n > 0 {
-				// The run stays open only through consecutive streamed
-				// partitions: the previous chunk is its last and sits
-				// right before this one.
-				if run := &jobs[n-1]; run.c1 == ci && chunks[ci-1].VP == vp-1 && ehi-run.lo <= e.ringCap {
-					run.c1, run.hi = ci+1, ehi
-					continue
-				}
-			}
-			jobs = append(jobs, streamJob{c0: ci, c1: ci + 1, lo: elo, hi: ehi})
-		}
-		if m := e.metrics; m != nil {
-			// No walkers landed in the other streamed partitions: their
-			// disk reads were skipped.
-			m.skipped.Add(uint64(streamed - read))
-		}
-		if err := e.streamStep(ctx, jobs, ring, items, task, sw, chunks, prefix, res); err != nil {
-			return nil, err
-		}
-
-		if err := shuffler.Reverse(w, sw, wNext, nil, nil); err != nil {
-			return nil, err
-		}
-		w, wNext = wNext, w
-		if e.cfg.RecordHistory {
-			if err := res.History.Append(w); err != nil {
-				return nil, err
-			}
-		}
+	cr, err := s.RunSeeded(e.cfg.Seed, totalWalkers, steps)
+	if err != nil {
+		return nil, err
 	}
-	res.Duration = time.Since(start)
+	res.Duration, res.History = cr.Duration, cr.History
 	if m := e.metrics; m != nil {
 		res.Report = m.reg.Snapshot()
 	}
 	return res, nil
 }
 
-// streamStep runs one step's prefetch ring: job i is read into ring
-// buffer i%depth, gated by a per-buffer token the consumer releases once
-// it has sampled the buffer's previous occupant. Each ring slot is owned
-// by exactly one IO worker (worker k owns slots s with s%iow == k), and
-// an owner works through its slots' jobs in increasing job order — so
-// the only goroutine ever waiting on a slot's token is the one holding
-// that slot's next in-order job. That static ownership is what makes
-// delivery ordered and the ring deadlock-free: a dynamic job claim would
-// let a worker holding job i+depth steal the slot token from the worker
-// holding job i and deliver out of order. Every goroutine is joined
-// before return on all paths — success, read error, or ctx cancellation
-// (cancel is deferred after the join so even a panic unwind releases the
-// workers first). residentItems (the pinned partitions' walkers) are
-// sampled after the first reads are issued, overlapping with the IO.
-func (e *Engine) streamStep(ctx context.Context, jobs []streamJob, ring [][]graph.VID,
-	residentItems []oocItem, task *oocSampleTask, sw []graph.VID, chunks []walk.Chunk,
-	prefix uint64, res *Result) error {
-	if len(jobs) == 0 {
-		if len(residentItems) > 0 {
-			task.items, task.sw = residentItems, sw
-			task.next.Store(0)
-			e.pool.Submit(task, 0, nil, nil)
-		}
-		return nil
-	}
-	depth := len(ring)
-	ictx, cancel := context.WithCancel(ctx)
+// blockSource is the Engine in its core.BlockSource role, kept off the
+// Engine's exported method set.
+type blockSource Engine
 
-	slots := make([]chan blockLoad, depth)
-	bufTok := make([]chan struct{}, depth)
-	for i := 0; i < depth; i++ {
-		slots[i] = make(chan blockLoad, 1)
-		bufTok[i] = make(chan struct{}, 1)
-		bufTok[i] <- struct{}{}
+// Blocks supplies one step's edge blocks. Chunks of pinned partitions
+// are sampled from their resident runs, grouped by run, while the reader
+// preads the streamed ones; streamed partitions with walkers coalesce
+// into IO runs, each sampled as one group once read. A resident or
+// walker-free partition breaks a run (its bytes are never read);
+// walker-free ones are the gaps in the chunks' partition indexes.
+func (b *blockSource) Blocks(ctx context.Context, chunks []walk.Chunk, sample func([]walk.Chunk, []graph.VID, uint64)) error {
+	e := (*Engine)(b)
+	if e.cfg.ColdCache {
+		_ = e.gf.DropCache() // best-effort; no-op off Linux
 	}
-	var ready atomic.Int64
-	var wg sync.WaitGroup
-
-	iow := e.cfg.IOWorkers
-	if iow > len(jobs) {
-		iow = len(jobs)
+	m, res := e.metrics, e.res
+	if m != nil {
+		m.steps.Inc()
 	}
-	if iow > depth {
-		iow = depth
-	}
-	for k := 0; k < iow; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			var raw []byte
-			for i := 0; i < len(jobs); i++ {
-				slot := i % depth
-				if slot%iow != k {
-					continue // another worker owns this slot
-				}
-				select {
-				case <-bufTok[slot]:
-				case <-ictx.Done():
-					return
-				}
-				j := jobs[i]
-				buf := ring[slot][:j.hi-j.lo]
-				t0 := time.Now()
-				var err error
-				raw, err = e.gf.ReadTargetsInto(j.lo, j.hi, buf, raw)
-				load := blockLoad{job: i, buf: buf, err: err, readNS: int64(time.Since(t0))}
-				ready.Add(1)
-				select {
-				case slots[slot] <- load:
-				case <-ictx.Done():
-					return
-				}
-				if err != nil {
-					return
-				}
+	bufCap := uint64(len(e.bufs[0]))
+	jobs := e.jobs[:0]
+	read := 0 // streamed partitions with walkers this step
+	for ci, c := range chunks {
+		vp := c.VP
+		elo, ehi := e.gf.Offsets[e.plan.VPs[vp].Start], e.gf.Offsets[e.plan.VPs[vp].End]
+		if e.pinned[vp] >= 0 {
+			res.ResidentHits++
+			if m != nil {
+				m.residentHits.Inc()
+				m.residentSaved.Add((ehi - elo) * graph.VIDBytes)
 			}
-		}(k)
+			continue
+		}
+		read++
+		if n := len(jobs); n > 0 {
+			// The run stays open only through consecutive streamed
+			// partitions: the previous chunk is its last and sits right
+			// before this one.
+			if run := &jobs[n-1]; run.c1 == ci && chunks[ci-1].VP == vp-1 && ehi-run.lo <= bufCap {
+				run.c1, run.hi = ci+1, ehi
+				continue
+			}
+		}
+		jobs = append(jobs, streamJob{c0: ci, c1: ci + 1, lo: elo, hi: ehi})
 	}
-	// LIFO: cancel fires before the join, so every exit path — including
-	// a panic unwinding through here — releases blocked workers first.
-	defer wg.Wait()
-	defer cancel()
-
-	if len(residentItems) > 0 {
-		task.items, task.sw = residentItems, sw
-		task.next.Store(0)
-		e.pool.Submit(task, 0, nil, nil)
+	e.jobs = jobs
+	if m != nil {
+		m.residentMisses.Add(uint64(read))
+		// No walkers landed in the other streamed partitions: their disk
+		// reads were skipped.
+		m.skipped.Add(uint64(e.plan.NumVPs() - e.residentCount - read))
 	}
 
-	for i := range jobs {
-		slot := i % depth
+	var loads chan blockLoad
+	var free chan []graph.VID
+	if len(jobs) > 0 {
+		// Each channel holds at most the two buffers, so no send blocks.
+		loads, free = make(chan blockLoad, len(e.bufs)), make(chan []graph.VID, len(e.bufs))
+		for _, buf := range e.bufs {
+			free <- buf
+		}
+		rctx, cancel := context.WithCancel(ctx)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go e.read(rctx, &wg, free, loads)
+		// LIFO: cancel fires before the join, so every exit path —
+		// including a panic unwinding through here — releases the reader
+		// first.
+		defer wg.Wait()
+		defer cancel()
+	}
+
+	// Resident pass, overlapped with the first reads: one group per
+	// resident run.
+	for i := 0; i < len(chunks); {
+		r := e.pinned[chunks[i].VP]
+		j := i + 1
+		for j < len(chunks) && e.pinned[chunks[j].VP] == r {
+			j++
+		}
+		if r >= 0 {
+			sample(chunks[i:j], e.runs[r].block, e.runs[r].base)
+		}
+		i = j
+	}
+
+	for _, job := range jobs {
 		t0 := time.Now()
-		var load blockLoad
+		var ld blockLoad
 		select {
-		case load = <-slots[slot]:
-		case <-ictx.Done():
+		case ld = <-loads:
+		case <-ctx.Done():
 			return ctx.Err()
 		}
 		wait := time.Since(t0)
 		res.IOWait += wait
-		occ := ready.Add(-1) + 1
-		if load.err != nil {
-			return load.err
+		if ld.err != nil {
+			return ld.err
 		}
-		if load.job != i {
-			return fmt.Errorf("ooc: prefetch ring delivered job %d where %d was expected", load.job, i)
-		}
-		blockBytes := uint64(len(load.buf)) * graph.VIDBytes
+		blockBytes := uint64(len(ld.buf)) * graph.VIDBytes
 		res.BytesRead += blockBytes
 		res.Blocks++
-		if m := e.metrics; m != nil {
+		if m != nil {
 			m.ioWaitNS.Add(uint64(wait))
-			m.ioReadNS.Add(uint64(load.readNS))
-			m.prefetchReady.Observe(uint64(occ))
+			m.ioReadNS.Add(uint64(ld.readNS))
 			m.blocks.Inc()
 			m.bytes.Add(blockBytes)
 			m.blockBytes.Observe(blockBytes)
 			s0 := time.Now()
-			e.sampleRun(task, load.buf, jobs[i], chunks, sw, prefix)
+			sample(chunks[job.c0:job.c1], ld.buf, job.lo)
 			m.blockSampleNS.Observe(uint64(time.Since(s0)))
 		} else {
-			e.sampleRun(task, load.buf, jobs[i], chunks, sw, prefix)
+			sample(chunks[job.c0:job.c1], ld.buf, job.lo)
 		}
-		bufTok[slot] <- struct{}{}
+		free <- ld.buf
 	}
 	return nil
 }
 
-// sampleRun advances the walkers of every partition in a delivered IO
-// run on the worker pool: one submit covers the whole run, each
-// partition drawing from its sub-slice of the run buffer. Items are
-// seeded per (step, partition, sub-shard) exactly as if the partitions
-// had been read one block at a time, so coalescing cannot change
-// trajectories.
-func (e *Engine) sampleRun(task *oocSampleTask, buf []graph.VID, j streamJob,
-	chunks []walk.Chunk, sw []graph.VID, prefix uint64) {
-	items := task.items[:0]
-	for _, c := range chunks[j.c0:j.c1] {
-		vp, lo, hi := c.VP, c.Lo, c.Hi
-		base := e.gf.Offsets[e.plan.VPs[vp].Start]
-		end := e.gf.Offsets[e.plan.VPs[vp].End]
-		items = appendItems(items, vp, lo, hi, prefix, buf[base-j.lo:end-j.lo], base)
+// read is a step's reader: it preads the step's IO runs in order, each
+// into whichever of the two buffers the sampler has released, and hands
+// it over on loads. It stops after a failed read or when ctx is done.
+func (e *Engine) read(ctx context.Context, wg *sync.WaitGroup, free <-chan []graph.VID, loads chan<- blockLoad) {
+	defer wg.Done()
+	for _, j := range e.jobs {
+		var buf []graph.VID
+		select {
+		case buf = <-free:
+		case <-ctx.Done():
+			return
+		}
+		buf = buf[:j.hi-j.lo]
+		t0 := time.Now()
+		var err error
+		e.raw, err = e.gf.ReadTargetsInto(j.lo, j.hi, buf, e.raw)
+		loads <- blockLoad{buf: buf, err: err, readNS: int64(time.Since(t0))}
+		if err != nil {
+			return
+		}
 	}
-	task.items, task.sw = items, sw
-	task.next.Store(0)
-	e.pool.Submit(task, 0, nil, nil)
-	task.items = items[:0]
 }

@@ -2,11 +2,15 @@ package ooc
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
+	"flashmob/internal/core"
 	"flashmob/internal/gen"
 	"flashmob/internal/graph"
 )
@@ -207,5 +211,105 @@ func TestOOCDefaultWalkers(t *testing.T) {
 	}
 	if res.Walkers != uint64(gf.NumVertices()) {
 		t.Errorf("walkers = %d, want |V|", res.Walkers)
+	}
+}
+
+// TestOOCRunAfterClose: a closed engine refuses a run with core.ErrClosed
+// instead of submitting to its released pool.
+func TestOOCRunAfterClose(t *testing.T) {
+	gf, _ := writeGraph(t, 200, 13)
+	e, err := New(gf, Config{Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if _, err := e.Run(context.Background(), 100, 2); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("run after Close: err = %v, want core.ErrClosed", err)
+	}
+	e.Close() // idempotent
+}
+
+// TestOOCWarmRunAllocs bounds what a warm run allocates: the walker
+// arrays, shuffler and block buffers are held by the engine and its
+// parked session, so a repeat run allocates only its result and per-step
+// bookkeeping — no walker-sized (78 KiB here) or block-sized (128 KiB)
+// array.
+func TestOOCWarmRunAllocs(t *testing.T) {
+	gf, _ := writeGraph(t, 20000, 15)
+	e, err := New(gf, Config{BlockBudget: 256 << 10, Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	if _, err := e.Run(ctx, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := e.Run(ctx, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("warm 3-step run: %d B in %d objects", bytes, objects)
+	if bytes >= 32<<10 {
+		t.Errorf("warm 3-step run allocated %d B in %d objects, want under 32 KiB", bytes, objects)
+	}
+}
+
+// TestOOCUnsortedGraph: the engine accepts a file that is not sorted by
+// degree, and walks it exactly. Partitions whose first and last vertices
+// share a degree while the vertices between them do not must not take
+// the uniform-degree kernel.
+func TestOOCUnsortedGraph(t *testing.T) {
+	const n = 96
+	g := &graph.CSR{Offsets: make([]uint64, n+1)}
+	for v := uint32(0); v < n; v++ {
+		d := uint32(1)
+		if v%4 == 1 {
+			d = 3
+		}
+		for k := uint32(1); k <= d; k++ {
+			g.Targets = append(g.Targets, (v+k)%n)
+		}
+		slices.Sort(g.Targets[g.Offsets[v]:]) // HasEdge searches sorted adjacency
+		g.Offsets[v+1] = uint64(len(g.Targets))
+	}
+	if graph.IsDegreeSorted(g) {
+		t.Fatal("test graph is degree-sorted")
+	}
+	path := filepath.Join(t.TempDir(), "unsorted.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteBinary(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gf, err := graph.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gf.Close()
+	e, err := New(gf, Config{BlockBudget: 64, Seed: 4, RecordHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	res, err := e.Run(context.Background(), 500, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := res.History
+	for j := 0; j < h.NumWalkers(); j++ {
+		for i := 0; i+1 < h.NumSteps(); i++ {
+			if u, v := h.At(i, j), h.At(i+1, j); !g.HasEdge(u, v) {
+				t.Fatalf("walker %d step %d: %d→%d not an edge", j, i, u, v)
+			}
+		}
 	}
 }
