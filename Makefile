@@ -21,8 +21,8 @@ race:
 bench:
 	$(GO) test -run NONE -bench . -benchtime 3x .
 
-# The §4.3 shuffle-stage measurement at DRAM scale: write-combining ×
-# persistent-pool variants plus the end-to-end stage split. Writes a raw
+# The §4.3 shuffle-stage measurement at DRAM scale: the engine's shuffle
+# per worker count plus the end-to-end stage split. Writes a raw
 # BENCH_shuffle.json under bench/out/.
 bench-shuffle:
 	@mkdir -p bench/out

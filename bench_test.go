@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"flashmob/internal/algo"
 	"flashmob/internal/baseline"
@@ -470,11 +471,12 @@ func BenchmarkPrepMCKPPlan(b *testing.B) {
 
 // --- Component benchmarks: the pipeline stages in isolation ---
 
-// BenchmarkComponentShuffle contrasts the staging modes and executors at
-// benchV scale. Note the regime: 40K walkers are cache-resident, where
-// staging shows its copy overhead but not its DRAM-miss savings — the
-// representative measurement is `make bench-shuffle` (fmbench -exp
-// shuffle), which runs 2^26 walkers and records BENCH_shuffle.json.
+// BenchmarkComponentShuffle times the engine's shuffle (fwd, rev and
+// total ns/walker) per worker count at benchV scale. Note the regime:
+// 40K walkers are cache-resident, where the staged gather shows its copy
+// overhead but not its DRAM-miss savings — the representative
+// measurement is `make bench-shuffle` (fmbench -exp shuffle), which runs
+// 2^26 walkers and records BENCH_shuffle.json.
 func BenchmarkComponentShuffle(b *testing.B) {
 	g := benchGraph(b, "FS")
 	plan, err := part.PlanUniform(g, part.Config{MaxBins: 2048}, profile.DS)
@@ -488,58 +490,37 @@ func BenchmarkComponentShuffle(b *testing.B) {
 	for i := range w {
 		w[i] = graph.VID(uint32(i) % g.NumVertices())
 	}
-	run := func(b *testing.B, sh *walk.Shuffler) {
-		b.Helper()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sh.Forward(w, sw, nil, nil); err != nil {
-				b.Fatal(err)
-			}
-			if err := sh.Reverse(w, sw, next, nil, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(walkers), "ns/walker")
-	}
 	workerCounts := []int{1, 4}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
 		workerCounts = append(workerCounts, n)
 	}
-	// unbuffered = both staging paths off; wc-gather = the production
-	// default (scalar scatter + write-combined gather); wc-full = both on.
-	variants := []struct {
-		label string
-		tune  func(*walk.Shuffler)
-	}{
-		{"unbuffered", func(sh *walk.Shuffler) { sh.SetWriteCombining(false) }},
-		{"wc-gather", nil},
-		{"wc-full", func(sh *walk.Shuffler) { sh.SetWriteCombining(true) }},
-	}
 	for _, workers := range workerCounts {
-		for _, v := range variants {
-			b.Run(fmt.Sprintf("%s-spawn/w%d", v.label, workers), func(b *testing.B) {
-				sh, err := walk.NewShuffler(plan, walkers, workers)
-				if err != nil {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			p := pool.New(workers)
+			defer p.Close()
+			sh, err := walk.NewShuffler(plan, walkers, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var fwd, rev time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if err := sh.Forward(w, sw, nil, nil); err != nil {
 					b.Fatal(err)
 				}
-				if v.tune != nil {
-					v.tune(sh)
-				}
-				run(b, sh)
-			})
-			b.Run(fmt.Sprintf("%s-pool/w%d", v.label, workers), func(b *testing.B) {
-				p := pool.New(workers)
-				defer p.Close()
-				sh, err := walk.NewShufflerPool(plan, walkers, p)
-				if err != nil {
+				t1 := time.Now()
+				if err := sh.Reverse(w, sw, next, nil, nil); err != nil {
 					b.Fatal(err)
 				}
-				if v.tune != nil {
-					v.tune(sh)
-				}
-				run(b, sh)
-			})
-		}
+				fwd += t1.Sub(t0)
+				rev += time.Since(t1)
+			}
+			per := float64(b.N) * float64(walkers)
+			b.ReportMetric(float64(fwd.Nanoseconds())/per, "fwd-ns/walker")
+			b.ReportMetric(float64(rev.Nanoseconds())/per, "rev-ns/walker")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/walker")
+		})
 	}
 }
 

@@ -19,14 +19,12 @@ import (
 // shuffleWalkers sizes the component measurement so the walker arrays
 // (3 × 4 B × walkers ≈ 800 MB) overflow any L3 on the market: the §4.3
 // shuffle is only interesting in the paper's regime, where walker state
-// streams through DRAM. Cache-resident toys make write-combining look
+// streams through DRAM. Cache-resident toys make the staged gather look
 // like pure overhead.
 const shuffleWalkers = 1 << 26
 
-// shuffleVariant is one measured shuffle configuration.
-type shuffleVariant struct {
-	Variant     string  `json:"variant"` // "unbuffered" or "wc"
-	Exec        string  `json:"exec"`    // "spawn" or "pool"
+// shufflePass is the engine's shuffle timed at one worker count.
+type shufflePass struct {
 	Workers     int     `json:"workers"`
 	FwdNSWalker float64 `json:"fwd_ns_per_walker"`
 	RevNSWalker float64 `json:"rev_ns_per_walker"`
@@ -48,15 +46,15 @@ type shuffleReport struct {
 	GOMAXPROCS int               `json:"gomaxprocs"`
 	Walkers    int               `json:"walkers"`
 	Bins       int               `json:"bins"`
-	Variants   []shuffleVariant  `json:"variants"`
+	Shuffle    []shufflePass     `json:"shuffle"`
 	EndToEnd   []shuffleEndToEnd `json:"end_to_end"`
 }
 
 // expShuffle measures the §4.3 shuffle stage in isolation at DRAM scale —
-// write-combining vs plain scatter/gather, persistent pool vs per-call
-// goroutine spawns, across worker counts — then records the end-to-end
-// per-step stage split on the preset graphs. Results land in
-// BENCH_shuffle.json next to the table.
+// the engine's direct scatter and staged gather on its worker pool,
+// across worker counts — then records the end-to-end per-step stage
+// split on the preset graphs. Results land in BENCH_shuffle.json next to
+// the table.
 func expShuffle(w io.Writer, cfg benchConfig) error {
 	// A 2-regular graph keeps CSR construction cheap; shuffle cost
 	// depends on the walker count and bin count, not on edges.
@@ -89,57 +87,27 @@ func expShuffle(w io.Writer, cfg benchConfig) error {
 	if n := cfg.Workers; n != 1 && n != 4 {
 		workerCounts = append(workerCounts, n)
 	}
-	// unbuffered = both staging paths off; wc-gather = the production
-	// default (scalar scatter + write-combined gather); wc-full = both on.
-	variants := []struct {
-		label string
-		tune  func(*walk.Shuffler)
-	}{
-		{"unbuffered", func(sh *walk.Shuffler) { sh.SetWriteCombining(false) }},
-		{"wc-gather", nil},
-		{"wc-full", func(sh *walk.Shuffler) { sh.SetWriteCombining(true) }},
-	}
-	row(w, "variant", "workers", "fwd-ns/walker", "rev-ns/walker", "total-ns/walker")
+	row(w, "workers", "fwd-ns/walker", "rev-ns/walker", "total-ns/walker")
 	for _, workers := range workerCounts {
-		for _, vr := range variants {
-			label := vr.label
-			for _, usePool := range []bool{false, true} {
-				exec := "spawn"
-				var sh *walk.Shuffler
-				var p *pool.Pool
-				if usePool {
-					exec = "pool"
-					p = pool.New(workers)
-					sh, err = walk.NewShufflerPool(plan, walkers, p)
-				} else {
-					sh, err = walk.NewShuffler(plan, walkers, workers)
-				}
-				if err != nil {
-					return err
-				}
-				if vr.tune != nil {
-					vr.tune(sh)
-				}
-				fwd, rev, err := timeShufflePass(sh, wArr, sw, next)
-				if p != nil {
-					p.Close()
-				}
-				if err != nil {
-					return err
-				}
-				v := shuffleVariant{
-					Variant:     label,
-					Exec:        exec,
-					Workers:     workers,
-					FwdNSWalker: float64(fwd.Nanoseconds()) / float64(walkers),
-					RevNSWalker: float64(rev.Nanoseconds()) / float64(walkers),
-				}
-				v.NSPerWalker = v.FwdNSWalker + v.RevNSWalker
-				rep.Variants = append(rep.Variants, v)
-				row(w, label+"-"+exec, fmt.Sprintf("%d", workers),
-					ns(v.FwdNSWalker), ns(v.RevNSWalker), ns(v.NSPerWalker))
-			}
+		p := pool.New(workers)
+		sh, err := walk.NewShuffler(plan, walkers, p)
+		if err != nil {
+			p.Close()
+			return err
 		}
+		fwd, rev, err := timeShufflePass(sh, wArr, sw, next)
+		p.Close()
+		if err != nil {
+			return err
+		}
+		r := shufflePass{
+			Workers:     workers,
+			FwdNSWalker: float64(fwd.Nanoseconds()) / float64(walkers),
+			RevNSWalker: float64(rev.Nanoseconds()) / float64(walkers),
+		}
+		r.NSPerWalker = r.FwdNSWalker + r.RevNSWalker
+		rep.Shuffle = append(rep.Shuffle, r)
+		row(w, fmt.Sprintf("%d", workers), ns(r.FwdNSWalker), ns(r.RevNSWalker), ns(r.NSPerWalker))
 	}
 	// Free the component arrays before the end-to-end engines run.
 	wArr, sw, next = nil, nil, nil
@@ -177,8 +145,7 @@ func expShuffle(w io.Writer, cfg benchConfig) error {
 }
 
 // timeShufflePass times Forward and Reverse separately: one warm-up
-// round (sizing the lazily-allocated staging buffers), then the best of
-// three measured rounds of each direction.
+// round, then the best of three measured rounds of each direction.
 func timeShufflePass(sh *walk.Shuffler, w, sw, next []graph.VID) (fwd, rev time.Duration, err error) {
 	const rounds = 3
 	if err = sh.Forward(w, sw, nil, nil); err != nil {

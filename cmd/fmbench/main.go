@@ -72,7 +72,7 @@ var experiments = []experiment{
 	{"fig11a", "FlashMob speed vs growing |V| (YH-shaped synthetic graphs)", expFig11a},
 	{"fig11b", "FlashMob speed vs walker count (density sweep on TW)", expFig11b},
 	{"fig12", "NUMA modes: FlashMob-P vs FlashMob-R (time, density, remote accesses)", expFig12},
-	{"shuffle", "§4.3 shuffle stage at DRAM scale: write-combining × pool variants + end-to-end split (writes BENCH_shuffle.json)", expShuffle},
+	{"shuffle", "§4.3 shuffle stage at DRAM scale: the engine's shuffle per worker count + end-to-end split (writes BENCH_shuffle.json)", expShuffle},
 	{"sample", "§4.2 sample stage at DRAM scale: scalar vs specialized kernels across partition classes (writes BENCH_sample.json)", expSample},
 	{"concurrent", "concurrent sessions on one engine build: aggregate walker-steps/s vs session count (writes BENCH_concurrent.json)", expConcurrent},
 	{"serve", "walk-query serving: open-loop load on batch-size-1 vs coalescing windows (writes BENCH_serve.json)", expServe},

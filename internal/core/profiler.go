@@ -209,9 +209,9 @@ func measurePoint(geom mem.Geometry, pol profile.Policy, ws uint64, d uint32, rh
 }
 
 // measureShuffle times one shuffle level (forward + reverse) per
-// walker-step on a 2048-bin uniform plan. The shuffler runs in its
-// production configuration — write-combining staging on — so the MCKP
-// cost model prices the shuffle the engine actually executes.
+// walker-step on a 2048-bin uniform plan, one worker inline. The
+// shuffler has one data path, the engine's, so the MCKP cost model
+// prices the shuffle the engine actually executes.
 func measureShuffle(seed, minSteps uint64) (float64, error) {
 	const n = 1 << 20
 	g, err := gen.UniformDegree(n, 2, seed)
@@ -223,7 +223,7 @@ func measureShuffle(seed, minSteps uint64) (float64, error) {
 		return 0, err
 	}
 	walkers := 1 << 20
-	sh, err := walk.NewShuffler(plan, walkers, 1)
+	sh, err := walk.NewShuffler(plan, walkers, nil)
 	if err != nil {
 		return 0, err
 	}

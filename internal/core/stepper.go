@@ -138,7 +138,7 @@ func (s *Session) VPSteps() []uint64 { return s.vpSteps }
 func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) error {
 	n := len(w)
 	if s.shuffler == nil {
-		sh, err := walk.NewShufflerPool(s.e.plan, n, s.e.pool)
+		sh, err := walk.NewShuffler(s.e.plan, n, s.e.pool)
 		if err != nil {
 			return err
 		}
@@ -154,7 +154,7 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 	s.views = channelViews(s.views, s.auxSW[:len(aux)], n)
 
 	t0 := time.Now()
-	if err := s.shuffler.ForwardMulti(w, sw, aux, s.views); err != nil {
+	if err := s.shuffler.Forward(w, sw, aux, s.views); err != nil {
 		return err
 	}
 	t1 := time.Now()
@@ -162,7 +162,7 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 		return err
 	}
 	t2 := time.Now()
-	if err := s.shuffler.ReverseMulti(w, sw, wNext, s.views, auxNext); err != nil {
+	if err := s.shuffler.Reverse(w, sw, wNext, s.views, auxNext); err != nil {
 		return err
 	}
 	t3 := time.Now()

@@ -314,7 +314,9 @@ func TestEdgeListComments(t *testing.T) {
 }
 
 func TestEdgeListBadInput(t *testing.T) {
-	for _, in := range []string{"0\n", "a b\n", "0 x\n", "0 1 zz\n"} {
+	// The last two name an ID space past both sparseIDFloor and
+	// maxIDsPerEdge IDs for their one edge.
+	for _, in := range []string{"0\n", "a b\n", "0 x\n", "0 1 zz\n", "2942967295 0\n", "0 1048576\n"} {
 		if _, err := ReadEdgeList(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("input %q: expected parse error", in)
 		}

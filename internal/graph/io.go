@@ -145,12 +145,25 @@ func min64(a, b uint64) uint64 {
 	return b
 }
 
+// Build sizes a CSR by the largest vertex ID, 24 bytes for every ID
+// below it, so an edge list whose IDs are far sparser than its edges —
+// the one-line "2942967295 0" asks for tens of gigabytes — would exhaust memory
+// instead of failing. ReadEdgeList refuses an ID space larger than both
+// sparseIDFloor and maxIDsPerEdge IDs per edge.
+const (
+	sparseIDFloor = 1 << 20
+	maxIDsPerEdge = 64
+)
+
 // ReadEdgeList parses a whitespace-separated "src dst [weight]" edge list
 // (SNAP-style), skipping blank lines and lines starting with '#' or '%'.
+// It rejects lists whose vertex IDs are too sparse to build (see
+// maxIDsPerEdge); renumber such a list densely first.
 func ReadEdgeList(r io.Reader) ([]Edge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
+	var maxID VID
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -173,6 +186,7 @@ func ReadEdgeList(r io.Reader) ([]Edge, error) {
 		if src >= uint64(NoVertex) || dst >= uint64(NoVertex) {
 			return nil, fmt.Errorf("graph: line %d: vertex ID %#x is reserved", lineNo, NoVertex)
 		}
+		maxID = max(maxID, VID(src), VID(dst))
 		e := Edge{Src: VID(src), Dst: VID(dst), Weight: 1}
 		if len(fields) >= 3 {
 			w, err := strconv.ParseFloat(fields[2], 32)
@@ -185,6 +199,9 @@ func ReadEdgeList(r io.Reader) ([]Edge, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scan edge list: %w", err)
+	}
+	if ids := uint64(maxID) + 1; ids > sparseIDFloor && ids > maxIDsPerEdge*uint64(len(edges)) {
+		return nil, fmt.Errorf("graph: vertex ID %d is too sparse for %d edges (at most %d IDs per edge); renumber the list densely", maxID, len(edges), maxIDsPerEdge)
 	}
 	return edges, nil
 }

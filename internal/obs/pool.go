@@ -4,11 +4,11 @@ package obs
 // (internal/pool): phase-barrier executions, per-worker shard busy time,
 // and the time the caller spends parked on the barrier after finishing
 // its own shard. Engines build one with NewPoolMetrics per session and
-// pass it to pool.Submit with each phase (pool.SetMetrics remains the
-// single-owner default for Run/RunCtx); a nil *PoolMetrics disables
-// collection.
+// pass it to pool.Submit or pool.Inline with each phase; a nil
+// *PoolMetrics disables collection.
 type PoolMetrics struct {
-	// Runs counts phase barriers executed (one per pool.Run call).
+	// Runs counts phases executed (one per pool.Submit or pool.Inline
+	// call).
 	Runs *Counter
 	// BusyNS accumulates each worker's shard execution time; slot i is
 	// worker i (slot 0 is the calling goroutine).

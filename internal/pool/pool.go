@@ -14,11 +14,10 @@
 // submission carries its own observability hooks — an obs.PoolMetrics
 // (per-worker busy time, barrier wait, run count) and a pprof label
 // context applied to the workers for the duration of the phase — so
-// concurrent sessions account their pool time separately. Both are nil
-// by default and cost one nil check per phase when off. Run/RunCtx are
-// the single-owner convenience forms, paired with SetMetrics. Inline runs
-// a phase too small to be worth a handoff on the caller alone, with the
-// same accounting and labels and without touching the pool.
+// concurrent sessions account their pool time separately. Either may be
+// nil and costs one nil check per phase when off. Inline runs a phase
+// too small to be worth a handoff on the caller alone, with the same
+// accounting and labels and without touching the pool.
 package pool
 
 import (
@@ -48,7 +47,6 @@ type Pool struct {
 
 type pool struct {
 	workers int
-	metrics *obs.PoolMetrics // Run/RunCtx default accounting (nil: none)
 	start   []chan struct{}
 	wg      sync.WaitGroup
 	once    sync.Once
@@ -105,25 +103,6 @@ func (p *pool) work(worker int, start <-chan struct{}) {
 
 // Workers returns the pool size, including the caller's slot 0.
 func (p *pool) Workers() int { return p.workers }
-
-// SetMetrics attaches (or, with nil, detaches) the default accounting
-// used by Run and RunCtx. The metric vector must be sized for Workers
-// slots. Not safe to call concurrently with Run; Submit callers pass
-// their accounting per submission instead.
-func (p *pool) SetMetrics(m *obs.PoolMetrics) { p.metrics = m }
-
-// Run executes one phase of t on every worker and returns when all shards
-// have finished (a phase barrier). The caller runs shard 0 itself.
-// Steady-state calls perform no allocations and create no goroutines.
-func (p *pool) Run(t Task, phase int) { p.Submit(t, phase, nil, p.metrics) }
-
-// RunCtx is Run with a pprof label context: every worker (including the
-// caller's slot) carries ctx's labels while executing its shard, so CPU
-// profiles split by stage. Every worker's labels, the caller's included,
-// are reset to none before returning; a nil ctx leaves labels untouched.
-func (p *pool) RunCtx(t Task, phase int, ctx context.Context) {
-	p.Submit(t, phase, ctx, p.metrics)
-}
 
 // Submit executes one phase of t across the full worker set and returns
 // when all shards have finished — the phase barrier shared by concurrent
@@ -192,8 +171,8 @@ func Inline(t Task, phase int, ctx context.Context, m *obs.PoolMetrics) {
 	}
 }
 
-// Close releases the worker goroutines. It is idempotent; the pool must
-// not be Run afterwards.
+// Close releases the worker goroutines. It is idempotent; nothing may be
+// submitted to the pool afterwards.
 func (p *Pool) Close() {
 	runtime.SetFinalizer(p, nil)
 	p.pool.close()

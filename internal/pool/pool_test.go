@@ -28,7 +28,7 @@ func TestRunCoversAllWorkers(t *testing.T) {
 		task := &sumTask{cells: make([][8]uint64, n)}
 		const phases = 50
 		for ph := 0; ph < phases; ph++ {
-			p.Run(task, ph)
+			p.Submit(task, ph, nil, nil)
 		}
 		for wk := 0; wk < n; wk++ {
 			var want uint64
@@ -59,7 +59,7 @@ func TestRunIsABarrier(t *testing.T) {
 		inFlight.Add(-1)
 	})
 	for ph := 0; ph < 10; ph++ {
-		p.Run(task, ph)
+		p.Submit(task, ph, nil, nil)
 		if got := inFlight.Load(); got != 0 {
 			t.Fatalf("phase %d returned with %d shards in flight", ph, got)
 		}
@@ -77,14 +77,14 @@ func TestRunAllocatesNothingAndSpawnsNothing(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	task := &sumTask{cells: make([][8]uint64, 4)}
-	p.Run(task, 0) // warm up
+	p.Submit(task, 0, nil, nil) // warm up
 	before := runtime.NumGoroutine()
-	allocs := testing.AllocsPerRun(100, func() { p.Run(task, 1) })
+	allocs := testing.AllocsPerRun(100, func() { p.Submit(task, 1, nil, nil) })
 	if allocs != 0 {
-		t.Errorf("Run allocated %.1f objects per call, want 0", allocs)
+		t.Errorf("Submit allocated %.1f objects per call, want 0", allocs)
 	}
 	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("goroutine count changed %d → %d across Runs", before, after)
+		t.Errorf("goroutine count changed %d → %d across Submits", before, after)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestCloseReleasesWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := New(6)
 	task := &sumTask{cells: make([][8]uint64, 6)}
-	p.Run(task, 0)
+	p.Submit(task, 0, nil, nil)
 	p.Close()
 	p.Close() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
@@ -111,7 +111,7 @@ func TestZeroAndNegativeSize(t *testing.T) {
 			t.Fatalf("New(%d).Workers() = %d, want 1", n, p.Workers())
 		}
 		task := &sumTask{cells: make([][8]uint64, 1)}
-		p.Run(task, 2)
+		p.Submit(task, 2, nil, nil)
 		if task.cells[0][0] != 2 {
 			t.Fatalf("inline run missing: %d", task.cells[0][0])
 		}

@@ -10,9 +10,9 @@ import (
 	"flashmob/internal/walk"
 )
 
-// Exchange is the cross-shard walk.Exchange: records route to the shard
+// Exchange is the cross-shard walker movement: records route to the shard
 // owning their new vertex. Emigrants stage through the same
-// write-combining LineStage geometry as the in-process shuffle — one
+// write-combining LineStage geometry as the in-process gather — one
 // line of whole records per destination shard, flushed to that peer's
 // outbox as it fills — and ship as one bulk frame per peer per round.
 // A record on the wire is words=2+channels VIDs: [walker id, vertex,
@@ -58,21 +58,27 @@ func NewExchange(self int, smap *part.ShardMap, tr Transport, m *Metrics) *Excha
 	return ex
 }
 
-// NumDests returns the shard count.
-func (ex *Exchange) NumDests() int { return ex.smap.NumShards() }
+// batch is one exchange round's records. ids/w/aux hold the shard's
+// post-step local records, ascending by id: global walker ids, vertices,
+// and the aux channels riding with them. outIDs/out/outAux receive the
+// post-exchange set.
+type batch struct {
+	ids    []uint32
+	w      []graph.VID
+	aux    [][]graph.VID
+	outIDs []uint32
+	out    []graph.VID
+	outAux [][]graph.VID
+}
 
-// Compile-time check: the cross-shard exchange implements walk.Exchange.
-var _ walk.Exchange = (*Exchange)(nil)
-
-// Move implements walk.Exchange for one exchange round. b.IDs/b.W/b.Aux
-// hold the shard's post-step local records, ascending by id; on return
-// b.OutIDs/b.Out/b.OutAux (re-sliced to the new local count) hold the
-// post-exchange set — survivors plus immigrants, ascending by id. The
-// Out slices must have capacity for the cohort's whole walker
-// population (the worst case: everyone walks into one shard).
-func (ex *Exchange) Move(ctx context.Context, b *walk.Batch) error {
+// Move runs one exchange round over b. On return b.outIDs/b.out/b.outAux
+// (fitted to the new local count: re-sliced, or replaced when their
+// capacity is short) hold the post-exchange set — survivors plus
+// immigrants, ascending by id. A peer frame carrying a vertex this
+// shard does not own fails the round, naming the peer.
+func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 	S := ex.smap.NumShards()
-	channels := len(b.Aux)
+	channels := len(b.aux)
 	words := 2 + channels
 	if words != ex.words {
 		ex.stage.Resize(S, words)
@@ -96,21 +102,21 @@ func (ex *Exchange) Move(ctx context.Context, b *walk.Batch) error {
 	// Route: survivors compact in order; emigrants stage through the
 	// write-combining lines and flush whole lines into the peer outbox.
 	buf, fill, stride := ex.stage.Buf, ex.stage.Fill, ex.stage.Stride
-	for j, v := range b.W {
+	for j, v := range b.w {
 		d := ex.smap.ShardOf(v)
 		if d == ex.self {
-			ex.survIDs = append(ex.survIDs, b.IDs[j])
+			ex.survIDs = append(ex.survIDs, b.ids[j])
 			ex.survW = append(ex.survW, v)
-			for c := range b.Aux {
-				ex.survAux[c] = append(ex.survAux[c], b.Aux[c][j])
+			for c := range b.aux {
+				ex.survAux[c] = append(ex.survAux[c], b.aux[c][j])
 			}
 			continue
 		}
 		base := d*stride + int(fill[d])*words
-		buf[base] = graph.VID(b.IDs[j])
+		buf[base] = graph.VID(b.ids[j])
 		buf[base+1] = v
 		for c := 0; c < channels; c++ {
-			buf[base+2+c] = b.Aux[c][j]
+			buf[base+2+c] = b.aux[c][j]
 		}
 		if fill[d]++; int(fill[d]) == walk.WCEntries {
 			out[d] = append(out[d], buf[d*stride:d*stride+walk.WCEntries*words]...)
@@ -140,6 +146,7 @@ func (ex *Exchange) Move(ctx context.Context, b *walk.Batch) error {
 	}
 
 	// Receive one frame from every peer, fixed order.
+	lo, hi := ex.smap.Ranges().Range(ex.self)
 	newN := len(ex.survW)
 	for s := 0; s < S; s++ {
 		if s == ex.self {
@@ -160,22 +167,17 @@ func (ex *Exchange) Move(ctx context.Context, b *walk.Batch) error {
 		}
 	}
 
-	if cap(b.Out) < newN || cap(b.OutIDs) < newN {
-		return fmt.Errorf("shard: exchange output capacity %d/%d short of %d records", cap(b.OutIDs), cap(b.Out), newN)
-	}
-	b.OutIDs = b.OutIDs[:newN]
-	b.Out = b.Out[:newN]
-	for c := range b.OutAux {
-		if cap(b.OutAux[c]) < newN {
-			return fmt.Errorf("shard: exchange aux output capacity %d short of %d records", cap(b.OutAux[c]), newN)
-		}
-		b.OutAux[c] = b.OutAux[c][:newN]
+	b.outIDs = fit(b.outIDs, newN)
+	b.out = fit(b.out, newN)
+	for c := range b.outAux {
+		b.outAux[c] = fit(b.outAux[c], newN)
 	}
 
 	// S-way merge ascending by id: survivors and each peer frame are
 	// already id-sorted (every shard scans its id-ordered array), and ids
 	// are globally unique, so a linear min-pick reconstructs the global
-	// subsequence order.
+	// subsequence order. Each immigrant's vertex is range-checked as it
+	// is copied; a failed round's partial output is abandoned.
 	si := 0
 	offs := ex.inOffsets()
 	for i := 0; i < newN; i++ {
@@ -196,20 +198,24 @@ func (ex *Exchange) Move(ctx context.Context, b *walk.Batch) error {
 			}
 		}
 		if best < 0 {
-			b.OutIDs[i] = ex.survIDs[si]
-			b.Out[i] = ex.survW[si]
-			for c := range b.OutAux {
-				b.OutAux[c][i] = ex.survAux[c][si]
+			b.outIDs[i] = ex.survIDs[si]
+			b.out[i] = ex.survW[si]
+			for c := range b.outAux {
+				b.outAux[c][i] = ex.survAux[c][si]
 			}
 			si++
 			continue
 		}
 		f := ex.in[best]
 		o := offs[best]
-		b.OutIDs[i] = uint32(f[o])
-		b.Out[i] = f[o+1]
-		for c := range b.OutAux {
-			b.OutAux[c][i] = f[o+2+c]
+		v := f[o+1]
+		if v < lo || v >= hi {
+			return fmt.Errorf("shard: frame from shard %d carries walker %d on vertex %d, outside this shard's vertices [%d, %d)", best, f[o], v, lo, hi)
+		}
+		b.outIDs[i] = uint32(f[o])
+		b.out[i] = v
+		for c := range b.outAux {
+			b.outAux[c][i] = f[o+2+c]
 		}
 		offs[best] = o + words
 	}

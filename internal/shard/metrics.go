@@ -2,10 +2,9 @@
 // shards: internal/part's ShardMap cuts the (degree-sorted) vertex space
 // into contiguous partition runs, each shard advances its local walkers
 // one step at a time through its engine session (core.Session.Step), and
-// a cross-shard Exchange — the walk.Exchange seam — write-combines
-// emigrant walkers per destination shard and delivers them in bulk over
-// channels (in-process shards) or length-prefixed TCP frames (one shard
-// per process).
+// a cross-shard Exchange write-combines emigrant walkers per destination
+// shard and delivers them in bulk over channels (in-process shards) or
+// length-prefixed TCP frames (one shard per process).
 //
 // Supersteps alternate local-walk / exchange in BSP lockstep, and every
 // sample draw keys on the cohort's own (seed, step, partition, sub-shard)

@@ -4,19 +4,20 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"flashmob/internal/core"
 	"flashmob/internal/graph"
 	"flashmob/internal/part"
-	"flashmob/internal/walk"
 )
 
 // shardCohort is one cohort's per-shard walker state. Three generations
 // of each channel rotate through a superstep: cur (pre-step), next (the
 // step's output scratch), and ex (the exchange's merged output, which
-// becomes cur). All are full-capacity — sized for the cohort's whole
-// walker population, the worst case of everyone walking into one shard —
-// with n tracking the live prefix.
+// becomes cur). Each starts at the shard's initial population and grows
+// (see fit) to the largest local population the shard meets, so a shard
+// holds memory for the walkers it actually receives, not for the run
+// header's walker count; n tracks the live prefix.
 type shardCohort struct {
 	n                   int
 	ids, idsEx          []uint32
@@ -25,31 +26,33 @@ type shardCohort struct {
 	views, viewsNext    [][]graph.VID // per-step channel views, reused
 }
 
-// newShardCohort sizes a cohort's buffers for total walkers and the
-// spec's channel count, seeding the local set from (ids, w) — the
-// id-ordered members whose start vertex this shard owns. Aux channels
-// start as the walker's own start vertex, exactly as the engine
-// initializes them.
-func newShardCohort(total int, channels int, ids []uint32, w []graph.VID) *shardCohort {
+// newShardCohort seeds a cohort's local set from (ids, w) — the
+// id-ordered members whose start vertex this shard owns — taking
+// ownership of both slices. Aux channels start as the walker's own
+// start vertex, exactly as the engine initializes them.
+func newShardCohort(channels int, ids []uint32, w []graph.VID) *shardCohort {
 	co := &shardCohort{
 		n:         len(ids),
-		ids:       make([]uint32, total),
-		idsEx:     make([]uint32, total),
-		w:         make([]graph.VID, total),
-		wNext:     make([]graph.VID, total),
-		wEx:       make([]graph.VID, total),
+		ids:       ids,
+		w:         w,
 		views:     make([][]graph.VID, channels),
 		viewsNext: make([][]graph.VID, channels),
+		auxNext:   make([][]graph.VID, channels),
+		auxEx:     make([][]graph.VID, channels),
 	}
-	copy(co.ids, ids)
-	copy(co.w, w)
 	for c := 0; c < channels; c++ {
-		co.aux = append(co.aux, make([]graph.VID, total))
-		co.auxNext = append(co.auxNext, make([]graph.VID, total))
-		co.auxEx = append(co.auxEx, make([]graph.VID, total))
-		copy(co.aux[c], w)
+		co.aux = append(co.aux, slices.Clone(w))
 	}
 	return co
+}
+
+// fit returns s resliced to length n, replacing it — contents dropped —
+// when its capacity is short. Every caller overwrites all n elements.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
 }
 
 // shardRun executes one shard's side of a sharded mixed run: the
@@ -112,31 +115,35 @@ func (r *shardRun) run(ctx context.Context) error {
 			co := r.coh[k]
 			n := co.n
 			channels := core.AuxChannelsFor(&c.Spec)
+			co.wNext = fit(co.wNext, n)
 			views, viewsNext := co.views[:0], co.viewsNext[:0]
 			for ch := 0; ch < channels; ch++ {
+				co.auxNext[ch] = fit(co.auxNext[ch], n)
 				views = append(views, co.aux[ch][:n])
-				viewsNext = append(viewsNext, co.auxNext[ch][:n])
+				viewsNext = append(viewsNext, co.auxNext[ch])
 			}
 			co.views, co.viewsNext = views, viewsNext
-			if err := sess.Step(k, c.Seed, t, co.w[:n], co.wNext[:n], views, viewsNext); err != nil {
+			if err := sess.Step(k, c.Seed, t, co.w[:n], co.wNext, views, viewsNext); err != nil {
 				return err
 			}
-			if err := r.record(k, t+1, co.ids[:n], co.wNext[:n]); err != nil {
+			if err := r.record(k, t+1, co.ids[:n], co.wNext); err != nil {
 				return err
 			}
 			if t+1 >= c.Steps {
 				continue // final step: walkers finish where they stand
 			}
-			b := walk.Batch{
-				IDs: co.ids[:n], W: co.wNext[:n], Aux: viewsNext,
-				OutIDs: co.idsEx[:0], Out: co.wEx[:0], OutAux: co.auxOutViews(channels),
+			// Move fits the out slices to the post-exchange count; it
+			// refits co.auxEx's channel slices in place.
+			b := batch{
+				ids: co.ids[:n], w: co.wNext, aux: viewsNext,
+				outIDs: co.idsEx, out: co.wEx, outAux: co.auxEx,
 			}
 			if err := ex.Move(ctx, &b); err != nil {
 				return err
 			}
-			co.n = len(b.Out)
-			co.ids, co.idsEx = co.idsEx, co.ids
-			co.w, co.wEx = co.wEx, co.w
+			co.n = len(b.out)
+			co.ids, co.idsEx = b.outIDs, co.ids
+			co.w, co.wEx = b.out, co.w
 			for ch := 0; ch < channels; ch++ {
 				co.aux[ch], co.auxEx[ch] = co.auxEx[ch], co.aux[ch]
 			}
@@ -144,19 +151,6 @@ func (r *shardRun) run(ctx context.Context) error {
 	}
 	copy(r.vpSteps, sess.VPSteps())
 	return nil
-}
-
-// auxOutViews returns the exchange-output aux slices, zero-length with
-// full capacity, one per channel.
-func (co *shardCohort) auxOutViews(channels int) [][]graph.VID {
-	if channels == 0 {
-		return nil
-	}
-	views := make([][]graph.VID, channels)
-	for c := 0; c < channels; c++ {
-		views[c] = co.auxEx[c][:0]
-	}
-	return views
 }
 
 // placement is the deterministic global init of one run: per cohort, the
@@ -172,12 +166,27 @@ type placement struct {
 	w   [][][]graph.VID
 }
 
+// resolveCohorts is eng.ResolveCohorts plus the wire's bound: walker ids
+// travel as 32-bit words, so no cohort may exceed the 32-bit id space.
+func resolveCohorts(eng *core.Engine, cohorts []core.Cohort) ([]core.Cohort, int, error) {
+	resolved, channels, err := eng.ResolveCohorts(cohorts)
+	if err != nil {
+		return nil, 0, err
+	}
+	for k, c := range resolved {
+		if c.Walkers > math.MaxUint32 {
+			return nil, 0, fmt.Errorf("shard: cohort %d's %d walkers exceed the 32-bit id space", k, c.Walkers)
+		}
+	}
+	return resolved, channels, nil
+}
+
 // place computes the single-engine init (core.InitWalkersSeeded — the
 // same placement RunMixed draws) and scatters each cohort's walkers to
 // the shard owning their start vertex. The ascending-id scan keeps every
 // shard's local array the id-ordered subsequence of the global one.
 func place(eng *core.Engine, smap *part.ShardMap, cohorts []core.Cohort) (*placement, error) {
-	resolved, channels, err := eng.ResolveCohorts(cohorts)
+	resolved, channels, err := resolveCohorts(eng, cohorts)
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +203,6 @@ func place(eng *core.Engine, smap *part.ShardMap, cohorts []core.Cohort) (*place
 		p.w[s] = make([][]graph.VID, len(resolved))
 	}
 	for k, c := range resolved {
-		if c.Walkers > math.MaxUint32 {
-			return nil, fmt.Errorf("shard: cohort %d's %d walkers exceed the 32-bit id space", k, c.Walkers)
-		}
 		wAll := make([]graph.VID, c.Walkers)
 		eng.InitWalkersSeeded(c.Seed, wAll)
 		p.row0[k] = wAll

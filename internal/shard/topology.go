@@ -90,7 +90,7 @@ func (t *Topology) RunMixed(ctx context.Context, cohorts []core.Cohort) (*core.M
 		}
 		vpSteps[s] = r.vpSteps
 		for k, c := range p.resolved {
-			r.coh[k] = newShardCohort(int(c.Walkers), core.AuxChannelsFor(&c.Spec), p.ids[s][k], p.w[s][k])
+			r.coh[k] = newShardCohort(core.AuxChannelsFor(&c.Spec), p.ids[s][k], p.w[s][k])
 		}
 		r.record = func(k, step int, ids []uint32, w []graph.VID) error {
 			row := pos[k][step*int(p.resolved[k].Walkers):]

@@ -188,7 +188,44 @@ func ServeWorker(ctx context.Context, ln net.Listener, eng *core.Engine, self in
 	}
 }
 
+// decodeInit checks one frameInit payload — [cohort, (id, vertex)...]
+// words — against the run's resolved cohorts and this shard's vertex
+// range [lo, hi), and appends its records to ids[k]/ws[k]. Every
+// accepted record has an id below its cohort's walker count, strictly
+// above the cohort's previous id (across frames too), and a vertex the
+// shard owns; so a cohort never receives more records than it has
+// walkers. A rejected frame may leave a partial append behind, which is
+// harmless because the run is abandoned.
+func decodeInit(payload []byte, resolved []core.Cohort, lo, hi graph.VID, ids [][]uint32, ws [][]graph.VID) error {
+	vs, err := bytesToVIDs(payload)
+	if err != nil || len(vs) < 1 || len(vs[1:])%2 != 0 {
+		return fmt.Errorf("shard: malformed init frame")
+	}
+	k := int(vs[0])
+	if k < 0 || k >= len(resolved) {
+		return fmt.Errorf("shard: init frame for cohort %d of %d", k, len(resolved))
+	}
+	walkers := resolved[k].Walkers
+	for i := 1; i < len(vs); i += 2 {
+		id, v := uint32(vs[i]), vs[i+1]
+		if uint64(id) >= walkers {
+			return fmt.Errorf("shard: init record for cohort %d has walker id %d of %d", k, id, walkers)
+		}
+		if n := len(ids[k]); n > 0 && id <= ids[k][n-1] {
+			return fmt.Errorf("shard: init records for cohort %d are not ascending (id %d after %d)", k, id, ids[k][n-1])
+		}
+		if v < lo || v >= hi {
+			return fmt.Errorf("shard: init record for cohort %d puts walker %d on vertex %d, outside this shard's vertices [%d, %d)", k, id, v, lo, hi)
+		}
+		ids[k] = append(ids[k], id)
+		ws[k] = append(ws[k], v)
+	}
+	return nil
+}
+
 // serveRun executes one coordinator run on the worker's shard.
+// Malformed headers and init frames are answered with frameErr; the
+// worker stays up for the next run.
 func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.ShardMap, tr Transport, m *Metrics, self int) {
 	fail := func(err error) {
 		_ = writeFrame(cc.conn, frameErr, []byte(err.Error()))
@@ -198,20 +235,18 @@ func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.Sh
 		fail(fmt.Errorf("shard: bad run header: %w", err))
 		return
 	}
-	if len(hdr.Cohorts) == 0 {
-		fail(fmt.Errorf("shard: run header has no cohorts"))
-		return
-	}
-	resolved := make([]core.Cohort, len(hdr.Cohorts))
-	channels := 0
+	cohorts := make([]core.Cohort, len(hdr.Cohorts))
 	for i, wc := range hdr.Cohorts {
-		resolved[i] = core.Cohort{Spec: wc.Spec.spec(), Walkers: wc.Walkers, Steps: wc.Steps, Seed: wc.Seed}
-		if ch := core.AuxChannelsFor(&resolved[i].Spec); ch > channels {
-			channels = ch
-		}
+		cohorts[i] = core.Cohort{Spec: wc.Spec.spec(), Walkers: wc.Walkers, Steps: wc.Steps, Seed: wc.Seed}
+	}
+	resolved, channels, err := resolveCohorts(eng, cohorts)
+	if err != nil {
+		fail(fmt.Errorf("shard: bad run header: %w", err))
+		return
 	}
 
 	// Collect init frames until GO.
+	lo, hi := smap.Ranges().Range(self)
 	ids := make([][]uint32, len(resolved))
 	ws := make([][]graph.VID, len(resolved))
 	for {
@@ -226,19 +261,9 @@ func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.Sh
 			fail(fmt.Errorf("shard: unexpected frame 0x%02x during init", typ))
 			return
 		}
-		vs, err := bytesToVIDs(payload)
-		if err != nil || len(vs) < 1 || len(vs[1:])%2 != 0 {
-			fail(fmt.Errorf("shard: malformed init frame"))
+		if err := decodeInit(payload, resolved, lo, hi, ids, ws); err != nil {
+			fail(err)
 			return
-		}
-		k := int(vs[0])
-		if k < 0 || k >= len(resolved) {
-			fail(fmt.Errorf("shard: init frame for cohort %d of %d", k, len(resolved)))
-			return
-		}
-		for i := 1; i < len(vs); i += 2 {
-			ids[k] = append(ids[k], uint32(vs[i]))
-			ws[k] = append(ws[k], vs[i+1])
 		}
 	}
 
@@ -258,7 +283,7 @@ func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.Sh
 		},
 	}
 	for k, c := range resolved {
-		r.coh[k] = newShardCohort(int(c.Walkers), core.AuxChannelsFor(&c.Spec), ids[k], ws[k])
+		r.coh[k] = newShardCohort(core.AuxChannelsFor(&c.Spec), ids[k], ws[k])
 	}
 	before := doneTrailer{
 		Emigrants: m.Emigrants.Value(self), Immigrants: m.Immigrants.Value(self),

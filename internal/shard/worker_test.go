@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"flashmob/internal/core"
 	"flashmob/internal/graph"
 	"flashmob/internal/obs"
+	"flashmob/internal/part"
 )
 
 // startWorkers boots S worker shards on loopback listeners, each with
@@ -182,5 +185,136 @@ func TestWorkerCancellationDrains(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutine leak: %d before, %d after", before, after)
+	}
+}
+
+// hostileRun opens one run on the worker at addr with the given header
+// and init frames, sends GO, and returns the first frame the worker
+// answers with.
+func hostileRun(t *testing.T, addr string, hdr runHeader, inits ...[]graph.VID) (byte, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hdrJSON, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frameRun, hdrJSON); err != nil {
+		t.Fatal(err)
+	}
+	for _, vs := range inits {
+		if err := writeFrame(conn, frameInit, vidsToBytes(vs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeFrame(conn, frameGo, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(conn)
+	if err != nil {
+		t.Fatalf("worker sent no answer: %v", err)
+	}
+	return typ, payload
+}
+
+// TestWorkerRejectsHostileInit sends a one-worker mesh runs whose
+// header or init records would index past the worker's arrays — a
+// vertex past |V|, an id past the cohort's walkers, descending ids, more
+// records than walkers, a header the engine cannot resolve or whose
+// walkers overflow 32-bit ids — and demands a frameErr for each with the
+// worker still serving. A header naming 2^32-1 walkers of which none
+// start on this shard is a valid empty run: the worker must answer
+// frameDone without sizing arrays for the header's count. A valid run
+// on the same mesh must then match the single engine bitwise.
+func TestWorkerRejectsHostileInit(t *testing.T) {
+	g := testGraph(t, 600, 3)
+	e := testEngine(t, g, algo.DeepWalk())
+	defer e.Close()
+	addrs, cancel, _ := startWorkers(t, g, algo.DeepWalk(), 1)
+	defer cancel()
+
+	dw := algo.DeepWalk()
+	two := runHeader{Cohorts: []wireCohort{{Walkers: 2, Steps: 3, Seed: 1, Spec: toWireSpec(&dw)}}}
+	badSpec := algo.DeepWalk()
+	badSpec.Order = 3
+	for _, tc := range []struct {
+		name  string
+		hdr   runHeader
+		inits [][]graph.VID
+	}{
+		{"vertex-past-V", two, [][]graph.VID{{0, 0, 1 << 30}}},
+		{"id-past-walkers", two, [][]graph.VID{{0, 5, 0}}},
+		{"ids-not-ascending", two, [][]graph.VID{{0, 1, 0}, {0, 0, 1}}},
+		{"too-many-records", two, [][]graph.VID{{0, 0, 0, 1, 1, 2, 2}}},
+		{"unknown-cohort", two, [][]graph.VID{{1, 0, 0}}},
+		{"unresolvable-spec", runHeader{Cohorts: []wireCohort{{Walkers: 2, Steps: 3, Seed: 1, Spec: toWireSpec(&badSpec)}}}, nil},
+		{"ids-past-32-bits", runHeader{Cohorts: []wireCohort{{Walkers: 1 << 33, Steps: 3, Seed: 1, Spec: toWireSpec(&dw)}}}, nil},
+		{"no-cohorts", runHeader{}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			typ, payload := hostileRun(t, addrs[0], tc.hdr, tc.inits...)
+			if typ != frameErr {
+				t.Fatalf("worker answered frame 0x%02x (%q), want frameErr", typ, payload)
+			}
+		})
+	}
+	huge := runHeader{Cohorts: []wireCohort{{Walkers: 1<<32 - 1, Steps: 3, Seed: 1, Spec: toWireSpec(&dw)}}}
+	if typ, payload := hostileRun(t, addrs[0], huge); typ != frameDone {
+		t.Fatalf("empty run of 2^32-1 walkers: worker answered frame 0x%02x (%q), want frameDone", typ, payload)
+	}
+
+	cohorts := []core.Cohort{
+		{Spec: algo.DeepWalk(), Walkers: 300, Steps: 5, Seed: 21},
+		{Spec: algo.Node2Vec(0.5, 2), Walkers: 100, Steps: 4, Seed: 22},
+	}
+	ref, err := e.RunMixed(cohorts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRemote(e, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.RunMixed(context.Background(), cohorts)
+	if err != nil {
+		t.Fatalf("valid run after hostile ones: %v", err)
+	}
+	for k := range cohorts {
+		historiesMatch(t, "remote", ref.Cohorts[k].History, res.Cohorts[k].History)
+	}
+}
+
+// TestExchangeRejectsForeignVertex pushes a frame whose record sits on a
+// vertex past |V| through a ChanMesh into a shard's exchange round: the
+// round must fail, naming the peer, instead of handing the vertex to
+// the next step's count pass.
+func TestExchangeRejectsForeignVertex(t *testing.T) {
+	g := testGraph(t, 600, 3)
+	e := testEngine(t, g, algo.DeepWalk())
+	defer e.Close()
+	smap, err := part.NewShardMap(e.Plan(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := NewChanMesh(2)
+	ex := NewExchange(0, smap, mesh.Bind(0), nil)
+	ctx := context.Background()
+	if err := mesh.Bind(1).Send(ctx, 0, []graph.VID{7, graph.VID(g.NumVertices()) + 5}); err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := smap.Ranges().Range(0)
+	b := batch{
+		ids: []uint32{0}, w: []graph.VID{lo},
+		outIDs: make([]uint32, 0, 4), out: make([]graph.VID, 0, 4),
+	}
+	err = ex.Move(ctx, &b)
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("Move = %v, want an error naming shard 1", err)
 	}
 }

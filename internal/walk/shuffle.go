@@ -5,18 +5,15 @@
 // the reverse shuffle that restores walker order so the W_i arrays double
 // as path history.
 //
-// The shuffle data path supports software write-combining in both
-// directions: workers stage walkers (forward) or walker indices (reverse)
-// into cache-line-sized per-bin buffers and flush them in bulk, so every
-// bin stream moves in sequential bursts — the multi-stream pattern §4.3
-// relies on to run the stage at memory bandwidth. Measurement picks the
-// default per direction: the reverse gather's scattered reads are demand
-// misses the staging turns into single-line bursts (a ~20% stage win at
-// DRAM scale), so it is on; the forward scatter's stores are already
-// combined by the cache — its ~P active destination lines fit in L2 and
-// stores don't stall — so staging there is pure copy overhead and it is
-// off. Every combination produces bitwise-identical permutations to the
-// scalar reference (see SetWriteCombining and the equivalence tests).
+// One pass has one data path. The forward scatter writes each walker
+// straight to its bin cursor: its ~P active destination lines fit in L2
+// and its stores don't stall, so the cache already combines them. The
+// reverse gather stages walker indices into cache-line-sized per-bin
+// buffers (LineStage) and resolves each full line as one sequential
+// burst of the bin's slots, turning its scattered demand misses into the
+// multi-stream pattern §4.3 relies on to run the stage at memory
+// bandwidth. The equivalence tests hold both passes bitwise to a frozen
+// scalar reference.
 package walk
 
 import (
@@ -24,7 +21,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime/pprof"
-	"sync"
 
 	"flashmob/internal/graph"
 	"flashmob/internal/obs"
@@ -32,13 +28,8 @@ import (
 	"flashmob/internal/pool"
 )
 
-// wcEntries aliases WCEntries (exchange.go) — the write-combining depth
-// per bin and channel — so the hot-loop index math below reads at its
-// historical width.
-const wcEntries = WCEntries
-
-// Shuffle pass phases, dispatched through the worker pool (or the spawn
-// fallback) as pool.Task phases.
+// Shuffle pass phases, dispatched through the worker pool (or inline) as
+// pool.Task phases.
 const (
 	phaseCount = iota
 	phaseScatter
@@ -78,20 +69,20 @@ type binSpan struct {
 }
 
 // Shuffler rearranges walker arrays according to a partition plan. It owns
-// the scratch state (per-worker bin counters, offsets, write-combining
-// buffers, inner-shuffle slot maps) so repeated iterations allocate
+// the scratch state (per-worker bin counters, offsets, gather staging
+// lines, inner-shuffle slot maps) so repeated iterations allocate
 // nothing.
 //
 // Every per-pass loop after the count visits only the partitions and
 // bins that hold walkers: the count records occupancy in a per-worker
 // bitmap (64 partitions per word), and the aggregate turns it into the
-// ascending chunk list the cursors, the inner level, the staging drains
+// ascending chunk list the cursors, the inner level, the gather drain
 // and the callers' sample stages walk. A sparse step therefore costs
 // what its walkers cost, not what the plan's partition count costs.
 type Shuffler struct {
 	plan    *part.Plan
 	lk      *part.Lookup
-	pool    *pool.Pool // nil: spawn goroutines per pass
+	pool    *pool.Pool // nil: one worker, every pass inline
 	workers int
 	// active is the worker count the current pass splits across: workers,
 	// or 1 when the pass runs inline. Forward sets it and Reverse reuses
@@ -127,17 +118,10 @@ type Shuffler struct {
 	// concurrently without sharing a cell.
 	vpCur []uint64
 
-	// Write-combining state, one LineStage per worker and direction (the
-	// staging core shared with internal/shard's cross-shard exchange).
-	// scatterStage[w] stages walker+aux values for the forward scatter,
-	// bin-major: bin b's walker line at [b*stride, b*stride+wcEntries)
-	// and aux channel c's line wcEntries*(c+1) further. gatherStage[w]
-	// stages walker indices for the reverse gather.
-	wcScatter    bool
-	wcGather     bool
-	scatterStage []LineStage[graph.VID]
-	gatherStage  []LineStage[uint32]
-	wcChannels   int // channel count scatterStage is sized for (-1: unsized)
+	// gatherStage[w] stages worker w's walker indices for the reverse
+	// gather, one line per bin (the staging core shared with
+	// internal/shard's cross-shard exchange).
+	gatherStage []LineStage[uint32]
 
 	// pprof label contexts applied to workers while a pass runs (nil: no
 	// labels). The forward context covers count/scatter/inner phases, the
@@ -157,30 +141,16 @@ type Shuffler struct {
 	curAuxNext            [][]graph.VID
 }
 
-// NewShuffler builds a shuffler for numWalkers walkers under plan, using
-// the given worker count (≤ 0 means 1). Each pass spawns its own
-// goroutine wave; prefer NewShufflerPool on hot paths.
-func NewShuffler(plan *part.Plan, numWalkers, workers int) (*Shuffler, error) {
-	if workers <= 0 {
-		workers = 1
+// NewShuffler builds a shuffler for numWalkers walkers under plan whose
+// passes split across p's workers (pool.Submit), or run inline on the
+// caller when p is nil or the pass is below InlineCutoff (pool.Inline).
+// Steady-state Forward/Reverse calls allocate nothing and create no
+// goroutines.
+func NewShuffler(plan *part.Plan, numWalkers int, p *pool.Pool) (*Shuffler, error) {
+	workers := 1
+	if p != nil {
+		workers = p.Workers()
 	}
-	if workers > numWalkers && numWalkers > 0 {
-		workers = numWalkers
-	}
-	return newShuffler(plan, numWalkers, workers, nil)
-}
-
-// NewShufflerPool builds a shuffler whose passes run on a persistent
-// worker pool: steady-state Forward/Reverse calls allocate nothing and
-// create no goroutines.
-func NewShufflerPool(plan *part.Plan, numWalkers int, p *pool.Pool) (*Shuffler, error) {
-	if p == nil {
-		return nil, fmt.Errorf("walk: nil pool")
-	}
-	return newShuffler(plan, numWalkers, p.Workers(), p)
-}
-
-func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuffler, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("walk: nil plan")
 	}
@@ -205,9 +175,6 @@ func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuff
 		chunks:     make([]Chunk, 0, nvp),
 		spans:      make([]binSpan, 0, len(bins)),
 		cursors:    make([][]uint64, workers),
-		wcScatter:  false,
-		wcGather:   true,
-		wcChannels: -1,
 	}
 	if s.lk == nil {
 		return nil, fmt.Errorf("walk: plan has no lookup (not finalized)")
@@ -237,7 +204,6 @@ func newShuffler(plan *part.Plan, numWalkers, workers int, p *pool.Pool) (*Shuff
 	for w := 0; w < workers; w++ {
 		s.gatherStage[w] = NewLineStage[uint32](len(bins), 1)
 	}
-	s.scatterStage = make([]LineStage[graph.VID], workers)
 	return s, nil
 }
 
@@ -260,41 +226,6 @@ func (s *Shuffler) Resize(numWalkers int) error {
 	}
 	s.numWalkers = numWalkers
 	return nil
-}
-
-// SetWriteCombining toggles the write-combining staging buffers in both
-// directions at once — the all-on / all-off modes the equivalence tests
-// and benchmarks compare. The production default is asymmetric (see
-// SetScatterCombining / SetGatherCombining).
-func (s *Shuffler) SetWriteCombining(on bool) {
-	s.wcScatter = on
-	s.wcGather = on
-}
-
-// SetScatterCombining toggles staging on the forward scatter. Off by
-// default: the scatter's ~P active destination lines fit in L2 and its
-// stores don't stall, so measured staging there costs more than it saves.
-// It can still pay off when many aux channels multiply the active-line
-// footprint past L2.
-func (s *Shuffler) SetScatterCombining(on bool) { s.wcScatter = on }
-
-// SetGatherCombining toggles staging on the reverse gather. On by
-// default: the gather's reads are demand misses spread over ~P interleaved
-// bin streams (too many for the hardware prefetcher), and batching them
-// into single-line bursts is a measured ~20% stage win at DRAM scale.
-func (s *Shuffler) SetGatherCombining(on bool) { s.wcGather = on }
-
-// ensureWC sizes the forward staging buffers for the given aux channel
-// count. Steady-state steps keep the same channel count, so this
-// allocates only on the first call (or when the shape changes).
-func (s *Shuffler) ensureWC(channels int) {
-	if !s.wcScatter || s.wcChannels == channels {
-		return
-	}
-	for w := 0; w < s.workers; w++ {
-		s.scatterStage[w].Resize(len(s.plan.Bins()), 1+channels)
-	}
-	s.wcChannels = channels
 }
 
 // SetPprofLabels attaches (or, with off, removes) runtime/pprof labels to
@@ -339,28 +270,18 @@ func (s *Shuffler) workerRange(w int) (lo, hi int) {
 }
 
 // Forward shuffles W into SW so walkers sharing a VP are contiguous and
-// VPs appear in vertex order. aux/auxSW, when non-nil, are permuted
-// identically (per-walker metadata such as node2vec's previous vertex,
-// §4.3). len(SW) must equal len(W) == numWalkers.
-func (s *Shuffler) Forward(w, sw, aux, auxSW []graph.VID) error {
-	if aux == nil {
-		return s.ForwardMulti(w, sw, nil, nil)
-	}
-	return s.ForwardMulti(w, sw, [][]graph.VID{aux}, [][]graph.VID{auxSW})
-}
-
-// ForwardMulti is Forward with any number of auxiliary channels, all
-// permuted identically with the walkers — the carrier for order-k walks,
-// whose walkers travel with k-1 predecessor VIDs (§2.1's
-// p(v|u,t,s,...)).
-func (s *Shuffler) ForwardMulti(w, sw []graph.VID, aux, auxSW [][]graph.VID) error {
+// VPs appear in vertex order. The aux channels, any number of them, are
+// permuted identically into auxSW: per-walker metadata such as node2vec's
+// previous vertex (§4.3), or the k-1 predecessor VIDs an order-k walker
+// travels with (§2.1's p(v|u,t,s,...)). len(SW) must equal len(W) ==
+// numWalkers, and so must every channel's length.
+func (s *Shuffler) Forward(w, sw []graph.VID, aux, auxSW [][]graph.VID) error {
 	if len(w) != s.numWalkers || len(sw) != s.numWalkers {
 		return fmt.Errorf("walk: Forward arrays have %d/%d walkers, want %d", len(w), len(sw), s.numWalkers)
 	}
 	if err := checkAux(aux, auxSW, s.numWalkers); err != nil {
 		return err
 	}
-	s.ensureWC(len(aux))
 	s.curW, s.curSW, s.curAux, s.curAuxSW = w, sw, aux, auxSW
 	s.active = s.workers
 	if RunsInline(s.numWalkers) {
@@ -448,16 +369,9 @@ func (s *Shuffler) rebuildCursors() {
 // overwritten the shuffled array in place: scanning wOld (the pre-shuffle
 // locations) replays the placement cursors, so each walker finds the slot
 // its updated location was written to (§4.3 "compact walker state
-// storage"). wNext[j] receives walker j's new location.
-func (s *Shuffler) Reverse(wOld, swNew, wNext, auxSW, auxNext []graph.VID) error {
-	if auxSW == nil {
-		return s.ReverseMulti(wOld, swNew, wNext, nil, nil)
-	}
-	return s.ReverseMulti(wOld, swNew, wNext, [][]graph.VID{auxSW}, [][]graph.VID{auxNext})
-}
-
-// ReverseMulti is Reverse with any number of auxiliary channels.
-func (s *Shuffler) ReverseMulti(wOld, swNew, wNext []graph.VID, auxSW, auxNext [][]graph.VID) error {
+// storage"). wNext[j] receives walker j's new location, and auxNext[c][j]
+// its channel c from auxSW.
+func (s *Shuffler) Reverse(wOld, swNew, wNext []graph.VID, auxSW, auxNext [][]graph.VID) error {
 	if len(wOld) != s.numWalkers || len(swNew) != s.numWalkers || len(wNext) != s.numWalkers {
 		return fmt.Errorf("walk: Reverse arrays sized %d/%d/%d, want %d",
 			len(wOld), len(swNew), len(wNext), s.numWalkers)
@@ -476,8 +390,7 @@ func (s *Shuffler) ReverseMulti(wOld, swNew, wNext []graph.VID, auxSW, auxNext [
 	return nil
 }
 
-// RunShard dispatches one phase shard; it implements pool.Task. The
-// spawn fallback calls it with the same contract.
+// RunShard dispatches one phase shard; it implements pool.Task.
 func (s *Shuffler) RunShard(phase, worker, workers int) {
 	switch phase {
 	case phaseCount:
@@ -485,11 +398,7 @@ func (s *Shuffler) RunShard(phase, worker, workers int) {
 		s.countShard(worker, lo, hi)
 	case phaseScatter:
 		lo, hi := s.workerRange(worker)
-		if s.wcScatter {
-			s.scatterWC(worker, lo, hi)
-		} else {
-			s.scatterScalar(worker, lo, hi)
-		}
+		s.scatter(worker, lo, hi)
 	case phaseSlotIdentity:
 		lo, hi := s.workerRange(worker)
 		for i := lo; i < hi; i++ {
@@ -501,46 +410,22 @@ func (s *Shuffler) RunShard(phase, worker, workers int) {
 		}
 	case phaseGather:
 		lo, hi := s.workerRange(worker)
-		if s.wcGather {
-			s.gatherWC(worker, lo, hi)
-		} else {
-			s.gatherScalar(worker, lo, hi)
-		}
+		s.gather(worker, lo, hi)
 	}
 }
 
 // run executes one phase across the pass's active workers: inline on the
-// calling goroutine when the pass has one, else on the pool when present,
-// else by spawning a goroutine wave (the pre-pool behaviour, kept for
-// one-shot callers and benchmarks).
+// calling goroutine when the pass has one, else on the pool.
 func (s *Shuffler) run(phase int) {
 	ctx := s.fwdCtx
 	if phase == phaseGather {
 		ctx = s.revCtx
 	}
-	switch {
-	case s.active == 1:
+	if s.active == 1 {
 		pool.Inline(s, phase, ctx, s.pm)
 		return
-	case s.pool != nil:
-		s.pool.Submit(s, phase, ctx, s.pm)
-		return
 	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < s.active; wk++ {
-		wg.Add(1)
-		// ctx is passed as an argument, not captured: a reference capture
-		// would heap-allocate the variable on every run() call, including
-		// the pooled fast path above.
-		go func(wk int, ctx context.Context) {
-			defer wg.Done()
-			if ctx != nil {
-				pprof.SetGoroutineLabels(ctx)
-			}
-			s.RunShard(phase, wk, s.active)
-		}(wk, ctx)
-	}
-	wg.Wait()
+	s.pool.Submit(s, phase, ctx, s.pm)
 }
 
 // countShard tallies walkers per VP over [lo, hi), recording each
@@ -563,9 +448,9 @@ func (s *Shuffler) countShard(worker, lo, hi int) {
 	}
 }
 
-// scatterScalar is the reference forward placement: one random write per
-// walker, straight to the bin cursor.
-func (s *Shuffler) scatterScalar(worker, lo, hi int) {
+// scatter is the forward placement: one random write per walker,
+// straight to the bin cursor.
+func (s *Shuffler) scatter(worker, lo, hi int) {
 	lk := s.lk
 	cursors := s.cursors[worker]
 	w, sw, aux, auxSW := s.curW, s.curSW, s.curAux, s.curAuxSW
@@ -580,81 +465,10 @@ func (s *Shuffler) scatterScalar(worker, lo, hi int) {
 	}
 }
 
-// scatterWC is the write-combining forward placement: walkers stage into
-// per-bin line buffers and flush in bulk, preserving the exact per-worker
-// placement order of the scalar path.
-func (s *Shuffler) scatterWC(worker, lo, hi int) {
-	lk := s.lk
-	cursors := s.cursors[worker]
-	buf, fill := s.scatterStage[worker].Buf, s.scatterStage[worker].Fill
-	w, sw, aux, auxSW := s.curW, s.curSW, s.curAux, s.curAuxSW
-	channels := len(aux)
-	stride := (1 + channels) * wcEntries
-	for j := lo; j < hi; j++ {
-		b := lk.BinOf(w[j])
-		base := b * stride
-		n := int(fill[b])
-		buf[base+n] = w[j]
-		for c := 0; c < channels; c++ {
-			buf[base+(c+1)*wcEntries+n] = aux[c][j]
-		}
-		n++
-		if n == wcEntries {
-			pos := cursors[b]
-			copy(sw[pos:pos+wcEntries], buf[base:base+wcEntries])
-			for c := 0; c < channels; c++ {
-				cb := base + (c+1)*wcEntries
-				copy(auxSW[c][pos:pos+wcEntries], buf[cb:cb+wcEntries])
-			}
-			cursors[b] = pos + wcEntries
-			n = 0
-		}
-		fill[b] = uint8(n)
-	}
-	// Drain partial lines; only occupied bins can hold one.
-	for _, sp := range s.spans {
-		b := sp.bin
-		k := uint64(fill[b])
-		if k == 0 {
-			continue
-		}
-		base := b * stride
-		pos := cursors[b]
-		copy(sw[pos:pos+k], buf[base:base+int(k)])
-		for c := 0; c < channels; c++ {
-			cb := base + (c+1)*wcEntries
-			copy(auxSW[c][pos:pos+k], buf[cb:cb+int(k)])
-		}
-		cursors[b] = pos + k
-		fill[b] = 0
-	}
-}
-
-// gatherScalar is the reference reverse pass: one random read per walker
-// from the bin cursor's slot.
-func (s *Shuffler) gatherScalar(worker, lo, hi int) {
-	lk := s.lk
-	cursors := s.cursors[worker]
-	wOld, swNew, wNext := s.curW, s.curSW, s.curWNext
-	auxSW, auxNext := s.curAuxSW, s.curAuxNext
-	for j := lo; j < hi; j++ {
-		b := lk.BinOf(wOld[j])
-		pos := cursors[b]
-		cursors[b]++
-		if s.hasExtra {
-			pos = uint64(s.slotFinal[pos])
-		}
-		wNext[j] = swNew[pos]
-		for c := range auxSW {
-			auxNext[c][j] = auxSW[c][pos]
-		}
-	}
-}
-
-// gatherWC is the batched reverse pass: walker indices stage per bin, and
+// gather is the batched reverse pass: walker indices stage per bin, and
 // each flush reads one sequential burst of the bin's slots instead of
 // interleaving single-word reads across every bin stream.
-func (s *Shuffler) gatherWC(worker, lo, hi int) {
+func (s *Shuffler) gather(worker, lo, hi int) {
 	lk := s.lk
 	cursors := s.cursors[worker]
 	idx, fill := s.gatherStage[worker].Buf, s.gatherStage[worker].Fill
@@ -662,12 +476,12 @@ func (s *Shuffler) gatherWC(worker, lo, hi int) {
 	auxSW, auxNext := s.curAuxSW, s.curAuxNext
 	for j := lo; j < hi; j++ {
 		b := lk.BinOf(wOld[j])
-		base := b * wcEntries
+		base := b * WCEntries
 		n := int(fill[b])
 		idx[base+n] = uint32(j)
 		n++
-		if n == wcEntries {
-			s.flushGather(b, idx[base:base+wcEntries], cursors, swNew, wNext, auxSW, auxNext)
+		if n == WCEntries {
+			s.flushGather(b, idx[base:base+WCEntries], cursors, swNew, wNext, auxSW, auxNext)
 			n = 0
 		}
 		fill[b] = uint8(n)
@@ -677,7 +491,7 @@ func (s *Shuffler) gatherWC(worker, lo, hi int) {
 		if fill[b] == 0 {
 			continue
 		}
-		base := b * wcEntries
+		base := b * WCEntries
 		s.flushGather(b, idx[base:base+int(fill[b])], cursors, swNew, wNext, auxSW, auxNext)
 		fill[b] = 0
 	}

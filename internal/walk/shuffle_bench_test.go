@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"flashmob/internal/graph"
-	"flashmob/internal/pool"
 )
 
 // BenchmarkShuffleInlineCrossover times one Forward+Reverse step on a
@@ -16,13 +15,12 @@ import (
 // set from (DESIGN.md records the measurement).
 func BenchmarkShuffleInlineCrossover(b *testing.B) {
 	plan := testPlan(b, 1<<17, 12, 6, false)
-	p := pool.New(2)
-	defer p.Close()
+	p := testPool(b, 2)
 	for _, n := range []int{256, 1024, 4096, 16384, 65536, 262144} {
 		w := randomWalkers(n, 1<<17, 5)
 		sw := make([]graph.VID, n)
 		next := make([]graph.VID, n)
-		s, err := NewShufflerPool(plan, n, p)
+		s, err := NewShuffler(plan, n, p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"flashmob/internal/graph"
 	"flashmob/internal/part"
-	"flashmob/internal/pool"
 	"flashmob/internal/rng"
 )
 
@@ -248,7 +247,7 @@ func checkStep(t *testing.T, name string, s *Shuffler, w []graph.VID, aux [][]gr
 	sw := make([]graph.VID, n)
 	next := make([]graph.VID, n)
 	_, auxSW, auxNext := makeAux(len(aux), n)
-	if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
+	if err := s.Forward(w, sw, aux, auxSW); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.sw {
@@ -265,7 +264,7 @@ func checkStep(t *testing.T, name string, s *Shuffler, w []graph.VID, aux [][]gr
 		}
 	}
 	auxMut := cloneChannels(auxSW)
-	if err := s.ReverseMulti(w, ref.swMut, next, auxMut, auxNext); err != nil {
+	if err := s.Reverse(w, ref.swMut, next, auxMut, auxNext); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.next {
@@ -280,51 +279,6 @@ func checkStep(t *testing.T, name string, s *Shuffler, w []graph.VID, aux [][]gr
 			}
 		}
 	}
-}
-
-// shuffleMode is one way to build a shuffler: pooled or spawning, with
-// one of the staging settings.
-type shuffleMode struct {
-	name  string
-	build func() (*Shuffler, error)
-	tune  func(*Shuffler)
-}
-
-// shuffleModes lists every staging mode, pooled (on p) and spawning, for
-// shufflers of n walkers over plan.
-func shuffleModes(plan *part.Plan, n, workers int, p *pool.Pool) []shuffleMode {
-	tuneAll := func(on bool) func(*Shuffler) {
-		return func(s *Shuffler) { s.SetWriteCombining(on) }
-	}
-	pooled := func() (*Shuffler, error) { return NewShufflerPool(plan, n, p) }
-	spawn := func() (*Shuffler, error) { return NewShuffler(plan, n, workers) }
-	return []shuffleMode{
-		// "default" leaves the measured asymmetric production setting:
-		// scalar scatter + WC gather.
-		{"default-pool", pooled, nil},
-		{"default-spawn", spawn, nil},
-		{"wc-pool", pooled, tuneAll(true)},
-		{"wc-spawn", spawn, tuneAll(true)},
-		{"scalar-pool", pooled, tuneAll(false)},
-		{"scalar-spawn", spawn, tuneAll(false)},
-		{"wc-scatter-only", pooled, func(s *Shuffler) {
-			s.SetScatterCombining(true)
-			s.SetGatherCombining(false)
-		}},
-	}
-}
-
-// (mode).shuffler builds and tunes the mode's shuffler.
-func (m shuffleMode) shuffler(t *testing.T) *Shuffler {
-	t.Helper()
-	s, err := m.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.tune != nil {
-		m.tune(s)
-	}
-	return s
 }
 
 // withInlineCutoff sets InlineCutoff for the rest of the test.
@@ -350,9 +304,9 @@ func onBothPaths(t *testing.T, body func(t *testing.T)) {
 	}
 }
 
-// TestWriteCombiningEquivalence locks the staged data path to the
-// pre-change reference: for every combination of plan shape, seed, worker
-// count, aux channel count, pool-vs-spawn, write-combining on/off, and
+// TestWriteCombiningEquivalence locks the shuffle — direct scatter,
+// write-combined gather — to the frozen scalar reference: for every
+// combination of plan shape, seed, worker count, aux channel count, and
 // pooled-vs-inline phases, the forward shuffle must produce
 // bitwise-identical sw/aux arrays and partition ranges, and the reverse
 // pass bitwise-identical wNext/auxNext.
@@ -381,12 +335,13 @@ func TestWriteCombiningEquivalence(t *testing.T) {
 						w := randomWalkers(n, shape.v, seed)
 						aux, _, _ := makeAux(channels, n)
 						ref := runRef(plan, w, aux, workers)
-						p := pool.New(workers)
-						defer p.Close()
+						p := testPool(t, workers)
 						onBothPaths(t, func(t *testing.T) {
-							for _, mode := range shuffleModes(plan, n, workers, p) {
-								checkStep(t, mode.name, mode.shuffler(t), w, aux, ref)
+							s, err := NewShuffler(plan, n, p)
+							if err != nil {
+								t.Fatal(err)
 							}
+							checkStep(t, "shuffle", s, w, aux, ref)
 						})
 					})
 				}
@@ -444,18 +399,17 @@ func TestSparseShuffleEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, channels := range []int{0, 2} {
 			t.Run(fmt.Sprintf("w%d/ch%d", workers, channels), func(t *testing.T) {
-				p := pool.New(workers)
-				defer p.Close()
-				for _, mode := range shuffleModes(plan, steps[0].n, workers, p) {
-					s := mode.shuffler(t)
-					for i, st := range steps {
-						w := confinedWalkers(plan, st.vps, st.n, uint64(i+1))
-						aux, _, _ := makeAux(channels, st.n)
-						if err := s.Resize(st.n); err != nil {
-							t.Fatal(err)
-						}
-						checkStep(t, fmt.Sprintf("%s/step%d", mode.name, i), s, w, aux, runRef(plan, w, aux, workers))
+				s, err := NewShuffler(plan, steps[0].n, testPool(t, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, st := range steps {
+					w := confinedWalkers(plan, st.vps, st.n, uint64(i+1))
+					aux, _, _ := makeAux(channels, st.n)
+					if err := s.Resize(st.n); err != nil {
+						t.Fatal(err)
 					}
+					checkStep(t, fmt.Sprintf("step%d", i), s, w, aux, runRef(plan, w, aux, workers))
 				}
 			})
 		}
@@ -463,8 +417,8 @@ func TestSparseShuffleEquivalence(t *testing.T) {
 }
 
 // TestShuffleSteadyStateAllocs verifies the acceptance criterion that
-// steady-state shuffle steps allocate nothing: after one warm-up step
-// (which sizes the write-combining buffers), Forward+Reverse on a pooled
+// steady-state shuffle steps allocate nothing: after one warm-up step,
+// Forward+Reverse on a pooled
 // shuffler must be allocation-free and keep the goroutine count flat,
 // including across extra-shuffle bins and aux channels, whether the
 // step's phases go to the workers or run inline.
@@ -484,9 +438,7 @@ func TestShuffleSteadyStateAllocs(t *testing.T) {
 				plan := testPlan(t, 512, 7, 4, tc.extra)
 				const n = 4096
 				w := randomWalkers(n, 512, 9)
-				p := pool.New(4)
-				defer p.Close()
-				s, err := NewShufflerPool(plan, n, p)
+				s, err := NewShuffler(plan, n, testPool(t, 4))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -494,14 +446,14 @@ func TestShuffleSteadyStateAllocs(t *testing.T) {
 				next := make([]graph.VID, n)
 				aux, auxSW, auxNext := makeAux(tc.channels, n)
 				step := func() {
-					if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
+					if err := s.Forward(w, sw, aux, auxSW); err != nil {
 						t.Fatal(err)
 					}
-					if err := s.ReverseMulti(w, sw, next, auxSW, auxNext); err != nil {
+					if err := s.Reverse(w, sw, next, auxSW, auxNext); err != nil {
 						t.Fatal(err)
 					}
 				}
-				step() // warm up: sizes the staging buffers for this channel count
+				step() // warm up
 				before := settledGoroutines()
 				if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 					t.Fatalf("steady-state shuffle step allocates %.1f objects, want 0", allocs)
@@ -529,17 +481,15 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestShuffleParallelRace drives the pooled write-combining shuffle with
-// many workers so `go test -race` checks the phase-barrier discipline:
+// TestShuffleParallelRace drives the pooled shuffle with many workers so
+// `go test -race` checks the phase-barrier discipline:
 // shard ranges, staged flushes, and the parallel inner shuffle must never
 // touch a slot concurrently.
 func TestShuffleParallelRace(t *testing.T) {
 	plan := testPlan(t, 512, 7, 3, true)
 	const n = 20000
 	w := randomWalkers(n, 512, 11)
-	p := pool.New(8)
-	defer p.Close()
-	s, err := NewShufflerPool(plan, n, p)
+	s, err := NewShuffler(plan, n, testPool(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,10 +497,10 @@ func TestShuffleParallelRace(t *testing.T) {
 	next := make([]graph.VID, n)
 	aux, auxSW, auxNext := makeAux(2, n)
 	for iter := 0; iter < 20; iter++ {
-		if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
+		if err := s.Forward(w, sw, aux, auxSW); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ReverseMulti(w, sw, next, auxSW, auxNext); err != nil {
+		if err := s.Reverse(w, sw, next, auxSW, auxNext); err != nil {
 			t.Fatal(err)
 		}
 		checkShuffled(t, plan, w, sw, s.Chunks())
@@ -563,11 +513,10 @@ func TestShuffleParallelRace(t *testing.T) {
 // the reference.
 func TestShufflerPoolSmallerThanWorkers(t *testing.T) {
 	plan := testPlan(t, 128, 5, 3, true)
-	p := pool.New(8)
-	defer p.Close()
+	p := testPool(t, 8)
 	for _, n := range []int{0, 1, 3, 7} {
 		w := randomWalkers(n, 128, 13)
-		s, err := NewShufflerPool(plan, n, p)
+		s, err := NewShuffler(plan, n, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"flashmob/internal/graph"
 	"flashmob/internal/part"
+	"flashmob/internal/pool"
 	"flashmob/internal/profile"
 	"flashmob/internal/rng"
 )
@@ -44,6 +45,14 @@ func finalizeForTest(p *part.Plan) error {
 	// The part package finalizes inside its planners; reconstruct the same
 	// derived views by round-tripping through its exported API.
 	return part.Finalize(p)
+}
+
+// testPool builds a pool of the given size, closed when the test ends.
+func testPool(t testing.TB, workers int) *pool.Pool {
+	t.Helper()
+	p := pool.New(workers)
+	t.Cleanup(p.Close)
+	return p
 }
 
 func randomWalkers(n int, v uint32, seed uint64) []graph.VID {
@@ -122,7 +131,7 @@ func TestForwardGroupsByVP(t *testing.T) {
 	plan := testPlan(t, 256, 6, 4, false)
 	w := randomWalkers(1000, 256, 1)
 	sw := make([]graph.VID, len(w))
-	s, err := NewShuffler(plan, len(w), 1)
+	s, err := NewShuffler(plan, len(w), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +145,7 @@ func TestForwardWithExtraBins(t *testing.T) {
 	plan := testPlan(t, 256, 6, 4, true)
 	w := randomWalkers(2000, 256, 2)
 	sw := make([]graph.VID, len(w))
-	s, err := NewShuffler(plan, len(w), 1)
+	s, err := NewShuffler(plan, len(w), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +160,8 @@ func TestForwardParallelMatchesSerial(t *testing.T) {
 	w := randomWalkers(5000, 512, 3)
 	swSerial := make([]graph.VID, len(w))
 	swPar := make([]graph.VID, len(w))
-	s1, _ := NewShuffler(plan, len(w), 1)
-	s4, _ := NewShuffler(plan, len(w), 4)
+	s1, _ := NewShuffler(plan, len(w), nil)
+	s4, _ := NewShuffler(plan, len(w), testPool(t, 4))
 	if err := s1.Forward(w, swSerial, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestReverseRoundTrip(t *testing.T) {
 			w := randomWalkers(3000, 256, 4)
 			sw := make([]graph.VID, len(w))
 			back := make([]graph.VID, len(w))
-			s, err := NewShuffler(plan, len(w), workers)
+			s, err := NewShuffler(plan, len(w), testPool(t, workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +217,7 @@ func TestReverseTracksInPlaceUpdates(t *testing.T) {
 	w := randomWalkers(2500, 256, 5)
 	sw := make([]graph.VID, len(w))
 	next := make([]graph.VID, len(w))
-	s, err := NewShuffler(plan, len(w), 2)
+	s, err := NewShuffler(plan, len(w), testPool(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +246,11 @@ func TestAuxFollowsWalkers(t *testing.T) {
 	}
 	sw := make([]graph.VID, len(w))
 	auxSW := make([]graph.VID, len(w))
-	s, err := NewShuffler(plan, len(w), 2)
+	s, err := NewShuffler(plan, len(w), testPool(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Forward(w, sw, aux, auxSW); err != nil {
+	if err := s.Forward(w, sw, [][]graph.VID{aux}, [][]graph.VID{auxSW}); err != nil {
 		t.Fatal(err)
 	}
 	// Each shuffled slot's aux must identify the walker whose location is
@@ -255,7 +264,7 @@ func TestAuxFollowsWalkers(t *testing.T) {
 	// And the aux channel must survive the reverse pass aligned.
 	next := make([]graph.VID, len(w))
 	auxNext := make([]graph.VID, len(w))
-	if err := s.Reverse(w, sw, next, auxSW, auxNext); err != nil {
+	if err := s.Reverse(w, sw, next, [][]graph.VID{auxSW}, [][]graph.VID{auxNext}); err != nil {
 		t.Fatal(err)
 	}
 	for j := range w {
@@ -267,17 +276,17 @@ func TestAuxFollowsWalkers(t *testing.T) {
 
 func TestShufflerErrors(t *testing.T) {
 	plan := testPlan(t, 64, 5, 3, false)
-	if _, err := NewShuffler(nil, 10, 1); err == nil {
+	if _, err := NewShuffler(nil, 10, nil); err == nil {
 		t.Error("nil plan accepted")
 	}
-	if _, err := NewShuffler(plan, -1, 1); err == nil {
+	if _, err := NewShuffler(plan, -1, nil); err == nil {
 		t.Error("negative walkers accepted")
 	}
-	s, _ := NewShuffler(plan, 10, 1)
+	s, _ := NewShuffler(plan, 10, nil)
 	if err := s.Forward(make([]graph.VID, 5), make([]graph.VID, 10), nil, nil); err == nil {
 		t.Error("short W accepted")
 	}
-	if err := s.Forward(make([]graph.VID, 10), make([]graph.VID, 10), make([]graph.VID, 10), nil); err == nil {
+	if err := s.Forward(make([]graph.VID, 10), make([]graph.VID, 10), [][]graph.VID{make([]graph.VID, 10)}, nil); err == nil {
 		t.Error("mismatched aux accepted")
 	}
 	if err := s.Reverse(make([]graph.VID, 10), make([]graph.VID, 9), make([]graph.VID, 10), nil, nil); err == nil {
@@ -287,7 +296,7 @@ func TestShufflerErrors(t *testing.T) {
 
 func TestShufflerZeroWalkers(t *testing.T) {
 	plan := testPlan(t, 64, 5, 3, false)
-	s, err := NewShuffler(plan, 0, 4)
+	s, err := NewShuffler(plan, 0, testPool(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,11 +381,11 @@ func TestMultiChannelAux(t *testing.T) {
 	}
 	sw := make([]graph.VID, len(w))
 	next := make([]graph.VID, len(w))
-	s, err := NewShuffler(plan, len(w), 3)
+	s, err := NewShuffler(plan, len(w), testPool(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ForwardMulti(w, sw, aux, auxSW); err != nil {
+	if err := s.Forward(w, sw, aux, auxSW); err != nil {
 		t.Fatal(err)
 	}
 	// Channel payloads must stay aligned with each other at every slot.
@@ -391,7 +400,7 @@ func TestMultiChannelAux(t *testing.T) {
 			t.Fatalf("slot %d: payload says walker %d (at %d) but slot holds %d", p, j, w[j], sw[p])
 		}
 	}
-	if err := s.ReverseMulti(w, sw, next, auxSW, auxNext); err != nil {
+	if err := s.Reverse(w, sw, next, auxSW, auxNext); err != nil {
 		t.Fatal(err)
 	}
 	for j := range w {
@@ -405,16 +414,16 @@ func TestMultiChannelAux(t *testing.T) {
 
 func TestMultiChannelAuxValidation(t *testing.T) {
 	plan := testPlan(t, 64, 5, 3, false)
-	s, err := NewShuffler(plan, 10, 1)
+	s, err := NewShuffler(plan, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := make([]graph.VID, 10)
 	sw := make([]graph.VID, 10)
-	if err := s.ForwardMulti(w, sw, [][]graph.VID{make([]graph.VID, 10)}, nil); err == nil {
+	if err := s.Forward(w, sw, [][]graph.VID{make([]graph.VID, 10)}, nil); err == nil {
 		t.Error("mismatched channel counts accepted")
 	}
-	if err := s.ForwardMulti(w, sw,
+	if err := s.Forward(w, sw,
 		[][]graph.VID{make([]graph.VID, 5)},
 		[][]graph.VID{make([]graph.VID, 10)}); err == nil {
 		t.Error("short channel accepted")
