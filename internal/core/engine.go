@@ -178,8 +178,8 @@ type Engine struct {
 	src BlockSource
 
 	// metrics is the engine-lifetime aggregate registry (nil unless
-	// Config.Metrics): sessions record into their own registries and fold
-	// them in here on close. It also carries the shared pprof label
+	// Config.Metrics): sessions record into their own registries and
+	// drain them in here on close. It also carries the shared pprof label
 	// contexts.
 	metrics *engineMetrics
 

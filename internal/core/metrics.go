@@ -11,11 +11,11 @@ import (
 
 // kernelKindNames labels the kernel-kind slots of the
 // core_sample_kernel_walker_steps vector, in kernelKind order.
-var kernelKindNames = []string{"empty", "ps", "ps-weighted", "ds-regular", "ds-csr", "ds-weighted"}
+var kernelKindNames = [...]string{"empty", "ps", "ps-weighted", "ds-regular", "ds-csr", "ds-weighted"}
 
 // cohortClassNames labels the walk-shape slots of the
 // core_cohort_walker_steps vector, in classifySpec order.
-var cohortClassNames = []string{"uniform", "weighted", "node2vec", "order-k", "stop"}
+var cohortClassNames = [...]string{"uniform", "weighted", "node2vec", "order-k", "stop"}
 
 // classifySpec maps a walk spec to its cohortClassNames slot. Precedence
 // mirrors the sample-stage dispatch: a bounded-history transition is
@@ -40,11 +40,11 @@ func classifySpec(sp *algo.Spec) int {
 // engineMetrics is one complete metric set over one registry, built when
 // Config.Metrics is set; a nil *engineMetrics disables every recording
 // site (the off path is one nil check per site, none of them per walker).
-// Two instances exist per metrics-enabled engine: the engine-lifetime
-// aggregate built by New, and a fresh per-session set built on every
-// session acquisition — sessions record into their own registries (so
-// each Result.Report describes its own run) and fold into the aggregate
-// on Session.Close. All metric pointers are resolved here up front so the
+// Instances are the engine-lifetime aggregate built by New and one set
+// per session, built on the session's first acquisition and reused by
+// every later one — sessions record into their own registries (so each
+// Result.Report describes its own run) and drain into the aggregate on
+// Session.Close, which leaves them zeroed for the next acquisition. All metric pointers are resolved here up front so the
 // hot path never consults the registry.
 type engineMetrics struct {
 	reg *obs.Registry
@@ -85,8 +85,7 @@ type engineMetrics struct {
 // newEngineMetrics builds one metric set. proto, when non-nil, is the
 // engine's aggregate set: the new set shares its pprof label contexts
 // (labels are identical across sessions — only the counters are
-// per-session) instead of rebuilding one context per partition per
-// acquisition.
+// per-session) instead of rebuilding one context per partition.
 func newEngineMetrics(e *Engine, proto *engineMetrics) *engineMetrics {
 	reg := obs.NewRegistry()
 	nvp := e.plan.NumVPs()
@@ -139,11 +138,11 @@ func newEngineMetrics(e *Engine, proto *engineMetrics) *engineMetrics {
 		kernelSteps: reg.CounterVec(obs.Desc{
 			Name: "core_sample_kernel_walker_steps", Unit: "walkers", Stage: "sample",
 			Help: "walker-steps advanced per specialized kernel kind (§4.2 policy mix)",
-		}, len(kernelKindNames), kernelKindNames),
+		}, len(kernelKindNames), kernelKindNames[:]),
 		cohortSteps: reg.CounterVec(obs.Desc{
 			Name: "core_cohort_walker_steps", Unit: "walkers", Stage: "sample",
 			Help: "walker-steps advanced per walk shape (cohorts of mixed runs and solo runs alike)",
-		}, len(cohortClassNames), cohortClassNames),
+		}, len(cohortClassNames), cohortClassNames[:]),
 		mixedRuns: reg.Counter(obs.Desc{
 			Name: "core_mixed_runs_total", Unit: "count", Stage: "run",
 			Help: "RunMixed invocations (multi-cohort shared-pipeline runs)",

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"flashmob/internal/algo"
 	"flashmob/internal/obs"
 	"flashmob/internal/part"
+	"flashmob/internal/walk"
 )
 
 // metricsConfig is the shared engine config of the metrics tests.
@@ -145,6 +149,83 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// TestSampleMetricsInlineMatchPooled holds the sample stage's counts
+// to the path that ran it: the same mixed run, with walk.InlineCutoff
+// moved above its walker count (every phase inline) and below it (every
+// phase pooled), must report identical counters, vectors and histograms
+// outside the time-valued ones, and core_vp_walker_steps must sum to
+// the run's walker-steps. Items of at least timedItemWalkers walkers
+// are timed on either path; a run whose items are all smaller records
+// no core_vp_sample_ns at all.
+func TestSampleMetricsInlineMatchPooled(t *testing.T) {
+	g := undirectedTestGraph(t, 400, 36)
+	e := newEngine(t, g, algo.DeepWalk(), metricsConfig(2))
+	defer e.Close()
+	big := []Cohort{
+		{Spec: algo.DeepWalk(), Walkers: 20000, Steps: 5, Seed: 1},
+		{Spec: algo.Node2Vec(2, 0.5), Walkers: 1000, Steps: 3, Seed: 2},
+		{Spec: algo.PageRankWalk(0.85), Walkers: 500, Steps: 4, Seed: 3},
+	}
+	small := []Cohort{
+		{Spec: algo.DeepWalk(), Walkers: 2, Steps: 5, Seed: 1},
+		{Spec: algo.Node2Vec(2, 0.5), Walkers: 2, Steps: 3, Seed: 2},
+	}
+	for _, tc := range []struct {
+		name    string
+		cohorts []Cohort
+		timed   bool
+	}{{"big-items", big, true}, {"small-items", small, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var walkerSteps, walkers uint64
+			for _, c := range tc.cohorts {
+				walkerSteps += c.Walkers * uint64(c.Steps)
+				walkers += c.Walkers
+			}
+			run := func(cutoff int) *obs.Report {
+				defer func(old int) { walk.InlineCutoff = old }(walk.InlineCutoff)
+				walk.InlineCutoff = cutoff
+				res, err := e.RunMixed(tc.cohorts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Report
+			}
+			inline, pooled := run(int(walkers)+1), run(1)
+			for _, rep := range []*obs.Report{inline, pooled} {
+				for _, name := range []string{"core_vp_walker_steps", "core_sample_kernel_walker_steps", "core_cohort_walker_steps"} {
+					if v, _ := rep.Vector(name); v.Total() != walkerSteps {
+						t.Errorf("%s sums to %d, want %d walker-steps", name, v.Total(), walkerSteps)
+					}
+				}
+			}
+			for _, c := range inline.Counters {
+				if pc, _ := pooled.Counter(c.Name); c.Unit != "ns" && pc.Value != c.Value {
+					t.Errorf("%s: inline %d, pooled %d", c.Name, c.Value, pc.Value)
+				}
+			}
+			for _, v := range inline.Vectors {
+				if v.Unit == "ns" {
+					continue
+				}
+				if pv, _ := pooled.Vector(v.Name); !slices.Equal(pv.Values, v.Values) {
+					t.Errorf("%s: inline %v, pooled %v", v.Name, v.Values, pv.Values)
+				}
+			}
+			for _, h := range inline.Histograms {
+				if ph, _ := pooled.Histogram(h.Name); h.Unit != "ns" && !reflect.DeepEqual(ph, h) {
+					t.Errorf("%s: inline %+v, pooled %+v", h.Name, h, ph)
+				}
+			}
+			for path, rep := range map[string]*obs.Report{"inline": inline, "pooled": pooled} {
+				ns, _ := rep.Vector("core_vp_sample_ns")
+				if got := ns.Total() != 0; got != tc.timed {
+					t.Errorf("%s: core_vp_sample_ns total %d, want nonzero %v", path, ns.Total(), tc.timed)
+				}
+			}
+		})
+	}
+}
+
 // TestMetricsStableJSON verifies report stability end to end: two
 // identically-seeded single-worker runs must serialize to byte-identical
 // JSON once time-valued metrics are zeroed out of both.
@@ -268,5 +349,30 @@ func BenchmarkEngineStepMetricsOn(b *testing.B) {
 		if _, err := e.Run(4000, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSessionAcquireClose measures one session acquisition and
+// close on a warm engine of BenchmarkSparseMixedWave's plan, with engine
+// metrics off and on: the per-wave cost a server pays to run each wave
+// on its own session and fold its metrics into the engine aggregate.
+func BenchmarkSessionAcquireClose(b *testing.B) {
+	for _, metrics := range []bool{false, true} {
+		b.Run("metrics="+onOff(metrics), func(b *testing.B) {
+			e := sparseWaveEngine(b, metrics)
+			defer e.Close()
+			if _, err := e.RunMixed(sparseWave(1)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := e.NewSession(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
 	}
 }

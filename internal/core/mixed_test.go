@@ -282,11 +282,12 @@ func TestRunMixedMetrics(t *testing.T) {
 const sparseWaveSteps = 32
 
 // sparseWaveEngine builds the serving-wave benchmark's engine: a
-// 2-worker uniform-DS plan of over 1,500 partitions.
-func sparseWaveEngine(tb testing.TB) *Engine {
+// 2-worker uniform-DS plan of over 1,500 partitions, recording engine
+// metrics when metrics is set.
+func sparseWaveEngine(tb testing.TB, metrics bool) *Engine {
 	tb.Helper()
 	g := undirectedTestGraph(tb, 60000, 5)
-	e, err := New(g, algo.DeepWalk(), Config{Workers: 2, Seed: 1, Planner: PlannerUniformDS})
+	e, err := New(g, algo.DeepWalk(), Config{Workers: 2, Seed: 1, Planner: PlannerUniformDS, Metrics: metrics})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -308,30 +309,42 @@ func sparseWave(walkers uint64) []Cohort {
 
 // BenchmarkSparseMixedWave measures serving-sized mixed waves on a plan
 // of over 1,500 partitions: two cohorts (DeepWalk and node2vec) of 1 or
-// 128 walkers each, 32 steps, on a 2-worker engine. Such a wave occupies
-// a handful of partitions, so its cost is the per-step bookkeeping and
-// dispatch rather than walker work; ns/step is what one step of it costs.
+// 128 walkers each, 32 steps, on a 2-worker engine with engine metrics
+// off and on (fmserve's default). Such a wave occupies a handful of
+// partitions, so its cost is the per-step bookkeeping and dispatch
+// rather than walker work; ns/step is what one step of it costs, and
+// the on/off gap is what the metrics cost a served walker-step.
 func BenchmarkSparseMixedWave(b *testing.B) {
-	e := sparseWaveEngine(b)
-	defer e.Close()
-	for _, walkers := range []uint64{1, 128} {
-		b.Run(fmt.Sprintf("walkers=%d", walkers), func(b *testing.B) {
-			s, err := e.NewSession(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			cohorts := sparseWave(walkers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.RunMixed(cohorts); err != nil {
+	for _, metrics := range []bool{false, true} {
+		e := sparseWaveEngine(b, metrics)
+		for _, walkers := range []uint64{1, 128} {
+			b.Run(fmt.Sprintf("metrics=%s/walkers=%d", onOff(metrics), walkers), func(b *testing.B) {
+				s, err := e.NewSession(context.Background())
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			wave := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(wave, "ns/wave")
-			b.ReportMetric(wave/sparseWaveSteps, "ns/step")
-		})
+				defer s.Close()
+				cohorts := sparseWave(walkers)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.RunMixed(cohorts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				wave := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(wave, "ns/wave")
+				b.ReportMetric(wave/sparseWaveSteps, "ns/step")
+			})
+		}
+		e.Close()
 	}
+}
+
+// onOff names a boolean benchmark leg.
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
 }

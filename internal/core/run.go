@@ -210,18 +210,18 @@ func sampleSeedAt(prefix uint64, vp, sub int) uint64 {
 }
 
 // sampleTask is the sample stage's pool task: workers pull work items
-// from a shared counter; each item's walker range is private to the
-// worker that claims it, so the stage needs no locks (§4.3). The task
+// from a shared counter (a one-shard phase takes them all); each item's
+// walker range is private to the worker that claims it, so the stage
+// needs no locks (§4.3). The task
 // struct (and its item list) lives in the Session and is re-armed per
 // step, keeping the step loop allocation-free once warm.
 type sampleTask struct {
-	s       *Session
-	m       *engineMetrics // nil unless Config.Metrics; set per acquisition
-	next    atomic.Int64
-	items   []sampleItem
-	sw      []graph.VID
-	auxSW   [][]graph.VID
-	vpSteps []uint64
+	s     *Session
+	m     *engineMetrics // the session's metric set (nil unless Config.Metrics)
+	next  atomic.Int64
+	items []sampleItem
+	sw    []graph.VID
+	auxSW [][]graph.VID
 	// cxs, prefixes and lay are the step's active cohorts (see run).
 	cxs      []*cohortCtx
 	prefixes []uint64
@@ -242,40 +242,63 @@ type sampleTask struct {
 // own seed and writes a disjoint walker range.
 const itemClaim = 4
 
-// RunShard implements pool.Task for the sample stage.
-func (t *sampleTask) RunShard(_, worker, _ int) {
-	s := t.s
-	scr := s.scratches[worker]
+// timedItemWalkers is the walker count from which a work item is timed
+// into core_vp_sample_ns and sampled under its partition's pprof label.
+// Two clock reads, two label switches and an atomic add cost ~130 ns on
+// a 2-vCPU KVM Xeon (the clock pair ~100 ns of it), and sampling costs
+// 8–16 ns per walker-step there, so from this size on the timing is at
+// most ~2% of the item. Smaller items — serving waves average about one
+// walker per item — run under the stage's label, and their time stays
+// in core_sample_step_ns alone.
+const timedItemWalkers = 1024
+
+// RunShard implements pool.Task for the sample stage. The only shard of
+// a one-shard phase (an inline step, or a one-worker pool) samples the
+// whole item list; pooled shards claim items off the shared counter.
+func (t *sampleTask) RunShard(_, worker, workers int) {
+	scr := t.s.scratches[worker]
 	scr.block, scr.base = t.block, t.base
+	if workers == 1 {
+		t.sampleItems(t.items, scr)
+		return
+	}
 	for {
 		end := int(t.next.Add(itemClaim)) + 1
-		if end-itemClaim >= len(t.items) {
+		lo := end - itemClaim
+		if lo >= len(t.items) {
 			return
 		}
-		for idx := end - itemClaim; idx < end && idx < len(t.items); idx++ {
-			it := t.items[idx]
-			scr.src.Reseed(it.seed)
-			chunk := t.sw[it.lo:it.hi]
-			aux := sliceAux(t.auxSW, it.lo, it.hi, &scr.auxView)
-			if m := t.m; m != nil {
-				// Per-item attribution: label the worker with the partition it
-				// is sampling and charge the item's wall time and walker count
-				// to that partition, its kernel kind, and its cohort's walk
-				// shape. All per-item, never per-walker — items are
-				// chunk-sized, so the overhead stays in the noise (measured in
-				// EXPERIMENTS.md).
-				pprof.SetGoroutineLabels(m.vpCtx[it.vp])
-				t0 := time.Now()
-				it.cx.sampleVPScratch(int(it.vp), chunk, aux, scr.src, scr)
-				m.vpSampleNS.Add(int(it.vp), uint64(time.Since(t0)))
-				m.vpWalkerSteps.Add(int(it.vp), uint64(len(chunk)))
-				m.kernelSteps.Add(int(it.cx.kern[it.vp].kind), uint64(len(chunk)))
-				m.cohortSteps.Add(it.cx.class, uint64(len(chunk)))
-			} else {
-				it.cx.sampleVPScratch(int(it.vp), chunk, aux, scr.src, scr)
-			}
-			atomic.AddUint64(&t.vpSteps[it.vp], uint64(len(chunk)))
+		t.sampleItems(t.items[lo:min(end, len(t.items))], scr)
+	}
+}
+
+// sampleItems samples a run of work items on one worker. With metrics,
+// walker-steps per kernel kind and walk shape go into the worker's
+// scratch counters (folded once per step by run), and only items of at
+// least timedItemWalkers walkers pay for a clock pair and a label switch.
+func (t *sampleTask) sampleItems(items []sampleItem, scr *sampleScratch) {
+	m := t.m
+	for i := range items {
+		it := &items[i]
+		scr.src.Reseed(it.seed)
+		chunk := t.sw[it.lo:it.hi]
+		aux := sliceAux(t.auxSW, it.lo, it.hi, &scr.auxView)
+		if m == nil {
+			it.cx.sampleVPScratch(int(it.vp), chunk, aux, scr.src, scr)
+			continue
 		}
+		n := uint64(len(chunk))
+		scr.kernSteps[it.cx.kern[it.vp].kind] += n
+		scr.shapeSteps[it.cx.class] += n
+		if n < timedItemWalkers {
+			it.cx.sampleVPScratch(int(it.vp), chunk, aux, scr.src, scr)
+			continue
+		}
+		pprof.SetGoroutineLabels(m.vpCtx[it.vp])
+		t0 := time.Now()
+		it.cx.sampleVPScratch(int(it.vp), chunk, aux, scr.src, scr)
+		m.vpSampleNS.Add(int(it.vp), uint64(time.Since(t0)))
+		pprof.SetGoroutineLabels(m.sampleCtx)
 	}
 }
 
@@ -286,10 +309,14 @@ func (t *sampleTask) RunShard(_, worker, _ int) {
 // (nil for one cohort). An engine holding its CSR samples all chunks as
 // one group over its Targets; a streamed engine hands the chunks to its
 // block source, which calls back once per group it has loaded and may
-// fail the step.
+// fail the step. Once the stage succeeds its walker-steps are counted
+// once: per partition from the chunk list, which the items partition
+// exactly, into vpSteps (and core_vp_walker_steps), and per kernel kind
+// and walk shape from the workers' scratch counters. A failed stage
+// counts none of them.
 func (t *sampleTask) run(chunks []walk.Chunk, sw []graph.VID, auxSW [][]graph.VID, vpSteps []uint64, cxs []*cohortCtx, prefixes []uint64, lay *cohortLayout) error {
 	e := t.s.e
-	t.sw, t.auxSW, t.vpSteps = sw, auxSW, vpSteps
+	t.sw, t.auxSW = sw, auxSW
 	t.cxs, t.prefixes, t.lay = cxs, prefixes, lay
 	t.nItems, t.subShards = 0, 0
 	var err error
@@ -298,13 +325,31 @@ func (t *sampleTask) run(chunks []walk.Chunk, sw []graph.VID, auxSW [][]graph.VI
 	} else {
 		t.sampleGroup(chunks, e.g.Targets, 0)
 	}
-	if m := t.m; m != nil {
+	t.sw, t.auxSW = nil, nil
+	t.cxs, t.prefixes, t.lay, t.block = nil, nil, nil, nil
+	m := t.m
+	if m != nil {
 		m.sampleItems.Observe(uint64(t.nItems))
 		m.sampleSubShards.Add(uint64(t.subShards))
+		for _, scr := range t.s.scratches {
+			if err == nil {
+				scr.foldSteps(m)
+			}
+			clear(scr.kernSteps[:])
+			clear(scr.shapeSteps[:])
+		}
 	}
-	t.sw, t.auxSW, t.vpSteps = nil, nil, nil
-	t.cxs, t.prefixes, t.lay, t.block = nil, nil, nil, nil
-	return err
+	if err != nil {
+		return err
+	}
+	for _, c := range chunks {
+		n := c.Hi - c.Lo
+		vpSteps[c.VP] += n
+		if m != nil {
+			m.vpWalkerSteps.Add(c.VP, n)
+		}
+	}
+	return nil
 }
 
 // sampleGroup samples the armed step's walkers in a group of its chunks,

@@ -186,6 +186,27 @@ type sampleScratch struct {
 	// index of its first entry, copied from the sample task per claim run.
 	block []graph.VID
 	base  uint64
+	// kernSteps and shapeSteps count, with metrics on, the walker-steps
+	// this worker sampled in the current step per kernel kind and per
+	// walk shape: plain counters the sample stage folds into their metric
+	// vectors once per step (foldSteps).
+	kernSteps  [len(kernelKindNames)]uint64
+	shapeSteps [len(cohortClassNames)]uint64
+}
+
+// foldSteps adds the worker's nonzero per-kernel and per-shape
+// walker-step counts to m's vectors.
+func (scr *sampleScratch) foldSteps(m *engineMetrics) {
+	for k, n := range scr.kernSteps {
+		if n != 0 {
+			m.kernelSteps.Add(k, n)
+		}
+	}
+	for c, n := range scr.shapeSteps {
+		if n != 0 {
+			m.cohortSteps.Add(c, n)
+		}
+	}
 }
 
 // newSampleScratch allocates a scratch with its own generator (reseeded

@@ -30,8 +30,8 @@ type psState struct {
 // shuffled intermediates, the walker arrays the run driver steps, the
 // per-step cohort layout, the sample task and per-worker scratches, the
 // per-run counters, and — when metrics are on — a per-session registry
-// whose snapshot becomes a run's Report and which folds into the engine
-// aggregate on Close.
+// whose snapshot becomes a run's Report and which drains into the
+// engine aggregate on Close.
 //
 // The step state is built on first use and grown in place to the
 // session's high-water walker, channel and cohort counts; it is never
@@ -89,8 +89,10 @@ type Session struct {
 	// context the session's runs bind, never mutated mid-run.
 	ov *Overlay
 
-	// m is the session's metric set (nil unless Config.Metrics): a fresh
-	// registry per acquisition sharing the engine's pprof label contexts.
+	// m is the session's metric set (nil unless Config.Metrics), sharing
+	// the engine's pprof label contexts: built on the session's first
+	// acquisition and reused by every later one, since Close drains it
+	// into the engine aggregate and leaves it zeroed.
 	m *engineMetrics
 
 	closed bool
@@ -134,12 +136,9 @@ func (e *Engine) NewSessionOverlay(ctx context.Context, ov *Overlay) (*Session, 
 	s.ov = ov
 	s.ctx = ctx
 	s.closed = false
-	if e.cfg.Metrics {
+	if s.m == nil && e.cfg.Metrics {
 		s.m = newEngineMetrics(e, e.metrics)
 		s.sample.m = s.m
-	}
-	if s.shuffler != nil {
-		s.shuffler.SetPoolMetrics(s.poolMetrics())
 	}
 	for _, cs := range s.cohorts {
 		cs.cx = cohortCtx{}
@@ -162,7 +161,7 @@ func (e *Engine) newSessionState() *Session {
 	return s
 }
 
-// Close releases the session: its metrics fold into the engine-lifetime
+// Close releases the session: its metrics drain into the engine-lifetime
 // aggregate, it parks on the engine's idle list for reuse, and the
 // engine's Close (if waiting) is unblocked. Idempotent. A held Session
 // must be Closed before Engine.Close can return.
@@ -173,9 +172,7 @@ func (s *Session) Close() {
 	s.closed = true
 	e := s.e
 	if s.m != nil {
-		s.m.reg.FoldInto(e.metrics.reg)
-		s.m = nil
-		s.sample.m = nil
+		s.m.reg.DrainInto(e.metrics.reg)
 	}
 	s.ctx = nil
 	e.mu.Lock()

@@ -209,7 +209,7 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 // RunMixed of two 1-walker cohorts on BenchmarkSparseMixedWave's plan of
 // over 1,500 partitions allocates only its results, under 32 KiB.
 func TestHeldSessionWaveAllocs(t *testing.T) {
-	e := sparseWaveEngine(t)
+	e := sparseWaveEngine(t, false)
 	defer e.Close()
 	s, err := e.NewSession(context.Background())
 	if err != nil {

@@ -174,6 +174,12 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 		m.shuffleFwdStepNS.Observe(uint64(t1.Sub(t0)))
 		m.sampleStepNS.Observe(uint64(t2.Sub(t1)))
 		m.shuffleRevStepNS.Observe(uint64(t3.Sub(t2)))
+		if walk.RunsInline(n) || s.e.pool.Workers() == 1 {
+			// Every phase ran on this goroutine through pool.Inline,
+			// which reads no clock: the step's own span is slot 0's busy
+			// time (on a streamed engine, block waits included).
+			m.pool.BusyNS.Add(0, uint64(t3.Sub(t0)))
+		}
 	}
 	return nil
 }

@@ -21,7 +21,8 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -129,6 +130,9 @@ func (v *CounterVec) Len() int { return len(v.vals) }
 // engine build time under a lock; the returned pointers are then updated
 // directly, so a Registry is never touched on the hot path. Names must be
 // unique — a duplicate registration panics, as it is a programming error.
+// Each section is kept sorted by name as metrics register, so snapshots
+// need no sort and two registries built with the same metric set line
+// up entry for entry.
 type Registry struct {
 	mu       sync.Mutex
 	names    map[string]bool
@@ -149,45 +153,38 @@ func NewRegistry() *Registry {
 	return &Registry{names: map[string]bool{}}
 }
 
-// claim reserves a metric name, panicking on duplicates.
-func (r *Registry) claim(d Desc) {
+// register reserves d's name, panicking on duplicates, and inserts m into
+// the section at its name's sorted position.
+func register[T any](r *Registry, section *[]regEntry[T], d Desc, m T) T {
 	if d.Name == "" {
 		panic("obs: metric with empty name")
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.names[d.Name] {
 		panic(fmt.Sprintf("obs: duplicate metric %q", d.Name))
 	}
 	r.names[d.Name] = true
+	i, _ := slices.BinarySearchFunc(*section, d.Name, func(e regEntry[T], name string) int {
+		return strings.Compare(e.desc.Name, name)
+	})
+	*section = slices.Insert(*section, i, regEntry[T]{d, m})
+	return m
 }
 
 // Counter registers and returns a new counter.
 func (r *Registry) Counter(d Desc) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(d)
-	c := &Counter{}
-	r.counters = append(r.counters, regEntry[*Counter]{d, c})
-	return c
+	return register(r, &r.counters, d, &Counter{})
 }
 
 // Gauge registers and returns a new gauge.
 func (r *Registry) Gauge(d Desc) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(d)
-	g := &Gauge{}
-	r.gauges = append(r.gauges, regEntry[*Gauge]{d, g})
-	return g
+	return register(r, &r.gauges, d, &Gauge{})
 }
 
 // Histogram registers and returns a new histogram.
 func (r *Registry) Histogram(d Desc) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(d)
-	h := &Histogram{}
-	r.hists = append(r.hists, regEntry[*Histogram]{d, h})
-	return h
+	return register(r, &r.hists, d, &Histogram{})
 }
 
 // CounterVec registers and returns a counter vector of length n with
@@ -196,12 +193,7 @@ func (r *Registry) CounterVec(d Desc, n int, labels []string) *CounterVec {
 	if labels != nil && len(labels) != n {
 		panic(fmt.Sprintf("obs: vector %q has %d labels for %d slots", d.Name, len(labels), n))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(d)
-	v := &CounterVec{vals: make([]atomic.Uint64, n), labels: labels}
-	r.vecs = append(r.vecs, regEntry[*CounterVec]{d, v})
-	return v
+	return register(r, &r.vecs, d, &CounterVec{vals: make([]atomic.Uint64, n), labels: labels})
 }
 
 // Snapshot freezes every registered metric into a Report. Metrics are
@@ -227,24 +219,21 @@ func (r *Registry) Snapshot() *Report {
 		}
 		rep.Vectors = append(rep.Vectors, VecSnap{Desc: e.desc, Labels: e.m.labels, Values: vals})
 	}
-	sort.Slice(rep.Counters, func(i, j int) bool { return rep.Counters[i].Name < rep.Counters[j].Name })
-	sort.Slice(rep.Gauges, func(i, j int) bool { return rep.Gauges[i].Name < rep.Gauges[j].Name })
-	sort.Slice(rep.Histograms, func(i, j int) bool { return rep.Histograms[i].Name < rep.Histograms[j].Name })
-	sort.Slice(rep.Vectors, func(i, j int) bool { return rep.Vectors[i].Name < rep.Vectors[j].Name })
 	return rep
 }
 
-// FoldInto accumulates every metric recorded on r into the same-named
-// metric of dst: counters and vector slots add, gauges add their reading,
-// histograms merge count, sum, and buckets. This is the session-to-
-// aggregate path — a per-run registry folds its totals into an engine-
-// lifetime registry built with the same metric set when the run
-// completes. Metrics with no same-named counterpart in dst are skipped;
-// vectors fold over the shorter of the two lengths. Safe for concurrent
-// use with recording and snapshots on either registry, but two
-// registries must not FoldInto each other concurrently in opposite
-// directions.
-func (r *Registry) FoldInto(dst *Registry) {
+// DrainInto moves every metric recorded on r into the same-named metric
+// of dst and leaves r's zeroed: counters and vector slots add, gauges
+// add their reading, histograms merge count, sum, and buckets. Only
+// nonzero values are touched, each swapped out of r, so a value recorded
+// concurrently is moved by this call or stays for the next. This is the
+// session-to-aggregate path — a per-session registry drains its totals
+// into an engine-lifetime registry built with the same metric set when
+// the session closes, and is reused as it stands, with no rebuild and no
+// reset pass. Metrics with no same-named counterpart in dst keep their
+// values; vectors move the shorter of the two lengths. Two registries
+// must not DrainInto each other concurrently in opposite directions.
+func (r *Registry) DrainInto(dst *Registry) {
 	if dst == nil || dst == r {
 		return
 	}
@@ -252,55 +241,52 @@ func (r *Registry) FoldInto(dst *Registry) {
 	defer r.mu.Unlock()
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
-	counters := make(map[string]*Counter, len(dst.counters))
-	for _, e := range dst.counters {
-		counters[e.desc.Name] = e.m
-	}
-	for _, e := range r.counters {
-		if c := counters[e.desc.Name]; c != nil {
-			c.Add(e.m.Value())
+	foldSection(r.counters, dst.counters, func(src, d *Counter) {
+		if src.v.Load() != 0 {
+			d.Add(src.v.Swap(0))
 		}
-	}
-	gauges := make(map[string]*Gauge, len(dst.gauges))
-	for _, e := range dst.gauges {
-		gauges[e.desc.Name] = e.m
-	}
-	for _, e := range r.gauges {
-		if g := gauges[e.desc.Name]; g != nil {
-			g.Add(e.m.Value())
+	})
+	foldSection(r.gauges, dst.gauges, func(src, d *Gauge) {
+		if src.v.Load() != 0 {
+			d.Add(src.v.Swap(0))
 		}
-	}
-	hists := make(map[string]*Histogram, len(dst.hists))
-	for _, e := range dst.hists {
-		hists[e.desc.Name] = e.m
-	}
-	for _, e := range r.hists {
-		h := hists[e.desc.Name]
-		if h == nil {
-			continue
+	})
+	foldSection(r.hists, dst.hists, func(src, d *Histogram) {
+		if src.count.Load() == 0 {
+			return
 		}
-		h.count.Add(e.m.count.Load())
-		h.sum.Add(e.m.sum.Load())
-		for i := 0; i < histBuckets; i++ {
-			if c := e.m.buckets[i].Load(); c != 0 {
-				h.buckets[i].Add(c)
+		d.count.Add(src.count.Swap(0))
+		d.sum.Add(src.sum.Swap(0))
+		for i := range src.buckets {
+			if src.buckets[i].Load() != 0 {
+				d.buckets[i].Add(src.buckets[i].Swap(0))
 			}
 		}
-	}
-	vecs := make(map[string]*CounterVec, len(dst.vecs))
-	for _, e := range dst.vecs {
-		vecs[e.desc.Name] = e.m
-	}
-	for _, e := range r.vecs {
-		v := vecs[e.desc.Name]
-		if v == nil {
-			continue
-		}
-		n := min(e.m.Len(), v.Len())
-		for i := 0; i < n; i++ {
-			if c := e.m.Value(i); c != 0 {
-				v.Add(i, c)
+	})
+	foldSection(r.vecs, dst.vecs, func(src, d *CounterVec) {
+		n := min(len(src.vals), len(d.vals))
+		for i := range src.vals[:n] {
+			if src.vals[i].Load() != 0 {
+				d.vals[i].Add(src.vals[i].Swap(0))
 			}
+		}
+	})
+}
+
+// foldSection applies fold to every metric of src and its same-named
+// counterpart in dst. Both sections are name-sorted, so one merge walk
+// pairs them.
+func foldSection[T any](src, dst []regEntry[T], fold func(src, dst T)) {
+	j := 0
+	for _, e := range src {
+		for j < len(dst) && dst[j].desc.Name < e.desc.Name {
+			j++
+		}
+		if j == len(dst) {
+			return
+		}
+		if dst[j].desc.Name == e.desc.Name {
+			fold(e.m, dst[j].m)
 		}
 	}
 }

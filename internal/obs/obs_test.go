@@ -149,6 +149,43 @@ func TestSnapshotStableEncoding(t *testing.T) {
 	}
 }
 
+// TestDrainInto pins the session-to-aggregate move: every metric the two
+// registries share, registered in different orders, lands in dst by name
+// and is zero in the source afterwards, so a second drain moves nothing;
+// a metric dst lacks keeps its value, and a vector moves the shorter
+// length.
+func TestDrainInto(t *testing.T) {
+	d := func(name string) Desc { return Desc{Name: name, Unit: "count", Stage: "test"} }
+	src, dst := NewRegistry(), NewRegistry()
+	sc, sg, sh := src.Counter(d("c")), src.Gauge(d("g")), src.Histogram(d("h"))
+	sv, only := src.CounterVec(d("v"), 3, nil), src.Counter(d("only-src"))
+	dv, dh, dg, dc := dst.CounterVec(d("v"), 2, nil), dst.Histogram(d("h")), dst.Gauge(d("g")), dst.Counter(d("c"))
+	dc.Add(1)
+	sc.Add(4)
+	sg.Set(-3)
+	sh.Observe(5)
+	sh.Observe(0)
+	sv.Add(0, 7)
+	sv.Add(2, 9)
+	only.Add(2)
+	for range 2 {
+		src.DrainInto(dst)
+	}
+	if dc.Value() != 5 || dg.Value() != -3 || dh.Count() != 2 || dh.Sum() != 5 || dv.Value(0) != 7 || dv.Value(1) != 0 {
+		t.Errorf("dst after drain: counter %d gauge %d hist %d/%d vec %d,%d; want 5 -3 2/5 7,0",
+			dc.Value(), dg.Value(), dh.Count(), dh.Sum(), dv.Value(0), dv.Value(1))
+	}
+	if sc.Value() != 0 || sg.Value() != 0 || sh.Count() != 0 || sh.Sum() != 0 || sv.Value(0) != 0 {
+		t.Error("drained source metrics are not zero")
+	}
+	if sv.Value(2) != 9 || only.Value() != 2 {
+		t.Errorf("cells dst lacks: vec[2] %d, only-src %d; want 9, 2 left in place", sv.Value(2), only.Value())
+	}
+	if rep := dst.Snapshot(); len(rep.Histograms) != 1 || len(rep.Histograms[0].Buckets) != 2 {
+		t.Errorf("drained histogram buckets = %+v, want two", rep.Histograms)
+	}
+}
+
 // TestDuplicateNamePanics locks the unique-name contract.
 func TestDuplicateNamePanics(t *testing.T) {
 	r := NewRegistry()

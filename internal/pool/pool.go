@@ -16,8 +16,9 @@
 // context applied to the workers for the duration of the phase — so
 // concurrent sessions account their pool time separately. Either may be
 // nil and costs one nil check per phase when off. Inline runs a phase
-// too small to be worth a handoff on the caller alone, with the same
-// accounting and labels and without touching the pool.
+// too small to be worth a handoff on the caller alone, with the same run
+// count and labels and without touching the pool; its busy time is the
+// caller's to charge.
 package pool
 
 import (
@@ -151,20 +152,18 @@ func (p *pool) Submit(t Task, phase int, ctx context.Context, m *obs.PoolMetrics
 // for every phase. Callers whose phase is too small to pay for a handoff
 // to the workers use it directly: it touches no pool state, so inline
 // phases from concurrent sessions neither serialize on the pool nor
-// wait at its barrier. Accounting matches a pooled phase: m (if non-nil)
-// counts one run and charges the shard's time to slot 0; ctx's labels
-// (if non-nil) cover the shard and are reset to none afterwards.
+// wait at its barrier. m (if non-nil) counts one run, and ctx's labels
+// (if non-nil) cover the shard and are reset to none afterwards. Inline
+// reads no clock: a phase this small is a few hundred nanoseconds, so
+// the caller, which times its whole step anyway, charges slot 0's busy
+// time once per step instead of per phase.
 func Inline(t Task, phase int, ctx context.Context, m *obs.PoolMetrics) {
 	if ctx != nil {
 		pprof.SetGoroutineLabels(ctx)
 	}
+	t.RunShard(phase, 0, 1)
 	if m != nil {
-		t0 := time.Now()
-		t.RunShard(phase, 0, 1)
-		m.BusyNS.Add(0, uint64(time.Since(t0)))
 		m.Runs.Inc()
-	} else {
-		t.RunShard(phase, 0, 1)
 	}
 	if ctx != nil {
 		pprof.SetGoroutineLabels(context.Background())

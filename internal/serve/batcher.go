@@ -67,21 +67,13 @@ type engineGroup struct {
 	// dyn, when non-nil, makes the group dynamic: each wave pins the
 	// current epoch snapshot for its run (walk-on-snapshot), so a wave is
 	// never invalidated by a concurrent freeze or compaction and never
-	// mixes epochs. Sessions are per-wave — epoch builds come and go, so
-	// there is no pool to amortize into (sys and sessions are nil).
+	// mixes epochs (sys is nil).
 	dyn     *flashmob.DynamicSystem
 	queue   chan *pending
 	batches chan []*pending
 	// free recycles batch slices between executors and the dispatcher so
 	// the steady-state dispatch path allocates nothing per batch.
 	free chan []*pending
-	// sessions pools engine sessions across waves (capacity Executors):
-	// acquiring a session allocates walker arrays and per-cohort slots, so
-	// reusing one turns that into a per-group rather than per-wave cost.
-	// Mixed runs rebind every cohort slot from its spec before stepping,
-	// which makes a pooled session's runs bitwise-identical to a fresh
-	// session's — Server.Close drains and closes whatever is pooled.
-	sessions chan *flashmob.Session
 }
 
 // Enqueue errors, mapped to HTTP by the handler.
@@ -348,13 +340,15 @@ func (g *engineGroup) execute(ws *waveScratch, batch []*pending) {
 	}
 }
 
-// walkMixed performs the wave's engine run on a pooled session,
-// acquiring a fresh one only when the pool is empty. Reuse does not cost
-// reproducibility: a mixed run rebinds every cohort slot from its spec
-// and walker count — kernel template, PS buffers, cursors — before the
-// first step, so each cohort's trajectories depend only on (build,
-// algorithm, seed, walkers, steps), exactly as on a fresh session. A session whose run failed is closed
-// rather than pooled; a healthy one goes back unless the pool is full.
+// walkMixed performs the wave's engine run. A local wave runs on a
+// session of the system's own: closing it drains the wave's engine
+// metrics into the system aggregate GET /metrics reports, and parks it,
+// step state included, on the engine's idle list for the next wave.
+// Reuse does not cost reproducibility: a mixed run rebinds every cohort
+// slot from its spec and walker count — kernel template, PS buffers,
+// cursors — before the first step, so each cohort's trajectories depend
+// only on (build, algorithm, seed, walkers, steps), exactly as on a
+// fresh session.
 func (g *engineGroup) walkMixed(cohorts []flashmob.CohortSpec) (*flashmob.MixedResult, uint64, error) {
 	if g.dyn != nil {
 		// Dynamic mode: pin the current epoch for the whole wave. The
@@ -380,27 +374,8 @@ func (g *engineGroup) walkMixed(cohorts []flashmob.CohortSpec) (*flashmob.MixedR
 		res, err := g.sharded.WalkMixed(context.Background(), cohorts)
 		return res, 0, err
 	}
-	var sess *flashmob.Session
-	select {
-	case sess = <-g.sessions:
-	default:
-		var err error
-		sess, err = g.sys.NewSession(context.Background())
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	res, err := sess.WalkMixed(cohorts)
-	if err != nil {
-		sess.Close()
-		return nil, 0, err
-	}
-	select {
-	case g.sessions <- sess:
-	default:
-		sess.Close()
-	}
-	return res, 0, nil
+	res, err := g.sys.WalkMixed(cohorts)
+	return res, 0, err
 }
 
 // fail answers every request of every group with the mapped engine

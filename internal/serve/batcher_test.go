@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"flashmob"
 )
 
 // fakeClock is a hand-advanced clock standing in for Server.now.
@@ -89,12 +87,11 @@ func TestShedAndLatencyFakeClock(t *testing.T) {
 	defer sys.Close()
 	s := &Server{cfg: Config{MaxWait: time.Millisecond}.withDefaults(), m: newServeMetrics(), now: clk.Now}
 	g := &engineGroup{
-		s:        s,
-		sys:      sys,
-		queue:    make(chan *pending, 8),
-		batches:  make(chan []*pending, 8),
-		free:     make(chan []*pending, 2),
-		sessions: make(chan *flashmob.Session, 1),
+		s:       s,
+		sys:     sys,
+		queue:   make(chan *pending, 8),
+		batches: make(chan []*pending, 8),
+		free:    make(chan []*pending, 2),
 	}
 	b := &backend{name: "deepwalk", sys: sys, spec: spec, g: g}
 	mk := func(timeout time.Duration) *pending {
@@ -156,15 +153,6 @@ func TestShedAndLatencyFakeClock(t *testing.T) {
 
 	close(g.queue)
 	s.wg.Wait()
-	for {
-		select {
-		case sess := <-g.sessions:
-			sess.Close()
-			continue
-		default:
-		}
-		break
-	}
 	if got := s.m.queueDepth.Value(); got != 0 {
 		t.Fatalf("queueDepth = %d after drain, want 0", got)
 	}

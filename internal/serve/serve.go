@@ -9,8 +9,9 @@
 // one shared engine run pays it once. The server therefore admits
 // requests into a bounded queue, a per-engine micro-batcher collects
 // them into batches (closed by a max-walkers budget or a max-wait
-// window), and executors run each batch on pooled engine sessions,
-// demuxing per-request slices of the walker array back to the callers.
+// window), and executors run each batch on one of the engine's parked
+// sessions, demuxing per-request slices of the walker array back to the
+// callers.
 //
 // Batches mix algorithms: backends that share one built system share one
 // queue, and each wave executes as a single mixed-cohort engine run
@@ -28,7 +29,7 @@
 // wave's run, and mixed runs rebind every cohort from its spec before
 // stepping, so its trajectories are a pure function of (build, algorithm,
 // seed, walkers, steps) — identical whether it rode a batch alone,
-// coalesced with others, or executed on a pooled session an earlier wave
+// coalesced with others, or executed on a parked session an earlier wave
 // used. Unseeded requests share one per-batch-seeded cohort and are
 // sliced out of its walker array.
 //
@@ -244,12 +245,11 @@ func New(backends []Backend, cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("serve: backend %q: %w", bk.Name, err)
 			}
 			g = &engineGroup{
-				s:        s,
-				sys:      bk.Sys,
-				queue:    make(chan *pending, s.cfg.QueueDepth),
-				batches:  make(chan []*pending),
-				free:     make(chan []*pending, s.cfg.Executors+1),
-				sessions: make(chan *flashmob.Session, s.cfg.Executors),
+				s:       s,
+				sys:     bk.Sys,
+				queue:   make(chan *pending, s.cfg.QueueDepth),
+				batches: make(chan []*pending),
+				free:    make(chan []*pending, s.cfg.Executors+1),
 			}
 			bySys[bk.Sys] = g
 			s.groups = append(s.groups, g)
@@ -339,17 +339,6 @@ func (s *Server) Close() {
 		if g.dyn != nil {
 			g.dyn.Close()
 			continue
-		}
-		// Drain the session pool before closing the system: System.Close
-		// blocks until every open session closes.
-		for {
-			select {
-			case sess := <-g.sessions:
-				sess.Close()
-				continue
-			default:
-			}
-			break
 		}
 		g.sys.Close()
 	}

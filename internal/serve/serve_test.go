@@ -145,6 +145,70 @@ func TestWalkEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMetricsReflectServedWaves pins GET /metrics to the waves a
+// metrics-on server executes: each wave's engine run folds into the
+// system aggregate before its responses go out, so after 20 sequential
+// walks the engine counters account for every wave, plus the one-walker
+// probe run New makes.
+func TestMetricsReflectServedWaves(t *testing.T) {
+	g, err := flashmob.Generate("YT", 500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := flashmob.DeepWalk()
+	sys, err := flashmob.New(g, flashmob.Options{
+		Algorithm: spec, Seed: 7, Workers: 2, RecordPaths: true, Metrics: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New([]Backend{{Name: "deepwalk", Sys: sys, Spec: spec}}, Config{MaxWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer func() { hs.Close(); s.Close() }()
+
+	const walks, walkers, steps = 20, 3, 4
+	for i := 0; i < walks; i++ {
+		if status, data := postWalk(t, hs.URL, WalkRequest{Walkers: walkers, Steps: steps}); status != 200 {
+			t.Fatalf("walk %d: status %d body %s", i, status, data)
+		}
+	}
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mr MetricsResponse
+	err = json.NewDecoder(resp.Body).Decode(&mr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waves, ok := mr.Server.Counter("serve_runs_total")
+	if !ok || waves.Value == 0 || waves.Value > walks {
+		t.Fatalf("serve_runs_total = %+v, want 1..%d", waves, walks)
+	}
+	if len(mr.Engines) != 1 || mr.Engines[0].Report == nil {
+		t.Fatalf("/metrics engines = %+v, want one report", mr.Engines)
+	}
+	rep := mr.Engines[0].Report
+	want := map[string]uint64{
+		"core_runs_total":       waves.Value + 1,
+		"core_mixed_runs_total": waves.Value,
+		"core_walkers_total":    walks*walkers + 1,
+		"core_steps_total":      waves.Value*steps + 1,
+	}
+	for name, v := range want {
+		if c, ok := rep.Counter(name); !ok || c.Value != v {
+			t.Errorf("%s = %+v, want %d", name, c, v)
+		}
+	}
+	if vp, ok := rep.Vector("core_vp_walker_steps"); !ok || vp.Total() != walks*walkers*steps+1 {
+		t.Errorf("core_vp_walker_steps total = %d, want %d", vp.Total(), walks*walkers*steps+1)
+	}
+}
+
 // TestValidation exercises the 400/405 surface.
 func TestValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{MaxWait: time.Millisecond})
