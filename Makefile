@@ -31,10 +31,9 @@ bench-shuffle:
 bench-shuffle-component:
 	$(GO) test -run NONE -bench BenchmarkComponentShuffle -benchtime 3x .
 
-# The §4.2 sample-stage measurement at DRAM scale: generic scalar path vs
-# per-partition specialized kernels across the partition classes
-# {PS, DS-regular, DS-CSR, weighted, node2vec}. Writes a raw BENCH_sample.json
-# under bench/out/.
+# The §4.2 sample-stage measurement at DRAM scale: the per-partition
+# kernels across the partition classes {PS, DS-regular, DS-CSR,
+# weighted, node2vec}. Writes a raw BENCH_sample.json under bench/out/.
 bench-sample:
 	@mkdir -p bench/out
 	$(GO) run ./cmd/fmbench -exp sample -outdir bench/out
@@ -54,9 +53,9 @@ bench-serve:
 	$(GO) run ./cmd/fmbench -exp serve -outdir bench/out
 
 # Mixed-cohort batch execution under closed-loop mixed-algorithm
-# traffic: one mixed run per wave vs the fragmented per-(algorithm,
-# steps) baseline, mean/std over 5 repeats. Writes a raw BENCH_mixed.json
-# under bench/out/ (docs/SERVING.md).
+# traffic: one mixed run per wave vs one run per request
+# (MaxBatchRequests 1), mean/std over 5 repeats. Writes a raw
+# BENCH_mixed.json under bench/out/ (docs/SERVING.md).
 bench-mixed:
 	@mkdir -p bench/out
 	$(GO) run ./cmd/fmbench -exp mixed -repeats 5 -outdir bench/out

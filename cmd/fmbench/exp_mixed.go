@@ -18,13 +18,13 @@ var mixedAlgos = []string{"deepwalk", "node2vec", "pagerank"}
 // mixedVariant is one measured server configuration under the same
 // closed-loop mixed-algorithm load, aggregated over repeats.
 type mixedVariant struct {
-	Name            string `json:"name"`
-	SplitCohortRuns bool   `json:"split_cohort_runs"`
+	Name             string `json:"name"`
+	MaxBatchRequests int    `json:"max_batch_requests"`
 	loadStats
 	RunsPerBatch  float64 `json:"runs_per_batch"`
 	CohortsPerRun float64 `json:"mean_run_cohorts"`
 	RunMS         float64 `json:"mean_run_ms"`
-	Speedup       float64 `json:"goodput_vs_split"`
+	Speedup       float64 `json:"goodput_vs_batch1"`
 }
 
 // mixedReport is the schema of BENCH_mixed.json.
@@ -46,18 +46,18 @@ type mixedReport struct {
 // expMixed measures what mixed-cohort execution buys a walk-query
 // service under realistic heterogeneous traffic: the same closed-loop
 // load — seeded (reproducible) uniform + node2vec + PPR requests of
-// 8/32/128 walkers at half/1x/2x the configured step count — is served
-// once with SplitCohortRuns and once with mixed-cohort runs, where a
-// whole wave is one engine run whatever algorithms and step counts it
-// holds (shorter cohorts retire from the sweep early). Every request
-// carries a seed because that is the traffic mixed execution exists
-// for: a seeded request needs a private cohort (its trajectories may
-// not depend on its neighbors), so without mixed runs it cannot
-// coalesce at all — the fragmented baseline degenerates to one engine
-// run per request, paying the session, walker-array, and
-// partition-sweep overhead once per request per wave, while the mixed
-// server pays it once for the whole wave. Closed-loop clients keep
-// both servers saturated, so the goodput ratio is the capacity ratio.
+// 8/32/128 walkers at 2x/4x/8x the configured step count — is served
+// once by a MaxBatchRequests 1 server and once by a coalescing one,
+// where a whole wave is one mixed-cohort engine run whatever algorithms
+// and step counts it holds (shorter cohorts retire from the sweep
+// early). Every request carries a seed because that is the traffic
+// mixed execution exists for: a seeded request needs a private cohort
+// (its trajectories may not depend on its neighbors), so without mixed
+// runs it cannot coalesce at all — the fragmented baseline is one
+// engine run per request, paying the session, walker-array, and
+// partition-sweep overhead once per request, while the mixed server
+// pays it once for the whole wave. Closed-loop clients keep both
+// servers saturated, so the goodput ratio is the capacity ratio.
 func expMixed(w io.Writer, cfg benchConfig) error {
 	const graphName = "YH"
 	g, err := presetGraphSized(graphName, cfg, cfg.MinCSR)
@@ -101,18 +101,18 @@ func expMixed(w io.Writer, cfg benchConfig) error {
 	}
 
 	variants := []struct {
-		name  string
-		split bool
+		name     string
+		batchCap int
 	}{
-		{"split-cohort-runs", true},
-		{"mixed", false},
+		{"batch1", 1},
+		{"mixed", batchCap},
 	}
-	row(w, "variant", "served", "req/s", "goodput", "p50-ms", "p99-ms", "run-ms", "runs/batch", "cohorts/run", "vs-split")
+	row(w, "variant", "served", "req/s", "goodput", "p50-ms", "p99-ms", "run-ms", "runs/batch", "cohorts/run", "vs-batch1")
 	var base float64
 	for _, vc := range variants {
 		runs := make([]mixedVariant, 0, reps)
 		for r := 0; r < reps; r++ {
-			one, err := runMixedVariant(g, cfg, vc.name, vc.split, clients, perClient, executors, batchCap, mix, stepsMix)
+			one, err := runMixedVariant(g, cfg, vc.name, clients, perClient, executors, vc.batchCap, mix, stepsMix)
 			if err != nil {
 				return err
 			}
@@ -135,8 +135,8 @@ func expMixed(w io.Writer, cfg benchConfig) error {
 // newMixedServeServer builds one shared system (DeepWalk build primary)
 // serving all three algorithm backends — the cmd/fmserve shared-build
 // topology — on an ephemeral port. Both variants share the build, so the
-// split/mixed ratio isolates run fragmentation.
-func newMixedServeServer(fg *flashmob.Graph, cfg benchConfig, split bool, executors, batchCap int) (*loadServer, error) {
+// batch1/mixed ratio isolates run fragmentation.
+func newMixedServeServer(fg *flashmob.Graph, cfg benchConfig, executors, batchCap int) (*loadServer, error) {
 	sys, err := flashmob.New(fg, flashmob.Options{
 		Algorithm: flashmob.DeepWalk(), Workers: cfg.Workers, Seed: cfg.Seed, RecordPaths: true,
 	})
@@ -152,15 +152,14 @@ func newMixedServeServer(fg *flashmob.Graph, cfg benchConfig, split bool, execut
 		MaxBatchRequests: batchCap,
 		Executors:        executors,
 		Seed:             cfg.Seed,
-		SplitCohortRuns:  split,
 	}, sys.Close)
 }
 
 // runMixedVariant drives one closed-loop repeat against a fresh server
 // and folds the client- and server-side observations into a
 // mixedVariant.
-func runMixedVariant(fg *flashmob.Graph, cfg benchConfig, name string, split bool, clients, perClient, executors, batchCap int, mix, stepsMix []int) (mixedVariant, error) {
-	ls, err := newMixedServeServer(fg, cfg, split, executors, batchCap)
+func runMixedVariant(fg *flashmob.Graph, cfg benchConfig, name string, clients, perClient, executors, batchCap int, mix, stepsMix []int) (mixedVariant, error) {
+	ls, err := newMixedServeServer(fg, cfg, executors, batchCap)
 	if err != nil {
 		return mixedVariant{}, err
 	}
@@ -176,9 +175,8 @@ func runMixedVariant(fg *flashmob.Graph, cfg benchConfig, name string, split boo
 		// Closed-loop clients advance in near-lockstep (a wave releases
 		// them together), so offset the rotations by client: at any
 		// instant the client population covers all three algorithms at
-		// all three step counts and walker sizes, and every wave
-		// fragments the split baseline into its full per-(algorithm,
-		// steps) group spread.
+		// all three step counts and walker sizes, and every mixed wave
+		// carries its full per-(algorithm, steps) group spread.
 		seed := uint64(1 + c*perClient + j) // reproducible queries: unique seed per request
 		return serve.WalkRequest{
 			Algorithm: mixedAlgos[(c+j)%len(mixedAlgos)],
@@ -188,7 +186,7 @@ func runMixedVariant(fg *flashmob.Graph, cfg benchConfig, name string, split boo
 		}
 	})
 
-	v := mixedVariant{Name: name, SplitCohortRuns: split, loadStats: tallyLoad(results, wall)}
+	v := mixedVariant{Name: name, MaxBatchRequests: batchCap, loadStats: tallyLoad(results, wall)}
 	m := ls.srv.Metrics()
 	runsC, _ := m.Counter("serve_runs_total")
 	batchesC, _ := m.Counter("serve_batches_total")

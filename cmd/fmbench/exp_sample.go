@@ -26,7 +26,6 @@ const (
 // sampleVariant is one measured sample-stage configuration.
 type sampleVariant struct {
 	Workload string `json:"workload"`
-	Path     string `json:"path"` // "scalar" or "kernels"
 	Workers  int    `json:"workers"`
 	// Walkers is the run's walker count: the report's, raised to the
 	// engine's sparse switch where that is higher, so a PS workload
@@ -106,10 +105,9 @@ func sampleWorkloads() []sampleWorkload {
 	}
 }
 
-// expSample measures the §4.2 sample stage at DRAM scale: the generic
-// scalar path (per-walker policy dispatch, interface-typed RNG draws)
-// against the per-partition specialized kernels, across worker counts and
-// the partition classes {PS, DS-regular, DS-CSR, weighted, node2vec}.
+// expSample measures the §4.2 sample stage at DRAM scale: the
+// per-partition kernels across worker counts and the partition classes
+// {PS, DS-regular, DS-CSR, weighted, node2vec}.
 // The metric is sample-stage nanoseconds per walker-step from the
 // engine's stage split, so shuffle cost is excluded. Results land in
 // BENCH_sample.json next to the table.
@@ -132,43 +130,35 @@ func expSample(w io.Writer, cfg benchConfig) error {
 		workerCounts = append(workerCounts, cfg.Workers)
 	}
 
-	row(w, "workload", "path", "workers", "sample-ns/step", "total-ns/step")
+	row(w, "workload", "workers", "sample-ns/step", "total-ns/step")
 	for _, wl := range sampleWorkloads() {
 		g, spec, planner, err := wl.build(cfg)
 		if err != nil {
 			return err
 		}
 		for _, workers := range workerCounts {
-			for _, scalar := range []bool{true, false} {
-				e, err := flashMobEngine(g, spec, cfg, func(c *core.Config) {
-					c.Workers = workers
-					c.Planner = planner
-					c.ScalarSample = scalar
-				})
-				if err != nil {
-					return err
-				}
-				n := max(walkers, e.SparseSwitch())
-				res, err := e.Run(n, steps)
-				e.Close()
-				if err != nil {
-					return err
-				}
-				path := "kernels"
-				if scalar {
-					path = "scalar"
-				}
-				v := sampleVariant{
-					Workload: wl.name,
-					Path:     path,
-					Workers:  workers,
-					Walkers:  n,
-					SampleNS: float64(res.SampleTime.Nanoseconds()) / float64(res.TotalSteps),
-					TotalNS:  res.PerStepNS(),
-				}
-				rep.Variants = append(rep.Variants, v)
-				row(w, wl.name, path, fmt.Sprintf("%d", workers), ns(v.SampleNS), ns(v.TotalNS))
+			e, err := flashMobEngine(g, spec, cfg, func(c *core.Config) {
+				c.Workers = workers
+				c.Planner = planner
+			})
+			if err != nil {
+				return err
 			}
+			n := max(walkers, e.SparseSwitch())
+			res, err := e.Run(n, steps)
+			e.Close()
+			if err != nil {
+				return err
+			}
+			v := sampleVariant{
+				Workload: wl.name,
+				Workers:  workers,
+				Walkers:  n,
+				SampleNS: float64(res.SampleTime.Nanoseconds()) / float64(res.TotalSteps),
+				TotalNS:  res.PerStepNS(),
+			}
+			rep.Variants = append(rep.Variants, v)
+			row(w, wl.name, fmt.Sprintf("%d", workers), ns(v.SampleNS), ns(v.TotalNS))
 		}
 		// Free the workload's graph (and any engine-sized state) before
 		// the next one allocates.

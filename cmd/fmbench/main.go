@@ -73,10 +73,10 @@ var experiments = []experiment{
 	{"fig11b", "FlashMob speed vs walker count (density sweep on TW)", expFig11b},
 	{"fig12", "NUMA modes: FlashMob-P vs FlashMob-R (time, density, remote accesses)", expFig12},
 	{"shuffle", "§4.3 shuffle stage at DRAM scale: the engine's shuffle per worker count + end-to-end split (writes BENCH_shuffle.json)", expShuffle},
-	{"sample", "§4.2 sample stage at DRAM scale: scalar vs specialized kernels across partition classes (writes BENCH_sample.json)", expSample},
+	{"sample", "§4.2 sample stage at DRAM scale: per-partition kernels across partition classes (writes BENCH_sample.json)", expSample},
 	{"concurrent", "concurrent sessions on one engine build: aggregate walker-steps/s vs session count (writes BENCH_concurrent.json)", expConcurrent},
 	{"serve", "walk-query serving: open-loop load on batch-size-1 vs coalescing windows (writes BENCH_serve.json)", expServe},
-	{"mixed", "mixed-algorithm serving: one mixed-cohort run per wave vs the fragmented per-(algorithm, steps) baseline (writes BENCH_mixed.json)", expMixed},
+	{"mixed", "mixed-algorithm serving: one mixed-cohort run per wave vs one run per request (MaxBatchRequests 1) (writes BENCH_mixed.json)", expMixed},
 	{"shard", "sharded topology sweep: shard count x transport (chan, TCP pair) vs the single engine on identical cohorts (writes BENCH_shard.json)", expShard},
 	{"dynamic", "ingest-under-load: walk goodput and tail latency while an edge stream freezes epochs and compactions swap the engine (writes BENCH_dynamic.json)", expDynamic},
 	{"prep", "pre-processing overhead: counting sort + MCKP planning", expPrep},

@@ -66,7 +66,6 @@ func main() {
 		queueDepth  = flag.Int("queue-depth", 256, "admission queue bound per algorithm")
 		executors   = flag.Int("executors", 2, "concurrent batch executions per algorithm")
 		timeout     = flag.Duration("timeout", 2*time.Second, "default request deadline")
-		splitRuns   = flag.Bool("split-cohort-runs", false, "one engine run per (algorithm, steps) cohort instead of one mixed run per wave (benchmark baseline)")
 
 		dynamic        = flag.Bool("dynamic", false, "serve a dynamic graph: POST /v1/ingest appends edges, walks run on epoch snapshots (first-order algorithms only)")
 		compactEvery   = flag.Int("compact-every", 4, "dynamic mode: background-compact after this many freezes (0 = explicit only)")
@@ -188,7 +187,7 @@ func main() {
 		fmt.Printf("fmserve: dynamic mode (compact every %d freezes, drift threshold %g)\n",
 			*compactEvery, *driftThreshold)
 		runServer(backends, serveConfig(*maxWalkers, *maxRequests, *window, *queueDepth,
-			*executors, *timeout, *seed, *splitRuns), *addr)
+			*executors, *timeout, *seed), *addr)
 		return
 	}
 
@@ -228,12 +227,12 @@ func main() {
 	}
 
 	runServer(backends, serveConfig(*maxWalkers, *maxRequests, *window, *queueDepth,
-		*executors, *timeout, *seed, *splitRuns), *addr)
+		*executors, *timeout, *seed), *addr)
 }
 
 // serveConfig assembles the serve.Config both serving modes share.
 func serveConfig(maxWalkers, maxRequests int, window time.Duration, queueDepth, executors int,
-	timeout time.Duration, seed uint64, splitRuns bool) serve.Config {
+	timeout time.Duration, seed uint64) serve.Config {
 	return serve.Config{
 		MaxBatchWalkers:  maxWalkers,
 		MaxBatchRequests: maxRequests,
@@ -242,7 +241,6 @@ func serveConfig(maxWalkers, maxRequests int, window time.Duration, queueDepth, 
 		Executors:        executors,
 		DefaultTimeout:   timeout,
 		Seed:             seed,
-		SplitCohortRuns:  splitRuns,
 	}
 }
 

@@ -37,7 +37,8 @@ type Spec struct {
 	Custom *Transition
 	// History, when non-nil, defines an order-k transition over a bounded
 	// history window (see KTransition). Order must equal
-	// History.Window+1.
+	// History.Window+1, and StopProb must be 0: order-k walks have no
+	// restart path.
 	History *KTransition
 }
 
@@ -55,6 +56,11 @@ func (s Spec) Validate() error {
 		}
 		if s.History.Weight == nil || s.History.MaxWeight <= 0 {
 			return fmt.Errorf("algo: history transition needs a weight function and positive MaxWeight")
+		}
+		if s.StopProb != 0 {
+			// The order-k sampler has no restart path: a stop probability
+			// would be silently ignored.
+			return fmt.Errorf("algo: history transitions do not support a stop probability")
 		}
 	} else if s.Order != 1 && s.Order != 2 {
 		return fmt.Errorf("algo: order %d unsupported without a history transition", s.Order)

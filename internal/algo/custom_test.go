@@ -105,6 +105,8 @@ func TestHigherOrderValidation(t *testing.T) {
 			Weight: func(g *graph.CSR, h []graph.VID, c, x graph.VID) float64 { return 1 }}}, // bad bound
 		{Order: 1, Steps: 1, History: &KTransition{Window: 0, MaxWeight: 1,
 			Weight: func(g *graph.CSR, h []graph.VID, c, x graph.VID) float64 { return 1 }}}, // window 0
+		{Order: 3, Steps: 1, StopProb: 0.3, History: &KTransition{Window: 2, MaxWeight: 1,
+			Weight: func(g *graph.CSR, h []graph.VID, c, x graph.VID) float64 { return 1 }}}, // restarts
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

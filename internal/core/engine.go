@@ -92,12 +92,6 @@ type Config struct {
 	MemoryBudget uint64
 	// RecordHistory keeps every W_i array so paths can be produced.
 	RecordHistory bool
-	// ScalarSample routes the sample stage through the generic scalar
-	// path instead of the per-partition specialized kernels. The two
-	// paths produce bitwise-identical trajectories (sample_equiv_test.go);
-	// this switch exists for the fmbench scalar-vs-kernels comparison and
-	// the equivalence tests themselves.
-	ScalarSample bool
 	// Metrics enables the observability layer (internal/obs): per-stage
 	// and per-partition counters and latency histograms collected on a
 	// per-session registry (each Result.Report describes its own run),
@@ -157,9 +151,8 @@ type Engine struct {
 	// sparse and sparseUW are the sparse template over the same VP
 	// boundaries: every partition the plan marks PS uses its DS kernel
 	// instead. Cohorts of fewer than sparseSwitch walkers bind it (see
-	// bindsPlan); noPS is the all-nil PS state list their contexts carry.
+	// bindsPlan).
 	sparse, sparseUW []vpKernel
-	noPS             []*psState
 
 	// sparseSwitch is W*, the walker count from which the plan's PS
 	// partitions price no more than direct sampling them (part.SparseSwitch
@@ -281,8 +274,8 @@ type BlockSource interface {
 // plan over them. Its sample stage reads each partition's edges from the
 // blocks src supplies instead of an edge array, so it refuses every path
 // that would read one: PS partitions, weighted, second-order and history
-// specs, ScalarSample, and — at admission — overlays and such cohorts. The
-// graph need not be degree-sorted.
+// specs, and — at admission — overlays and such cohorts. The graph need
+// not be degree-sorted.
 func NewStreamed(offsets []uint64, spec algo.Spec, src BlockSource, cfg Config) (*Engine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -292,9 +285,6 @@ func NewStreamed(offsets []uint64, spec algo.Spec, src BlockSource, cfg Config) 
 	}
 	if src == nil || cfg.Plan == nil {
 		return nil, fmt.Errorf("core: a streamed engine needs a block source and a plan")
-	}
-	if cfg.ScalarSample {
-		return nil, fmt.Errorf("core: a streamed engine has no scalar sample path")
 	}
 	if err := cfg.Plan.Validate(); err != nil {
 		return nil, fmt.Errorf("core: supplied plan invalid: %w", err)
@@ -350,7 +340,6 @@ func (e *Engine) setPlan(plan *part.Plan) error {
 		}
 		e.psVP[i] = vp.Policy == profile.PS
 	}
-	e.noPS = make([]*psState, plan.NumVPs())
 	if e.cfg.Metrics {
 		e.metrics = newEngineMetrics(e, nil)
 	}

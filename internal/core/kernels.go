@@ -9,21 +9,19 @@ import (
 
 // Specialized per-partition sample kernels (§4.2).
 //
-// The scalar path in sample.go decides PS-vs-DS-vs-weighted per walker
-// (sampleFirst re-tests c.ps[vpIdx], e.regularDeg[vpIdx], and c.weighted
-// on every step) and draws every random number through the rng.Source
-// interface — a dynamic dispatch per Uint64(). Both costs are pure
-// overhead: the policy decision is invariant across a partition's whole
-// chunk, and the generator's concrete type is known at the call site.
-// The kernels here resolve the policy once at engine build time and take
-// the concrete *rng.XorShift1024Star so the xorshift1024* state update
+// The sampling policy (PS, DS over a uniform-degree block, DS over CSR,
+// and their weighted forms) is invariant across a partition's whole
+// chunk, so it is resolved once at engine build time into one kernel per
+// partition, and every walk shape — first-order chunks, second-order
+// rejection, order-k history rejection — draws through that kernel
+// rather than re-testing the policy per walker. Kernels take the
+// concrete *rng.XorShift1024Star so the xorshift1024* state update
 // inlines into the sampling loop, leaving a few cache-resident loads
 // plus the draw per walker-step — the per-step cost the paper's §5.2
 // breakdown claims.
 //
-// Every kernel preserves the scalar path's per-walker draw order exactly;
-// sample_equiv_test.go locks both paths bitwise against a frozen copy of
-// the pre-kernel scalar code.
+// sample_equiv_test.go locks every kernel bitwise against a frozen copy
+// of the pre-kernel per-walker scalar code.
 
 // kernelKind identifies one partition's specialized sample kernel.
 type kernelKind uint8
@@ -50,8 +48,8 @@ const (
 	kernDSWeighted
 )
 
-// vpKernel carries one partition's kernel selection plus the loads the
-// scalar path re-derived per walker: the PS state, the partition's base
+// vpKernel carries one partition's kernel selection plus the loads a
+// per-walker sampler would re-derive: the PS state, the partition's base
 // edge offset, and its uniform degree (DS-regular only).
 type vpKernel struct {
 	kind  kernelKind
@@ -134,7 +132,7 @@ func (e *Engine) template(plan, weighted bool) []vpKernel {
 }
 
 // runChunkKernel advances a first-order chunk through the partition's
-// kernel. Draw-for-draw identical to the scalar sampleFirst loop. The DS
+// kernel. Draw-for-draw identical to the frozen scalar reference. The DS
 // kernels read the partition's edges from block, whose first entry is
 // edge index base (the graph's Targets and 0 in memory); the others read
 // the graph's Targets, which a streamed engine never reaches.
@@ -252,22 +250,27 @@ func (c *cohortCtx) kernChunkWeighted(chunk []graph.VID, src *rng.XorShift1024St
 	}
 }
 
-// nextPSFrom is nextPS with the state loads hoisted and a concrete
-// generator: the candidate draw of the second-order kernels on PS
-// partitions. Degree must be nonzero. (Second-order walks are never
-// weighted — Spec.Validate rejects the combination — so refills are
-// always uniform here.)
-func (c *cohortCtx) nextPSFrom(st *psState, v graph.VID, src *rng.XorShift1024Star) graph.VID {
+// nextPSFrom consumes one pre-sampled edge of v from st, refilling the
+// buffer with d(v) fresh draws when drained — uniform draws, or alias
+// draws when weighted: the candidate draw of the rejection samplers on
+// PS partitions. Degree must be nonzero.
+func (c *cohortCtx) nextPSFrom(st *psState, v graph.VID, src *rng.XorShift1024Star, weighted bool) graph.VID {
 	offs := c.e.g.Offsets
 	off := offs[v]
 	d := uint32(offs[v+1] - off)
 	bo := off - st.base
 	rem := st.remaining[v-st.start]
 	if rem == 0 {
-		adj := c.e.g.Targets[off : off+uint64(d)]
 		fill := st.buf[bo : bo+uint64(d)]
-		for i := range fill {
-			fill[i] = adj[src.Uint32n(d)]
+		if weighted {
+			for i := range fill {
+				fill[i] = c.weighted.NextFrom(v, src)
+			}
+		} else {
+			adj := c.e.g.Targets[off : off+uint64(d)]
+			for i := range fill {
+				fill[i] = adj[src.Uint32n(d)]
+			}
 		}
 		rem = d
 	}
@@ -275,16 +278,20 @@ func (c *cohortCtx) nextPSFrom(st *psState, v graph.VID, src *rng.XorShift1024St
 	return st.buf[bo+uint64(d-rem)]
 }
 
-// drawCand draws one first-order candidate for second-order rejection
-// sampling through the partition's kernel. Callers filter degree < 2.
+// drawCand draws one first-order candidate for rejection sampling
+// (second-order and history walks) through the partition's kernel.
+// Callers filter degree < 2. Weighted kinds occur only for history
+// walks: New rejects weighted second-order specs.
 func (c *cohortCtx) drawCand(k *vpKernel, v graph.VID, src *rng.XorShift1024Star) graph.VID {
 	switch k.kind {
 	case kernPS, kernPSWeighted:
-		return c.nextPSFrom(k.st, v, src)
+		return c.nextPSFrom(k.st, v, src, k.kind == kernPSWeighted)
 	case kernDSRegular:
 		d := k.deg
 		return c.e.g.Targets[k.base+(uint64(v)-uint64(k.start))*uint64(d)+uint64(src.Uint32n(d))]
-	default: // kernDSCSR; weighted second-order is rejected at build
+	case kernDSWeighted:
+		return c.weighted.NextFrom(v, src)
+	default: // kernDSCSR
 		off := c.e.g.Offsets[v]
 		d := uint32(c.e.g.Offsets[v+1] - off)
 		return c.e.g.Targets[off+uint64(src.Uint32n(d))]
@@ -326,9 +333,14 @@ func (c *cohortCtx) kernSecondWalk(vpIdx int, seg, prev []graph.VID, src *rng.Xo
 	}
 }
 
-// kernSecondBatched is the kernel form of sampleVPSecondBatched: identical
-// batching, sorting, and acceptance structure, with candidate generation
-// specialized per partition kind in fillCandidates.
+// kernSecondBatched is the batched node2vec sample path (§5.2: "though
+// FlashMob again batches such lookups"): it decouples candidate
+// generation (confined to the partition, specialized per kernel kind in
+// fillCandidates) from the connectivity checks against each walker's
+// predecessor, and groups the checks by predecessor so lookups into the
+// same out-of-partition adjacency list run back-to-back and hit cache.
+// Rejected walkers redraw in subsequent rounds; acceptance probability is
+// bounded below by min(1, 1/p, 1/q)/maxW so rounds terminate quickly.
 func (c *cohortCtx) kernSecondBatched(vpIdx int, chunk, aux []graph.VID, src *rng.XorShift1024Star, scr *sampleScratch) {
 	e := c.e
 	k := &c.kern[vpIdx]
@@ -355,8 +367,11 @@ func (c *cohortCtx) kernSecondBatched(vpIdx int, chunk, aux []graph.VID, src *rn
 		}
 		pending = append(pending, uint64(aux[i])<<32|uint64(uint32(i)))
 	}
-	// Group connectivity checks by predecessor (see the scalar path's
-	// rationale); rejected keys keep their sorted order across rounds.
+	// Group connectivity checks by predecessor once up front: consecutive
+	// lookups then share the predecessor's adjacency list in cache, and
+	// the walk over predecessors is monotone in VID (hubs first, matching
+	// the degree-sorted layout). Rejected keys keep their sorted order
+	// across rounds, so no re-sort is needed.
 	slices.Sort(pending)
 	for len(pending) > 0 {
 		c.fillCandidates(k, chunk, cand, pending, src)
@@ -383,10 +398,10 @@ func (c *cohortCtx) kernSecondBatched(vpIdx int, chunk, aux []graph.VID, src *rn
 func (c *cohortCtx) fillCandidates(k *vpKernel, chunk, cand []graph.VID, pending []uint64, src *rng.XorShift1024Star) {
 	switch k.kind {
 	case kernPS, kernPSWeighted:
-		st := k.st
+		st, weighted := k.st, k.kind == kernPSWeighted
 		for _, key := range pending {
 			i := uint32(key)
-			cand[i] = c.nextPSFrom(st, chunk[i], src)
+			cand[i] = c.nextPSFrom(st, chunk[i], src, weighted)
 		}
 	case kernDSRegular:
 		d := k.deg

@@ -123,9 +123,10 @@ func (cs *cohortState) bind(s *Session, spec *algo.Spec, walkers uint64) {
 // bindTemplate arms the slot with the plan's kernel template (plan) or
 // the sparse one: the template for the spec's weighting is copied, PS
 // buffers — plan template only — are allocated on first use or reset to
-// empty, and the context is pointed at them and at the session's
-// overlay. Every run's slot state is thereby indistinguishable from a
-// freshly built one, whatever the slot ran before.
+// empty, the table's st pointers are pointed at them, and the context
+// at the session's overlay. Every run's slot state is thereby
+// indistinguishable from a freshly built one, whatever the slot ran
+// before.
 func (cs *cohortState) bindTemplate(s *Session, spec *algo.Spec, plan bool) {
 	e := s.e
 	var ws *algo.WeightedSampler
@@ -141,13 +142,11 @@ func (cs *cohortState) bindTemplate(s *Session, spec *algo.Spec, plan bool) {
 	}
 	cs.kern = cs.kern[:len(tpl)]
 	copy(cs.kern, tpl)
-	ps := e.noPS
 	if plan {
 		if cs.ps == nil {
 			cs.ps = e.newPSStates()
 		}
-		ps = cs.ps
-		for i, st := range ps {
+		for i, st := range cs.ps {
 			if st == nil {
 				continue
 			}
@@ -155,7 +154,7 @@ func (cs *cohortState) bindTemplate(s *Session, spec *algo.Spec, plan bool) {
 			cs.kern[i].st = st
 		}
 	}
-	cs.cx = cohortCtx{e: e, spec: spec, kern: cs.kern, ps: ps,
+	cs.cx = cohortCtx{e: e, spec: spec, kern: cs.kern,
 		weighted: ws, ov: s.ov, class: classifySpec(spec)}
 }
 

@@ -211,25 +211,3 @@ func (c *cohortCtx) sampleChunkOverlay(ext *vpExt, chunk []graph.VID, src *rng.X
 		}
 	}
 }
-
-// sampleFirstOverlay is the scalar-path form of sampleChunkOverlay: one
-// walker, same draw discipline (a single bounded draw over the combined
-// degree), so ScalarSample runs on overlay sessions stay bitwise-identical
-// to the kernel path.
-func (c *cohortCtx) sampleFirstOverlay(ext *vpExt, v graph.VID, src rng.Source) graph.VID {
-	g := c.e.g
-	off := g.Offsets[v]
-	dBase := uint32(g.Offsets[v+1] - off)
-	i := v - ext.start
-	elo := ext.off[i]
-	dExt := ext.off[i+1] - elo
-	d := dBase + dExt
-	if d == 0 {
-		return v
-	}
-	x := rng.Uint32n(src, d)
-	if x < dBase {
-		return g.Targets[off+uint64(x)]
-	}
-	return ext.targets[elo+(x-dBase)]
-}

@@ -183,30 +183,6 @@ func TestOverlayFirstDivergenceIsInTouchedPartition(t *testing.T) {
 	}
 }
 
-// TestOverlayScalarKernelEquality: the scalar sampling path and the kernel
-// path must draw bitwise-identical trajectories on overlay sessions, exactly
-// as they do on plain ones.
-func TestOverlayScalarKernelEquality(t *testing.T) {
-	g := undirectedTestGraph(t, 600, 4)
-	delta := overlayDelta(g)
-	var hist [2]*Result
-	for i, scalar := range []bool{false, true} {
-		cfg := Config{Workers: 3, Seed: 21, Planner: PlannerMCKP, RecordHistory: true,
-			ScalarSample: scalar,
-			Part:         part.Config{TargetGroups: 2, MinVPSizeLog: 1}}
-		e := newEngine(t, g, algo.DeepWalk(), cfg)
-		ov, err := BuildOverlay(e, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hist[i] = overlayRun(t, e, ov, 33, 400, 5)
-		e.Close()
-	}
-	if !historiesEqual(hist[0].History, hist[1].History) {
-		t.Fatal("scalar and kernel overlay paths diverged")
-	}
-}
-
 // TestOverlaySpecRestriction: non-empty overlays admit only first-order
 // history-free walks — solo and mixed alike — while nil overlays behave
 // exactly like plain sessions.

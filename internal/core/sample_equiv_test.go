@@ -13,22 +13,21 @@ import (
 	"flashmob/internal/walk"
 )
 
-// This file locks the specialized sample kernels (kernels.go) and the
-// retained generic scalar path (sample.go) to a frozen copy of the
-// pre-kernel scalar sample code, the same discipline
+// This file locks the per-partition sample kernels (kernels.go) to a
+// frozen copy of the pre-kernel scalar sample code, the same discipline
 // walk/shuffle_equiv_test.go established for the shuffle rewrite: the
-// reference below is the shipped per-walker PS/DS/weighted logic copied
-// verbatim, and every kernel must reproduce its outputs bit for bit.
-// (The restart and segment harness around the frozen draws — geometric
-// skip, batch gating — is this PR's shared discipline, implemented
-// identically by reference, scalar path, and kernels.)
+// reference below is the per-walker PS/DS/weighted logic copied
+// verbatim, and every kernel — first-order, second-order and order-k
+// candidate draws alike — must reproduce its outputs bit for bit. (The
+// restart and segment harness around the frozen draws — geometric skip,
+// batch gating — is implemented identically by reference and kernels.)
 
 // refSampler is the frozen scalar sampler. Its drawing methods
 // (drawEdge, refill, nextPS, sampleFirst, sampleSecond, the batched
-// second-order rounds) are verbatim copies of the pre-kernel code,
-// interface-typed rng.Source draws and per-walker policy re-tests
-// included. It keeps its own PS buffer state so it can evolve alongside
-// an engine without sharing mutable state.
+// second-order rounds, the order-k history path) are verbatim copies of
+// the pre-kernel code, interface-typed rng.Source draws and per-walker
+// policy re-tests included. It keeps its own PS buffer state so it can
+// evolve alongside an engine without sharing mutable state.
 type refSampler struct {
 	g          *graph.CSR
 	spec       algo.Spec
@@ -44,8 +43,9 @@ func newRefSampler(s *Session) *refSampler {
 		g: e.g, spec: e.spec, plan: e.plan,
 		regularDeg: e.regularDeg, weighted: e.weighted,
 	}
-	r.ps = make([]*psState, len(s.cohorts[0].cx.ps))
-	for i, st := range s.cohorts[0].cx.ps {
+	r.ps = make([]*psState, len(s.cohorts[0].cx.kern))
+	for i, k := range s.cohorts[0].cx.kern {
+		st := k.st
 		if st == nil {
 			continue
 		}
@@ -213,9 +213,49 @@ func (r *refSampler) sampleVPSecondBatched(vpIdx int, chunk, aux []graph.VID, sr
 	}
 }
 
-// sampleVP mirrors the engine's dispatch harness (restart skip, segment
-// split, batch gating) around the frozen per-walker draws.
+// sampleVPHistory is the frozen order-k path: per-walker candidates from
+// sampleFirst, acceptance from the history transition, and a one-slot
+// shift of every walker's predecessor window.
+func (r *refSampler) sampleVPHistory(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src rng.Source) {
+	tr := r.spec.History
+	hist := make([]graph.VID, tr.Window)
+	for j := range chunk {
+		v := chunk[j]
+		for ch := 0; ch < tr.Window; ch++ {
+			hist[ch] = aux[ch][j]
+		}
+		var next graph.VID
+		switch d := r.g.Degree(v); {
+		case d == 0:
+			next = v
+		case d == 1:
+			next = r.g.Neighbors(v)[0]
+		default:
+			for {
+				x := r.sampleFirst(vpIdx, v, src)
+				w := tr.Weight(r.g, hist, v, x)
+				if w >= tr.MaxWeight || rng.Float64(src)*tr.MaxWeight < w {
+					next = x
+					break
+				}
+			}
+		}
+		for ch := tr.Window - 1; ch > 0; ch-- {
+			aux[ch][j] = aux[ch-1][j]
+		}
+		aux[0][j] = v
+		chunk[j] = next
+	}
+}
+
+// sampleVP mirrors the engine's dispatch harness (history first, then
+// restart skip, segment split, batch gating) around the frozen
+// per-walker draws.
 func (r *refSampler) sampleVP(vpIdx int, chunk []graph.VID, aux [][]graph.VID, src rng.Source) {
+	if r.spec.History != nil {
+		r.sampleVPHistory(vpIdx, chunk, aux, src)
+		return
+	}
 	if r.spec.StopProb > 0 {
 		logq := math.Log1p(-r.spec.StopProb)
 		n := r.g.NumVertices()
@@ -311,6 +351,9 @@ func equivScenarios(t *testing.T) []equivScenario {
 	weighted := algo.DeepWalk()
 	weighted.Weighted = true
 	pr := algo.PageRankWalk(0.85)
+	sa := algo.SelfAvoiding(2, 5, 0.5)
+	saWeighted := sa
+	saWeighted.Weighted = true
 	return []equivScenario{
 		{"ps-first-order", pl, algo.DeepWalk(), PlannerUniformPS},
 		{"ds-csr-first-order", pl, algo.DeepWalk(), PlannerUniformDS},
@@ -321,48 +364,42 @@ func equivScenarios(t *testing.T) []equivScenario {
 		{"weighted-ps", wg, weighted, PlannerUniformPS},
 		{"weighted-ds", wg, weighted, PlannerUniformDS},
 		{"pagerank-restart", pl, pr, PlannerMCKP},
+		{"history-ps", pl, sa, PlannerUniformPS},
+		{"history-mckp", pl, sa, PlannerMCKP},
+		{"history-weighted-ps", wg, saWeighted, PlannerUniformPS},
+		{"history-weighted-ds", wg, saWeighted, PlannerUniformDS},
 	}
 }
 
 // TestSampleKernelsMatchFrozenScalar drives every partition of every
-// scenario, under both kernel templates, through the kernel path, the
-// retained scalar path, and the frozen reference with identical reseeded
-// streams, and requires bitwise identical chunks, predecessors, and
-// (implicitly, via later rounds) PS buffer evolution.
+// scenario, under both kernel templates, through the kernels and the
+// frozen reference with identical reseeded streams, and requires bitwise
+// identical chunks, predecessors, and (implicitly, via later rounds) PS
+// buffer evolution.
 func TestSampleKernelsMatchFrozenScalar(t *testing.T) {
 	base := Config{Workers: 1, Seed: 3, Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1}}
 	for _, sc := range equivScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
-			cfgK := base
-			cfgS := base
-			cfgS.ScalarSample = true
-			cfgK.Planner, cfgS.Planner = sc.planner, sc.planner
-			eK := newEngine(t, sc.g, sc.spec, cfgK)
+			cfg := base
+			cfg.Planner = sc.planner
+			eK := newEngine(t, sc.g, sc.spec, cfg)
 			defer eK.Close()
-			eS := newEngine(t, sc.g, sc.spec, cfgS)
-			defer eS.Close()
-			t.Run("plan", func(t *testing.T) { matchFrozenScalar(t, sc, eK, eS, true) })
-			t.Run("sparse", func(t *testing.T) { matchFrozenScalar(t, sc, eK, eS, false) })
+			t.Run("plan", func(t *testing.T) { matchFrozenScalar(t, sc, eK, true) })
+			t.Run("sparse", func(t *testing.T) { matchFrozenScalar(t, sc, eK, false) })
 		})
 	}
 }
 
-// matchFrozenScalar drives every partition of eK (kernels) and eS (scalar
-// path) under the plan's or the sparse kernel template, against the
-// frozen reference holding the same PS state.
-func matchFrozenScalar(t *testing.T, sc equivScenario, eK, eS *Engine, plan bool) {
+// matchFrozenScalar drives every partition of eK under the plan's or the
+// sparse kernel template, against the frozen reference holding the same
+// PS state.
+func matchFrozenScalar(t *testing.T, sc equivScenario, eK *Engine, plan bool) {
 	sK, err := eK.NewSession(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sK.Close()
-	sS, err := eS.NewSession(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sS.Close()
 	sK.cohortSlots(1)[0].bindTemplate(sK, &eK.spec, plan)
-	sS.cohortSlots(1)[0].bindTemplate(sS, &eS.spec, plan)
 	// The PS scenarios must exercise PS under the plan's template, and no
 	// scenario may under the sparse one.
 	hasPS := slices.ContainsFunc(sK.cohorts[0].kern, func(k vpKernel) bool {
@@ -375,9 +412,8 @@ func matchFrozenScalar(t *testing.T, sc equivScenario, eK, eS *Engine, plan bool
 
 	setup := rng.NewXorShift1024Star(0x5eed)
 	srcK := rng.NewXorShift1024Star(0)
-	srcS := rng.NewXorShift1024Star(0)
 	srcR := rng.NewXorShift1024Star(0)
-	scrK, scrS := newSampleScratch(), newSampleScratch()
+	scrK := newSampleScratch()
 	channels := eK.auxChannels()
 	n := sc.g.NumVertices()
 
@@ -395,41 +431,37 @@ func matchFrozenScalar(t *testing.T, sc equivScenario, eK, eS *Engine, plan bool
 				for j := range master {
 					master[j] = vpp.Start + graph.VID(setup.Uint32n(span))
 				}
-				var masterAux []graph.VID
-				if channels > 0 {
-					masterAux = make([]graph.VID, size)
-					for j := range masterAux {
-						masterAux[j] = graph.VID(setup.Uint32n(n))
+				masterAux := make([][]graph.VID, channels)
+				for ch := range masterAux {
+					masterAux[ch] = make([]graph.VID, size)
+					for j := range masterAux[ch] {
+						masterAux[ch][j] = graph.VID(setup.Uint32n(n))
 					}
 				}
-				wrap := func(a []graph.VID) [][]graph.VID {
-					if a == nil {
-						return nil
+				cloneAux := func() [][]graph.VID {
+					a := make([][]graph.VID, channels)
+					for ch := range a {
+						a[ch] = slices.Clone(masterAux[ch])
 					}
-					return [][]graph.VID{a}
+					return a
+				}
+				auxEqual := func(a, b [][]graph.VID) bool {
+					return slices.EqualFunc(a, b, slices.Equal[[]graph.VID])
 				}
 				seed := setup.Uint64()
 
 				chunkK := slices.Clone(master)
-				auxK := slices.Clone(masterAux)
+				auxK := cloneAux()
 				srcK.Reseed(seed)
-				sK.sampleVPScratch(vp, chunkK, wrap(auxK), srcK, scrK)
-
-				chunkS := slices.Clone(master)
-				auxS := slices.Clone(masterAux)
-				srcS.Reseed(seed)
-				sS.sampleVPScratch(vp, chunkS, wrap(auxS), srcS, scrS)
+				sK.sampleVPScratch(vp, chunkK, auxK, srcK, scrK)
 
 				chunkR := slices.Clone(master)
-				auxR := slices.Clone(masterAux)
+				auxR := cloneAux()
 				srcR.Reseed(seed)
-				ref.sampleVP(vp, chunkR, wrap(auxR), srcR)
+				ref.sampleVP(vp, chunkR, auxR, srcR)
 
-				if !slices.Equal(chunkK, chunkR) || !slices.Equal(auxK, auxR) {
+				if !slices.Equal(chunkK, chunkR) || !auxEqual(auxK, auxR) {
 					t.Fatalf("round %d vp %d size %d: kernel path diverged from frozen scalar", round, vp, size)
-				}
-				if !slices.Equal(chunkS, chunkR) || !slices.Equal(auxS, auxR) {
-					t.Fatalf("round %d vp %d size %d: retained scalar path diverged from frozen scalar", round, vp, size)
 				}
 			}
 		}
@@ -470,8 +502,8 @@ func historiesEqual(a, b *walk.History) bool {
 }
 
 // TestSampleEngineEquivalenceAcrossWorkers runs full engine pipelines —
-// scalar and kernel paths, 1/3/8 workers, two seeds — and requires every
-// combination to reproduce the single-worker scalar trajectories exactly.
+// 1/3/8 workers, two seeds — and requires every worker count to
+// reproduce the single-worker trajectories exactly.
 // Per-work-item RNG reseeding is what makes the worker counts agree:
 // streams attach to (episode, step, partition, sub-shard), never to the
 // claiming worker.
@@ -483,24 +515,17 @@ func TestSampleEngineEquivalenceAcrossWorkers(t *testing.T) {
 					Seed: seed, Planner: sc.planner,
 					Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1},
 				}
-				scalar1 := base
-				scalar1.Workers = 1
-				scalar1.ScalarSample = true
-				want := runForHistory(t, sc.g, sc.spec, scalar1, 500, 4)
-
-				for _, workers := range []int{1, 3, 8} {
-					for _, scalarPath := range []bool{false, true} {
-						cfg := base
-						cfg.Workers = workers
-						cfg.ScalarSample = scalarPath
-						r := runRecorded(t, sc.g, sc.spec, cfg, 500, 4)
-						if sc.planner == PlannerUniformPS && psSteps(t, r.Report) == 0 {
-							t.Fatalf("seed %d workers %d scalar=%v: a PS scenario ran no PS kernel walker-steps", seed, workers, scalarPath)
-						}
-						got := r.History
-						if !historiesEqual(want, got) {
-							t.Fatalf("seed %d workers %d scalar=%v: trajectories diverged from single-worker scalar run", seed, workers, scalarPath)
-						}
+				one := base
+				one.Workers = 1
+				want := runRecorded(t, sc.g, sc.spec, one, 500, 4)
+				if sc.planner == PlannerUniformPS && psSteps(t, want.Report) == 0 {
+					t.Fatalf("seed %d: a PS scenario ran no PS kernel walker-steps", seed)
+				}
+				for _, workers := range []int{3, 8} {
+					cfg := base
+					cfg.Workers = workers
+					if got := runForHistory(t, sc.g, sc.spec, cfg, 500, 4); !historiesEqual(want.History, got) {
+						t.Fatalf("seed %d workers %d: trajectories diverged from single-worker run", seed, workers)
 					}
 				}
 			}
@@ -509,8 +534,8 @@ func TestSampleEngineEquivalenceAcrossWorkers(t *testing.T) {
 }
 
 // TestSampleEquivalenceAcrossEpisodes checks the memory-budgeted episode
-// path: same bitwise trajectories regardless of worker count or sample
-// path, with the walk split into several episodes.
+// path: same bitwise trajectories regardless of worker count, with the
+// walk split into several episodes.
 func TestSampleEquivalenceAcrossEpisodes(t *testing.T) {
 	g := undirectedTestGraph(t, 300, 9)
 	spec := algo.DeepWalk()
@@ -518,26 +543,19 @@ func TestSampleEquivalenceAcrossEpisodes(t *testing.T) {
 		Seed: 5, MemoryBudget: 150 * 12,
 		Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1},
 	}
-	scalar1 := base
-	scalar1.Workers = 1
-	scalar1.ScalarSample = true
-	want := runForHistory(t, g, spec, scalar1, 400, 3)
-	for _, workers := range []int{1, 4} {
-		for _, scalarPath := range []bool{false, true} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.ScalarSample = scalarPath
-			got := runForHistory(t, g, spec, cfg, 400, 3)
-			if !historiesEqual(want, got) {
-				t.Fatalf("workers %d scalar=%v: episode trajectories diverged", workers, scalarPath)
-			}
-		}
+	one := base
+	one.Workers = 1
+	want := runForHistory(t, g, spec, one, 400, 3)
+	cfg := base
+	cfg.Workers = 4
+	if got := runForHistory(t, g, spec, cfg, 400, 3); !historiesEqual(want, got) {
+		t.Fatal("workers 4: episode trajectories diverged from single-worker run")
 	}
 }
 
 // TestSampleDeterminismWithSubShards shrinks SubShardSize so oversized-
 // chunk splitting actually happens on a test-sized graph, then requires
-// every worker count and both sample paths to agree bitwise. (Each
+// every worker count to agree bitwise. (Each
 // sub-shard owns its own RNG stream, so trajectories are a function of
 // the shard size — what must NOT matter is which worker runs which
 // shard, or how many workers there are.)
@@ -552,21 +570,13 @@ func TestSampleDeterminismWithSubShards(t *testing.T) {
 	defer func(old uint64) { SubShardSize = old }(SubShardSize)
 	SubShardSize = 16
 
-	scalar1 := base
-	scalar1.Workers = 1
-	scalar1.ScalarSample = true
-	want := runForHistory(t, g, spec, scalar1, 900, 4)
-
-	for _, workers := range []int{1, 4} {
-		for _, scalarPath := range []bool{false, true} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.ScalarSample = scalarPath
-			got := runForHistory(t, g, spec, cfg, 900, 4)
-			if !historiesEqual(want, got) {
-				t.Fatalf("workers %d scalar=%v: sub-sharded trajectories diverged", workers, scalarPath)
-			}
-		}
+	one := base
+	one.Workers = 1
+	want := runForHistory(t, g, spec, one, 900, 4)
+	cfg := base
+	cfg.Workers = 4
+	if got := runForHistory(t, g, spec, cfg, 900, 4); !historiesEqual(want, got) {
+		t.Fatal("workers 4: sub-sharded trajectories diverged from single-worker run")
 	}
 }
 
@@ -587,28 +597,25 @@ func TestStopProbRestartFrequency(t *testing.T) {
 
 	const stop = 0.3
 	spec := algo.PageRankWalk(1 - stop)
-	for _, scalarPath := range []bool{false, true} {
-		cfg := Config{
-			Workers: 4, Seed: 17, Planner: PlannerUniformDS,
-			ScalarSample: scalarPath,
-			Part:         part.Config{TargetGroups: 2, MinVPSizeLog: 1},
-		}
-		h := runForHistory(t, g, spec, cfg, 40000, 5)
-		moved, total := 0, 0
-		for i := 0; i+1 < h.NumSteps(); i++ {
-			for j := 0; j < h.NumWalkers(); j++ {
-				cur, next := h.At(i, j), h.At(i+1, j)
-				total++
-				if next != (cur+1)%n {
-					moved++
-				}
+	cfg := Config{
+		Workers: 4, Seed: 17, Planner: PlannerUniformDS,
+		Part: part.Config{TargetGroups: 2, MinVPSizeLog: 1},
+	}
+	h := runForHistory(t, g, spec, cfg, 40000, 5)
+	moved, total := 0, 0
+	for i := 0; i+1 < h.NumSteps(); i++ {
+		for j := 0; j < h.NumWalkers(); j++ {
+			cur, next := h.At(i, j), h.At(i+1, j)
+			total++
+			if next != (cur+1)%n {
+				moved++
 			}
 		}
-		want := stop * (1 - 1.0/n)
-		got := float64(moved) / float64(total)
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("scalar=%v: restart-break fraction %.4f, want ≈%.4f", scalarPath, got, want)
-		}
+	}
+	want := stop * (1 - 1.0/n)
+	got := float64(moved) / float64(total)
+	if math.Abs(got-want) > 0.01 {
+		t.Errorf("restart-break fraction %.4f, want ≈%.4f", got, want)
 	}
 }
 

@@ -95,8 +95,8 @@ func TestStreamedGroupingInvariance(t *testing.T) {
 
 // TestStreamedRefusesTargetReaders: a streamed engine has no edge array,
 // so every path that would read one is refused with an error — at
-// construction (PS plans, weighted or higher-order specs, the scalar
-// path) and at admission (such cohorts, overlays).
+// construction (PS plans, weighted or higher-order specs) and at
+// admission (such cohorts, overlays).
 func TestStreamedRefusesTargetReaders(t *testing.T) {
 	g := undirectedTestGraph(t, 300, 4)
 	ds := newEngine(t, g, algo.DeepWalk(), Config{Workers: 1, Planner: PlannerUniformDS})
@@ -111,10 +111,7 @@ func TestStreamedRefusesTargetReaders(t *testing.T) {
 		"node2vec": func() (*Engine, error) {
 			return NewStreamed(g.Offsets, algo.Node2Vec(2, 0.5), src, Config{Plan: ds.plan})
 		},
-		"weighted": func() (*Engine, error) { return NewStreamed(g.Offsets, weighted, src, Config{Plan: ds.plan}) },
-		"scalar": func() (*Engine, error) {
-			return NewStreamed(g.Offsets, algo.DeepWalk(), src, Config{Plan: ds.plan, ScalarSample: true})
-		},
+		"weighted":  func() (*Engine, error) { return NewStreamed(g.Offsets, weighted, src, Config{Plan: ds.plan}) },
 		"no-source": func() (*Engine, error) { return NewStreamed(g.Offsets, algo.DeepWalk(), nil, Config{Plan: ds.plan}) },
 		"no-plan":   func() (*Engine, error) { return NewStreamed(g.Offsets, algo.DeepWalk(), src, Config{}) },
 	} {

@@ -292,9 +292,7 @@ func (ws *waveScratch) assemble(s *Server, live []*pending) {
 // last deadline checkpoint), the rest assemble into cohort groups, and
 // the whole wave executes as one mixed engine run — every algorithm and
 // step count in the batch sharing one partition sweep — whose walker
-// array is demuxed per cohort, per request. With Config.SplitCohortRuns
-// set, each cohort instead gets its own engine run (the fragmented
-// pre-mixed behavior, kept as the benchmark baseline).
+// array is demuxed per cohort, per request.
 func (g *engineGroup) execute(ws *waveScratch, batch []*pending) {
 	// One clock read covers the wave's shed filter and its queue-latency
 	// accounting (outcome.execStart).
@@ -311,13 +309,6 @@ func (g *engineGroup) execute(ws *waveScratch, batch []*pending) {
 		return
 	}
 	ws.assemble(g.s, live)
-
-	if g.s.cfg.SplitCohortRuns {
-		for i := range ws.groups {
-			g.runSolo(len(live), execStart, &ws.groups[i])
-		}
-		return
-	}
 
 	t0 := time.Now()
 	res, epoch, err := g.walkMixed(ws.cohorts)
@@ -420,34 +411,4 @@ func (g *engineGroup) deliver(batchRequests, runCohorts int, execStart time.Time
 		}
 		off += p.walkers
 	}
-}
-
-// runSolo executes one cohort group as its own engine run (the
-// SplitCohortRuns baseline) and demuxes the per-request slices. It still
-// runs through the mixed entry point — a one-cohort mixed run is
-// bitwise-identical to the solo engine path, and the cohort's algorithm
-// may differ from the shared system's build primary — so the baseline
-// measures run fragmentation alone, nothing else.
-func (g *engineGroup) runSolo(batchRequests int, execStart time.Time, grp *runGroup) {
-	t0 := time.Now()
-	res, epoch, err := g.walkMixed([]flashmob.CohortSpec{{
-		Algorithm: grp.b.spec,
-		Walkers:   uint64(grp.walkers),
-		Steps:     grp.steps,
-		Seed:      grp.seed,
-	}})
-	runDur := time.Since(t0)
-	g.s.m.runs.Inc()
-	g.s.m.runNS.Observe(uint64(runDur))
-	g.s.m.runCohorts.Observe(1)
-	if err != nil {
-		g.failGroup(grp, err)
-		return
-	}
-	paths, err := res.Paths(0)
-	if err != nil {
-		g.failGroup(grp, err)
-		return
-	}
-	g.deliver(batchRequests, 1, execStart, runDur, epoch, grp, paths)
 }

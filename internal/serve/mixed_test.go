@@ -157,41 +157,3 @@ func TestSeededDeterminismAcrossAlgorithms(t *testing.T) {
 		t.Fatal("served trajectories differ from direct WalkMixed on an identical build")
 	}
 }
-
-// TestSplitCohortRunsBaseline checks the benchmark baseline knob: with
-// SplitCohortRuns every cohort is its own engine run (run_cohorts is
-// always 1) and seeded responses still match the mixed path bitwise.
-func TestSplitCohortRunsBaseline(t *testing.T) {
-	_, hs := newMixedTestServer(t, Config{MaxWait: 40 * time.Millisecond, Executors: 1, SplitCohortRuns: true})
-	seed := uint64(123)
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			postWalk(t, hs.URL, WalkRequest{Walkers: 15, Steps: 5, Algorithm: "deepwalk"})
-		}()
-	}
-	time.Sleep(2 * time.Millisecond)
-	status, data := postWalk(t, hs.URL, WalkRequest{Walkers: 20, Steps: 5, Algorithm: "node2vec", Seed: &seed})
-	wg.Wait()
-	if status != 200 {
-		t.Fatalf("status %d body %s", status, data)
-	}
-	split := decodeWalk(t, data)
-	if split.RunCohorts != 1 {
-		t.Fatalf("SplitCohortRuns response reports %d cohorts, want 1", split.RunCohorts)
-	}
-
-	// Same seeded walk through the mixed path on an identical build.
-	_, hsMixed := newMixedTestServer(t, Config{MaxWait: time.Millisecond})
-	status, data = postWalk(t, hsMixed.URL, WalkRequest{Walkers: 20, Steps: 5, Algorithm: "node2vec", Seed: &seed})
-	if status != 200 {
-		t.Fatalf("mixed path: status %d body %s", status, data)
-	}
-	mixed := decodeWalk(t, data)
-	if fmt.Sprint(split.Paths) != fmt.Sprint(mixed.Paths) {
-		t.Fatal("seeded trajectories differ between SplitCohortRuns and mixed execution")
-	}
-}

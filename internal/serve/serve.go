@@ -119,12 +119,6 @@ type Config struct {
 	MaxSteps int
 	// Seed drives the per-batch seeds of unseeded (sampling-mode) runs.
 	Seed uint64
-	// SplitCohortRuns disables mixed-cohort execution: every cohort of a
-	// wave gets its own engine run, one per (algorithm, steps) pair — the
-	// fragmented pre-mixed behavior, kept as the benchmark baseline
-	// (fmbench -exp mixed). Responses are bitwise-identical either way;
-	// only the goodput differs.
-	SplitCohortRuns bool
 }
 
 // withDefaults resolves the documented defaults.

@@ -82,17 +82,7 @@ func (r *MixedResult) NumCohorts() int { return len(r.inner.Cohorts) }
 // Paths returns cohort c's paths — one per walker, in original vertex
 // IDs, in the caller's cohort order. Requires Options.RecordPaths.
 func (r *MixedResult) Paths(c int) ([][]VID, error) {
-	h := r.inner.Cohorts[c].History
-	if h == nil {
-		return nil, fmt.Errorf("flashmob: paths not recorded; set Options.RecordPaths")
-	}
-	paths := h.Transpose()
-	for _, p := range paths {
-		for i, v := range p {
-			p[i] = r.reorder.NewToOld[v]
-		}
-	}
-	return paths, nil
+	return pathsOf(r.inner.Cohorts[c].History, r.reorder)
 }
 
 // CohortWalkers returns cohort c's walker count.
@@ -112,14 +102,7 @@ func (r *MixedResult) TotalSteps() uint64 { return r.inner.TotalSteps }
 func (r *MixedResult) PerStepNS() float64 { return r.inner.PerStepNS() }
 
 // Timing returns the run's stage breakdown.
-func (r *MixedResult) Timing() Timing {
-	return Timing{
-		Total:   r.inner.Duration,
-		Sample:  r.inner.SampleTime,
-		Shuffle: r.inner.ShuffleTime,
-		Other:   r.inner.OtherTime,
-	}
-}
+func (r *MixedResult) Timing() Timing { return timingOf(r.inner.StageTimes) }
 
 // Report returns the run's metrics snapshot (nil unless the System was
 // created with Options.Metrics).

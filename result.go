@@ -8,6 +8,7 @@ import (
 	"flashmob/internal/graph"
 	"flashmob/internal/obs"
 	"flashmob/internal/stats"
+	"flashmob/internal/walk"
 )
 
 // Report is a point-in-time snapshot of a metrics registry: counters,
@@ -30,15 +31,19 @@ func (r *Result) PerStepNS() float64 { return r.inner.PerStepNS() }
 
 // Paths returns one path per walker in original vertex IDs. Requires
 // Options.RecordPaths.
-func (r *Result) Paths() ([][]VID, error) {
-	h := r.inner.History
+func (r *Result) Paths() ([][]VID, error) { return pathsOf(r.inner.History, r.reorder) }
+
+// pathsOf transposes a recorded history into one path per walker and
+// relabels it to original vertex IDs: the one path-extraction loop behind
+// Result.Paths and MixedResult.Paths.
+func pathsOf(h *walk.History, reorder *graph.Reordering) ([][]VID, error) {
 	if h == nil {
 		return nil, fmt.Errorf("flashmob: paths not recorded; set Options.RecordPaths")
 	}
 	paths := h.Transpose()
 	for _, p := range paths {
 		for i, v := range p {
-			p[i] = r.reorder.NewToOld[v]
+			p[i] = reorder.NewToOld[v]
 		}
 	}
 	return paths, nil
@@ -79,13 +84,11 @@ type Timing struct {
 }
 
 // Timing returns the stage breakdown (the paper's Figure 9a split).
-func (r *Result) Timing() Timing {
-	return Timing{
-		Total:   r.inner.Duration,
-		Sample:  r.inner.SampleTime,
-		Shuffle: r.inner.ShuffleTime,
-		Other:   r.inner.OtherTime,
-	}
+func (r *Result) Timing() Timing { return timingOf(r.inner.StageTimes) }
+
+// timingOf converts an engine run's stage split into a Timing.
+func timingOf(t core.StageTimes) Timing {
+	return Timing{Total: t.Duration, Sample: t.SampleTime, Shuffle: t.ShuffleTime, Other: t.OtherTime}
 }
 
 // Walkers returns how many walkers ran.
