@@ -125,7 +125,7 @@ func TestHeldSessionMatchesFresh(t *testing.T) {
 		spec := algo.Node2Vec(2, 0.5)
 		const most = 6000
 		loop := func(s *Session) [][]graph.VID {
-			if err := s.BindCohort(0, &spec, most); err != nil {
+			if err := s.BindCohort(0, &Cohort{Spec: spec, Walkers: most, Seed: 8}); err != nil {
 				t.Fatal(err)
 			}
 			w, wNext := make([]graph.VID, most), make([]graph.VID, most)
@@ -134,7 +134,7 @@ func TestHeldSessionMatchesFresh(t *testing.T) {
 			var rows [][]graph.VID
 			for step, n := range []int{300, 40, 1, 0, 700, most} {
 				aux, auxNext := [][]graph.VID{prev[:n]}, [][]graph.VID{prevNext[:n]}
-				if err := s.Step(0, 8, step, w[:n], wNext[:n], aux, auxNext); err != nil {
+				if err := s.Step(step, []uint64{0, uint64(n)}, w, wNext, aux, auxNext); err != nil {
 					t.Fatal(err)
 				}
 				rows = append(rows, slices.Clone(wNext[:n]))

@@ -92,6 +92,9 @@ type cohortState struct {
 	ps   []*psState // nil until the slot's first plan-template bind
 	kern []vpKernel
 	cx   cohortCtx // zero (nil spec) while the slot is unbound
+	// seed is the bound cohort's seed: its start placement and every
+	// step's item-seed prefix derive from it.
+	seed uint64
 }
 
 // newPSStates allocates one PS state per PS partition of the plan (one
@@ -113,10 +116,11 @@ func (e *Engine) newPSStates() []*psState {
 	return ps
 }
 
-// bind arms the slot for one run of a walkers-strong cohort of spec on
-// session s, with the kernel template the engine's switch selects for
-// that count (Engine.bindsPlan).
-func (cs *cohortState) bind(s *Session, spec *algo.Spec, walkers uint64) {
+// bind arms the slot for one run of a walkers-strong cohort of spec and
+// seed on session s, with the kernel template the engine's switch
+// selects for that count (Engine.bindsPlan).
+func (cs *cohortState) bind(s *Session, spec *algo.Spec, walkers, seed uint64) {
+	cs.seed = seed
 	cs.bindTemplate(s, spec, s.e.bindsPlan(walkers))
 }
 
@@ -232,9 +236,9 @@ func (e *Engine) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 // one episode for the comparison: mixed runs never episode-split, and
 // return an error when a MemoryBudget would force them to.)
 //
-// The run orders the cohorts longest walk first (ties in caller order),
-// binds slot k to the k-th, and makes one call of the session's run
-// driver at episode 0 — the driver RunSeeded calls once per episode.
+// The run orders the cohorts by ExecutionOrder, binds slot k to the
+// k-th, and makes one call of the session's run driver at episode 0 —
+// the driver RunSeeded calls once per episode.
 func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -261,26 +265,16 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 		}
 	}
 
-	// Execution order: longest walks first, so at every step the active
-	// cohorts are a prefix and retirement just shrinks the walker arrays.
-	// The stable sort keeps equal-step cohorts in caller order.
-	order := make([]int, len(resolved))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return resolved[b].Steps - resolved[a].Steps
-	})
-
-	// Slot k runs the k-th cohort of that order, bound to the template
-	// its own walker count selects, with private PS buffers when that is
-	// the plan's.
+	// Slot k runs the k-th cohort of the execution order, bound to the
+	// template its own walker count selects, with private PS buffers when
+	// that is the plan's.
 	start := time.Now()
+	order := ExecutionOrder(resolved)
 	ordered := make([]Cohort, len(order))
 	slots := s.cohortSlots(len(order))
 	for k, i := range order {
 		ordered[k] = resolved[i]
-		slots[k].bind(s, &resolved[i].Spec, resolved[i].Walkers)
+		slots[k].bind(s, &resolved[i].Spec, resolved[i].Walkers, resolved[i].Seed)
 	}
 	hist, err := s.drive(ordered, 0)
 	if err != nil {
@@ -307,6 +301,23 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 	}
 	res.StageTimes, res.VPSteps, res.Report = s.finish(start, totalWalkers)
 	return res, nil
+}
+
+// ExecutionOrder returns the order a mixed run steps its resolved
+// cohorts in: longest walk first, equal step counts in caller order (a
+// stable sort). Slot k runs cohorts[order[k]], so at every step the
+// still-active cohorts are a prefix and retirement only shrinks the
+// walker arrays. Exported so the sharded topology lays its waves out in
+// the same order.
+func ExecutionOrder(cohorts []Cohort) []int {
+	order := make([]int, len(cohorts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cohorts[b].Steps - cohorts[a].Steps
+	})
+	return order
 }
 
 // cohortLayout locates several cohorts' walkers inside every partition

@@ -132,13 +132,13 @@ func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Resul
 	}
 	res := &Result{Steps: steps}
 	start := time.Now()
-	s.cohortSlots(1)[0].bind(s, &e.spec, e.EpisodeWalkers(totalWalkers))
+	s.cohortSlots(1)[0].bind(s, &e.spec, e.EpisodeWalkers(totalWalkers), seed)
 	for remaining := totalWalkers; remaining > 0; {
 		ep := e.EpisodeWalkers(remaining)
 		// Mix the episode index into the init seed so episodes decorrelate
 		// (identical per-episode seeds would replay the same start
 		// placement and walk randomness every round).
-		hist, err := s.drive([]Cohort{{Walkers: ep, Steps: steps, Seed: seed}}, res.Episodes)
+		hist, err := s.drive([]Cohort{{Walkers: ep, Steps: steps}}, res.Episodes)
 		if err != nil {
 			return nil, err
 		}

@@ -160,20 +160,21 @@ func TestEngineSteadyStateStepCost(t *testing.T) {
 
 		spec := algo.Node2Vec(2, 0.5)
 		stepperLoop := func(s *Session, steps int, measure bool) (mallocs uint64, goroutines []int) {
-			if err := s.BindCohort(0, &spec, 2000); err != nil {
+			if err := s.BindCohort(0, &Cohort{Spec: spec, Walkers: 2000, Seed: 9}); err != nil {
 				t.Fatal(err)
 			}
 			w, wNext := make([]graph.VID, 2000), make([]graph.VID, 2000)
 			s.e.InitWalkersSeeded(9, w)
 			aux := [][]graph.VID{append([]graph.VID(nil), w...)}
 			auxNext := [][]graph.VID{make([]graph.VID, 2000)}
+			offs := []uint64{0, 2000}
 			var before, after runtime.MemStats
 			for step := 0; step < steps; step++ {
 				if step == 2 && measure {
 					runtime.GC()
 					runtime.ReadMemStats(&before)
 				}
-				if err := s.Step(0, 9, step, w, wNext, aux, auxNext); err != nil {
+				if err := s.Step(step, offs, w, wNext, aux, auxNext); err != nil {
 					t.Fatal(err)
 				}
 				w, wNext = wNext, w
@@ -313,8 +314,7 @@ func TestSparseRunsHoldNoPSState(t *testing.T) {
 			}
 		}
 		e.cfg.RecordHistory = true
-		spec := algo.DeepWalk()
-		if err := s.BindCohort(0, &spec, sparse); err != nil {
+		if err := s.BindCohort(0, &Cohort{Spec: algo.DeepWalk(), Walkers: sparse}); err != nil {
 			t.Fatal(err)
 		}
 		for k, cs := range s.cohorts {

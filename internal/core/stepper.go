@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"flashmob/internal/algo"
 	"flashmob/internal/graph"
 	"flashmob/internal/obs"
 	"flashmob/internal/rng"
@@ -27,12 +26,6 @@ func (e *Engine) initEpisode(seed uint64, episode int, w []graph.VID) {
 	e.initWalkers(w, rng.NewXorShift1024Star(rng.Mix64(seed^0x9e3779b97f4a7c15)+uint64(episode)))
 }
 
-// AuxChannelsFor returns the aux (predecessor) channel count walkers of
-// the spec carry through the shuffle: k-1 for order-k history walks, 1
-// for node2vec, 0 otherwise. Exported so the sharded topology and its
-// wire protocol size per-walker records without re-deriving the rule.
-func AuxChannelsFor(sp *algo.Spec) int { return auxChannelsFor(sp) }
-
 // cohortSlots grows the session's cohort slots, with their context
 // pointers and seed prefixes, to n and returns the first n slots.
 func (s *Session) cohortSlots(n int) []*cohortState {
@@ -45,75 +38,103 @@ func (s *Session) cohortSlots(n int) []*cohortState {
 	return s.cohorts[:n]
 }
 
-// BindCohort arms cohort slot k for a cohort of the given spec and
-// walker count, exactly as a run binds its cohorts: the kernel template
-// is the one the count selects against the build's sparse switch, copied
-// for the spec's weighting, with PS buffers reset to empty when it is
-// the plan's. walkers is the cohort's global count — a shard passes the
-// cohort's resolved Walkers, not its fluctuating local population, so
-// every shard binds what a single engine would. Admission follows
-// RunMixed's rules (ResolveCohorts, and the overlay's spec restriction
-// on an overlay session). Slots are created on demand; a slot stays
-// bound until it is rebound, a run on the session binds it, or the
-// session is reacquired. The spec must stay alive and unmodified while
-// bound.
-func (s *Session) BindCohort(k int, spec *algo.Spec, walkers uint64) error {
+// BindCohort arms cohort slot k for the resolved cohort c, exactly as a
+// run binds its cohorts: the kernel template is the one c.Walkers
+// selects against the build's sparse switch, copied for the spec's
+// weighting, with PS buffers reset to empty when it is the plan's, and
+// c.Seed keys the slot's item seeds. c.Walkers is the cohort's global
+// count — a shard binds the cohort's resolved Walkers, not its
+// fluctuating local population, so every shard binds what a single
+// engine would. Admission follows RunMixed's rules (ResolveCohorts, and
+// the overlay's spec restriction on an overlay session). Slots are
+// created on demand; a slot stays bound until it is rebound, a run on
+// the session binds it, or the session is reacquired. c.Spec must stay
+// alive and unmodified while bound.
+func (s *Session) BindCohort(k int, c *Cohort) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if k < 0 {
 		return fmt.Errorf("core: negative cohort slot %d", k)
 	}
-	if _, _, err := s.e.ResolveCohorts([]Cohort{{Spec: *spec, Walkers: 1, Steps: 1}}); err != nil {
+	if _, _, err := s.e.ResolveCohorts([]Cohort{{Spec: c.Spec, Walkers: 1, Steps: 1}}); err != nil {
 		return err
 	}
 	if s.ov != nil {
-		if err := checkOverlaySpec(spec); err != nil {
+		if err := checkOverlaySpec(&c.Spec); err != nil {
 			return err
 		}
 	}
-	s.cohortSlots(k + 1)[k].bind(s, spec, walkers)
+	s.cohortSlots(k + 1)[k].bind(s, &c.Spec, c.Walkers, c.Seed)
 	return nil
 }
 
-// Step advances cohort k's walkers in w by one step: w is forward-
-// shuffled into partition order, sampled in place under the cohort's
-// context with the (seed, episode 0, step) item-seed schedule, and
-// reverse-gathered into wNext. aux/auxNext carry the cohort's
-// predecessor channels (exactly AuxChannelsFor of its spec) and are
-// permuted identically with the walkers. len(w) may differ call to call
-// — the session's step state grows to the largest — which is how the
-// sharded topology steps a fluctuating local walker population. The
-// walker arrays are the caller's; the session owns only the shuffled
+// Step advances one wave by one step at episode 0 — the step a run's
+// driver takes: the bound slots [0, len(offs)-1) step their segments
+// w[offs[k]:offs[k+1]], which are forward-shuffled together into
+// partition order, sampled in place under each slot's context and
+// (seed, 0, step) item-seed schedule, and reverse-gathered into wNext.
+// offs starts at 0 and ascends; w, wNext and every aux/auxNext channel
+// hold at least its last offset's walkers, and aux/auxNext carry at
+// least the widest bound slot's aux channel count, permuted
+// identically with the walkers. The wave may differ call to call — the
+// session's step state grows to the largest — which is how the sharded
+// topology steps a fluctuating local walker population. The walker
+// arrays are the caller's; the session owns only the shuffled
 // intermediates.
-func (s *Session) Step(k int, seed uint64, step int, w, wNext []graph.VID, aux, auxNext [][]graph.VID) error {
+func (s *Session) Step(step int, offs []uint64, w, wNext []graph.VID, aux, auxNext [][]graph.VID) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	if k < 0 || k >= len(s.cohorts) || s.cohorts[k].cx.spec == nil {
-		return fmt.Errorf("core: cohort slot %d is not bound", k)
+	if len(offs) < 2 || offs[0] != 0 || len(offs) > len(s.cohorts)+1 {
+		return fmt.Errorf("core: wave offsets must start at 0 and bound 1 to %d slots", len(s.cohorts))
 	}
-	n := len(w)
-	if len(wNext) != n {
-		return fmt.Errorf("core: walker arrays disagree: %d vs %d", n, len(wNext))
+	channels := 0
+	for k, cs := range s.cohorts[:len(offs)-1] {
+		if cs.cx.spec == nil || offs[k+1] < offs[k] {
+			return fmt.Errorf("core: cohort slot %d is not bound or its segment descends", k)
+		}
+		channels = max(channels, auxChannelsFor(cs.cx.spec))
 	}
-	channels := auxChannelsFor(s.cohorts[k].cx.spec)
-	if len(aux) != channels || len(auxNext) != channels {
-		return fmt.Errorf("core: spec carries %d aux channels, got %d in / %d out", channels, len(aux), len(auxNext))
+	n := offs[len(offs)-1]
+	if uint64(len(w)) < n || uint64(len(wNext)) < n {
+		return fmt.Errorf("core: walker arrays of %d and %d hold fewer than %d walkers", len(w), len(wNext), n)
 	}
-	for c := 0; c < channels; c++ {
-		if len(aux[c]) != n || len(auxNext[c]) != n {
-			return fmt.Errorf("core: aux channel %d length disagrees with %d walkers", c, n)
+	if len(aux) < channels || len(auxNext) != len(aux) {
+		return fmt.Errorf("core: wave carries %d aux channels, got %d in / %d out", channels, len(aux), len(auxNext))
+	}
+	for c := range aux {
+		if uint64(len(aux[c])) < n || uint64(len(auxNext[c])) < n {
+			return fmt.Errorf("core: aux channel %d holds fewer than %d walkers", c, n)
 		}
 	}
 	if n == 0 {
 		return nil
 	}
-	s.prefixes[k] = sampleSeedPrefix(seed, 0, step)
-	return s.step(w, wNext, aux, auxNext, s.cxs[k:k+1], s.prefixes[k:k+1], nil)
+	return s.waveStep(0, step, offs, w, wNext, aux, auxNext)
+}
+
+// waveStep is the one wave step, Step's and drive's: slots [0,
+// len(offs)-1) step their segments w[offs[k]:offs[k+1]] under
+// sampleSeedPrefix(slot seed, episode, step), with the cohort layout
+// counted when several slots share the step.
+func (s *Session) waveStep(episode, step int, offs []uint64, w, wNext []graph.VID, aux, auxNext [][]graph.VID) error {
+	active := len(offs) - 1
+	n := int(offs[active])
+	for k := 0; k < active; k++ {
+		s.prefixes[k] = sampleSeedPrefix(s.cohorts[k].seed, episode, step)
+	}
+	var lay *cohortLayout
+	if active > 1 {
+		s.lay.grow(active, s.e.plan.NumVPs())
+		s.lay.count(s.e.plan.Lookup(), w, offs)
+		lay = &s.lay
+	}
+	s.in, s.out = channelViews(s.in, aux, n), channelViews(s.out, auxNext, n)
+	return s.step(w[:n], wNext[:n], s.in, s.out, s.cxs[:active], s.prefixes[:active], lay)
 }
 
 // VPSteps returns the per-partition walker-step counts accumulated by
@@ -185,14 +206,13 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 }
 
 // drive is the one run driver: it steps one episode of the cohorts
-// bound to slots [0, len(cohorts)), whose walker counts, step counts
-// and seeds cohorts gives, longest walk first. Cohort k's walkers are
-// segment k of the session's walker array, placed from the cohort's
-// seed and the episode index; each step samples slot k's walkers under
-// sampleSeedPrefix(seed, episode, step). Cohorts whose walks are done
-// retire from the sweep: the active cohorts stay a prefix, so the step
-// just shrinks. It returns each cohort's history (nil entries unless
-// Config.RecordHistory).
+// bound to slots [0, len(cohorts)), whose walker and step counts
+// cohorts gives, longest walk first. Cohort k's walkers are segment k of
+// the session's walker array, placed from slot k's seed and the episode
+// index; each step is one waveStep over the still-active cohorts.
+// Cohorts whose walks are done retire from the sweep: the active cohorts
+// stay a prefix, so the step just shrinks. It returns each cohort's
+// history (nil entries unless Config.RecordHistory).
 func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) {
 	e := s.e
 	s.offs = append(s.offs[:0], 0)
@@ -205,18 +225,15 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 	total := int(offs[len(cohorts)])
 	s.w, s.wNext = grown(s.w, total), grown(s.wNext, total)
 	s.auxW, s.auxNext = grownChannels(s.auxW, channels, total), grownChannels(s.auxNext, channels, total)
-	if len(cohorts) > 1 {
-		s.lay.grow(len(cohorts), e.plan.NumVPs())
-	}
 	w, wNext := s.w, s.wNext
 	auxW, auxNext := s.auxW[:channels], s.auxNext[:channels]
 
 	// Per-cohort init, the solo formula: a cohort's start placement
 	// depends only on its own seed, the episode and its segment length.
 	hist := make([]*walk.History, len(cohorts))
-	for k, c := range cohorts {
+	for k := range cohorts {
 		seg := w[offs[k]:offs[k+1]]
-		e.initEpisode(c.Seed, episode, seg)
+		e.initEpisode(s.cohorts[k].seed, episode, seg)
 		for ch := 0; ch < auxChannelsFor(s.cohorts[k].cx.spec); ch++ {
 			// Predecessors start as the walker's own start vertex, which
 			// makes the first higher-order step uniform over neighbours.
@@ -244,16 +261,7 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 		if aw == 0 {
 			return hist, nil
 		}
-		for k := 0; k < active; k++ {
-			s.prefixes[k] = sampleSeedPrefix(cohorts[k].Seed, episode, step)
-		}
-		var lay *cohortLayout
-		if active > 1 {
-			s.lay.count(e.plan.Lookup(), w, offs[:active+1])
-			lay = &s.lay
-		}
-		s.in, s.out = channelViews(s.in, auxW, aw), channelViews(s.out, auxNext, aw)
-		if err := s.step(w[:aw], wNext[:aw], s.in, s.out, s.cxs[:active], s.prefixes[:active], lay); err != nil {
+		if err := s.waveStep(episode, step, offs[:active+1], w, wNext, auxW, auxNext); err != nil {
 			return nil, err
 		}
 		if e.cfg.StepSink != nil {

@@ -11,8 +11,8 @@ import (
 )
 
 // stepperWalk drives a full walker population through the session's
-// per-step API — the way the sharded topology does, minus the exchange —
-// and records the per-step positions.
+// wave step as a one-segment wave — the way the sharded topology does,
+// minus the exchange — and records the per-step positions.
 func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers, steps int) [][]graph.VID {
 	t.Helper()
 	s, err := e.NewSession(context.Background())
@@ -20,14 +20,14 @@ func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers,
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.BindCohort(0, spec, uint64(walkers)); err != nil {
+	if err := s.BindCohort(0, &Cohort{Spec: *spec, Walkers: uint64(walkers), Seed: seed}); err != nil {
 		t.Fatal(err)
 	}
 
 	w := make([]graph.VID, walkers)
 	wNext := make([]graph.VID, walkers)
 	e.InitWalkersSeeded(seed, w)
-	channels := AuxChannelsFor(spec)
+	channels := auxChannelsFor(spec)
 	aux := make([][]graph.VID, channels)
 	auxNext := make([][]graph.VID, channels)
 	for c := 0; c < channels; c++ {
@@ -38,8 +38,9 @@ func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers,
 
 	rows := make([][]graph.VID, 0, steps+1)
 	rows = append(rows, append([]graph.VID(nil), w...))
+	offs := []uint64{0, uint64(walkers)}
 	for step := 0; step < steps; step++ {
-		if err := s.Step(0, seed, step, w, wNext, aux, auxNext); err != nil {
+		if err := s.Step(step, offs, w, wNext, aux, auxNext); err != nil {
 			t.Fatal(err)
 		}
 		w, wNext = wNext, w
@@ -50,7 +51,7 @@ func stepperWalk(t *testing.T, e *Engine, spec *algo.Spec, seed uint64, walkers,
 }
 
 // TestStepperMatchesRunSeeded pins the Step contract: stepping a
-// cohort one step at a time reproduces the closed RunSeeded loop
+// one-segment wave one step at a time reproduces the closed RunSeeded loop
 // bitwise, across kernel families (DS, node2vec aux channels, stop-prob
 // restarts) and with sub-sharding forced on.
 func TestStepperMatchesRunSeeded(t *testing.T) {
@@ -122,8 +123,8 @@ func TestStepperResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	spec := algo.DeepWalk()
-	if err := s.BindCohort(0, &spec, 200); err != nil {
+	c := &Cohort{Spec: algo.DeepWalk(), Walkers: 200, Seed: 7}
+	if err := s.BindCohort(0, c); err != nil {
 		t.Fatal(err)
 	}
 	const grown = 1000
@@ -131,7 +132,7 @@ func TestStepperResize(t *testing.T) {
 	wNext := make([]graph.VID, grown)
 	e.InitWalkersSeeded(7, w)
 	for step, n := range []int{200, 120, 37, 0, 120, 200} {
-		if err := s.Step(0, 7, step, w[:n], wNext[:n], nil, nil); err != nil {
+		if err := s.Step(step, []uint64{0, uint64(n)}, w, wNext, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < n; j++ {
@@ -150,7 +151,7 @@ func TestStepperResize(t *testing.T) {
 		copy(w[:n], wNext[:n])
 	}
 
-	if err := s.Step(0, 7, 6, w, wNext, nil, nil); err != nil {
+	if err := s.Step(6, []uint64{0, grown}, w, wNext, nil, nil); err != nil {
 		t.Fatalf("stepping past the largest count so far: %v", err)
 	}
 	ref := newEngine(t, g, algo.DeepWalk(), cfg)
@@ -160,17 +161,17 @@ func TestStepperResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if err := fresh.BindCohort(0, &spec, 200); err != nil {
+	if err := fresh.BindCohort(0, c); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]graph.VID, grown)
-	if err := fresh.Step(0, 7, 6, w, want, nil, nil); err != nil {
+	if err := fresh.Step(6, []uint64{0, grown}, w, want, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(wNext, want) {
 		t.Fatal("step grown past the session's capacity differs from a fresh session's")
 	}
-	if err := s.Step(1, 7, 0, w[:10], wNext[:10], nil, nil); err == nil {
+	if err := s.Step(0, []uint64{0, 5, 10}, w, wNext, nil, nil); err == nil {
 		t.Fatal("stepping a slot bound before the session's acquisition accepted")
 	}
 }

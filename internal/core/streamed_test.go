@@ -132,7 +132,7 @@ func TestStreamedRefusesTargetReaders(t *testing.T) {
 	if _, err := s.RunMixed([]Cohort{{Spec: n2v, Walkers: 10, Steps: 2}}); err == nil {
 		t.Error("streamed engine admitted a node2vec cohort")
 	}
-	if err := s.BindCohort(0, &n2v, 10); err == nil {
+	if err := s.BindCohort(0, &Cohort{Spec: n2v, Walkers: 10}); err == nil {
 		t.Error("streamed engine bound a node2vec cohort")
 	}
 	delta := []graph.Edge{{Src: 0, Dst: 299}}

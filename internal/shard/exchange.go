@@ -25,12 +25,13 @@ import (
 // order is what keeps sharded runs bitwise-identical: each shard's local
 // walker array is always the id-ordered subsequence of the global
 // array, so every partition chunk it feeds the sampler matches the
-// single-engine chunk.
+// single-engine chunk, and its cohort segments follow from the ids.
 type Exchange struct {
 	self  int
 	smap  *part.ShardMap
 	tr    Transport
 	m     *Metrics
+	total uint64 // the run's walker count: every id is below it
 	words int
 	stage walk.LineStage[graph.VID]
 	// outbox ping-pongs two generations of per-peer frames: a frame's
@@ -49,19 +50,22 @@ type Exchange struct {
 	offs []int
 }
 
-// NewExchange builds shard self's exchange over the given transport.
-func NewExchange(self int, smap *part.ShardMap, tr Transport, m *Metrics) *Exchange {
-	ex := &Exchange{self: self, smap: smap, tr: tr, m: m, words: -1,
-		in: make([][]graph.VID, smap.NumShards())}
-	ex.outbox[0] = make([][]graph.VID, smap.NumShards())
-	ex.outbox[1] = make([][]graph.VID, smap.NumShards())
+// NewExchange builds shard self's exchange over the given transport for
+// a run of total walkers carrying channels aux channels each.
+func NewExchange(self int, smap *part.ShardMap, tr Transport, m *Metrics, total uint64, channels int) *Exchange {
+	S := smap.NumShards()
+	ex := &Exchange{self: self, smap: smap, tr: tr, m: m, total: total, words: 2 + channels,
+		survAux: make([][]graph.VID, channels), in: make([][]graph.VID, S), offs: make([]int, S)}
+	ex.stage.Resize(S, ex.words)
+	ex.outbox[0] = make([][]graph.VID, S)
+	ex.outbox[1] = make([][]graph.VID, S)
 	return ex
 }
 
 // batch is one exchange round's records. ids/w/aux hold the shard's
 // post-step local records, ascending by id: global walker ids, vertices,
-// and the aux channels riding with them. outIDs/out/outAux receive the
-// post-exchange set.
+// and the exchange's aux channels riding with them (each at least len(w)
+// long). outIDs/out/outAux receive the post-exchange set.
 type batch struct {
 	ids    []uint32
 	w      []graph.VID
@@ -75,19 +79,12 @@ type batch struct {
 // (fitted to the new local count: re-sliced, or replaced when their
 // capacity is short) hold the post-exchange set — survivors plus
 // immigrants, ascending by id. A peer frame carrying a vertex this
-// shard does not own fails the round, naming the peer.
+// shard does not own, an id at or past the run's total, or an id not
+// strictly above the previous merged one (an unsorted frame, or an id
+// two peers both sent) fails the round, naming the peer.
 func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 	S := ex.smap.NumShards()
-	channels := len(b.aux)
-	words := 2 + channels
-	if words != ex.words {
-		ex.stage.Resize(S, words)
-		ex.words = words
-		for len(ex.survAux) < channels {
-			ex.survAux = append(ex.survAux, nil)
-		}
-		ex.survAux = ex.survAux[:channels]
-	}
+	channels, words := len(ex.survAux), ex.words
 	out := ex.outbox[ex.parity]
 	ex.parity ^= 1
 	for d := range out {
@@ -107,7 +104,7 @@ func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 		if d == ex.self {
 			ex.survIDs = append(ex.survIDs, b.ids[j])
 			ex.survW = append(ex.survW, v)
-			for c := range b.aux {
+			for c := range ex.survAux {
 				ex.survAux[c] = append(ex.survAux[c], b.aux[c][j])
 			}
 			continue
@@ -176,10 +173,11 @@ func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 	// S-way merge ascending by id: survivors and each peer frame are
 	// already id-sorted (every shard scans its id-ordered array), and ids
 	// are globally unique, so a linear min-pick reconstructs the global
-	// subsequence order. Each immigrant's vertex is range-checked as it
+	// subsequence order. Each immigrant's id and vertex are checked as it
 	// is copied; a failed round's partial output is abandoned.
 	si := 0
-	offs := ex.inOffsets()
+	offs := ex.offs
+	clear(offs)
 	for i := 0; i < newN; i++ {
 		best := -1 // -1 = survivors, else peer index
 		bestID := uint32(math.MaxUint32)
@@ -208,6 +206,9 @@ func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 		}
 		f := ex.in[best]
 		o := offs[best]
+		if id := uint64(f[o]); id >= ex.total || (i > 0 && id <= uint64(b.outIDs[i-1])) {
+			return fmt.Errorf("shard: frame from shard %d carries walker id %d out of order or past the run's %d walkers", best, id, ex.total)
+		}
 		v := f[o+1]
 		if v < lo || v >= hi {
 			return fmt.Errorf("shard: frame from shard %d carries walker %d on vertex %d, outside this shard's vertices [%d, %d)", best, f[o], v, lo, hi)
@@ -220,14 +221,4 @@ func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 		offs[best] = o + words
 	}
 	return nil
-}
-
-// inOffsets returns the zeroed per-peer merge cursor array.
-func (ex *Exchange) inOffsets() []int {
-	if ex.offs == nil || len(ex.offs) != len(ex.in) {
-		ex.offs = make([]int, len(ex.in))
-	} else {
-		clear(ex.offs)
-	}
-	return ex.offs
 }

@@ -1,16 +1,18 @@
 // Package shard runs the sample→shuffle pipeline across multiple engine
 // shards: internal/part's ShardMap cuts the (degree-sorted) vertex space
-// into contiguous partition runs, each shard advances its local walkers
-// one step at a time through its engine session (core.Session.Step), and
-// a cross-shard Exchange write-combines emigrant walkers per destination
-// shard and delivers them in bulk over channels (in-process shards) or
-// length-prefixed TCP frames (one shard per process).
+// into contiguous partition runs, each shard advances all of its local
+// walkers one wave step per superstep through its engine session
+// (core.Session.Step), and a cross-shard Exchange write-combines every
+// cohort's emigrant walkers per destination shard and delivers them in
+// one bulk round over channels (in-process shards) or length-prefixed
+// TCP frames (one shard per process).
 //
-// Supersteps alternate local-walk / exchange in BSP lockstep, and every
-// sample draw keys on the cohort's own (seed, step, partition, sub-shard)
-// schedule — global coordinates a shard can compute locally — so sharded
-// trajectories are bitwise-identical to the single-engine run regardless
-// of shard count or transport. See DESIGN.md, "Sharded topology".
+// Supersteps alternate local-walk / exchange in BSP lockstep, walker ids
+// are global in the run's execution order, and every sample draw keys on
+// the cohort's own (seed, step, partition, sub-shard) schedule — global
+// coordinates a shard can compute locally — so sharded trajectories are
+// bitwise-identical to the single-engine run regardless of shard count
+// or transport. See DESIGN.md, "Sharded topology".
 package shard
 
 import (

@@ -79,14 +79,10 @@ func (r *Remote) RunMixed(ctx context.Context, cohorts []core.Cohort) (*core.Mix
 		return nil, err
 	}
 
-	pos := make([][]graph.VID, len(p.resolved))
-	for k, c := range p.resolved {
-		pos[k] = make([]graph.VID, int(c.Walkers)*(c.Steps+1))
-		copy(pos[k][:c.Walkers], p.row0[k])
-	}
+	pos := p.newPositions()
 
-	hdr := runHeader{Cohorts: make([]wireCohort, len(p.resolved))}
-	for k, c := range p.resolved {
+	hdr := runHeader{Cohorts: make([]wireCohort, len(p.cohorts))}
+	for k, c := range p.cohorts {
 		hdr.Cohorts[k] = wireCohort{Walkers: c.Walkers, Steps: c.Steps, Seed: c.Seed, Spec: toWireSpec(&c.Spec)}
 	}
 	hdrJSON, err := json.Marshal(hdr)
@@ -114,21 +110,16 @@ func (r *Remote) RunMixed(ctx context.Context, cohorts []core.Cohort) (*core.Mix
 		if err := writeFrame(bw, frameRun, hdrJSON); err != nil {
 			return nil, err
 		}
-		scratch := make([]graph.VID, 0, initChunkWords+1)
-		for k := range p.resolved {
-			ids, ws := p.ids[s][k], p.w[s][k]
-			for off := 0; off < len(ids); off += initChunkWords / 2 {
-				end := off + initChunkWords/2
-				if end > len(ids) {
-					end = len(ids)
-				}
-				scratch = append(scratch[:0], graph.VID(k))
-				for i := off; i < end; i++ {
-					scratch = append(scratch, graph.VID(ids[i]), ws[i])
-				}
-				if err := writeFrame(bw, frameInit, vidsToBytes(scratch)); err != nil {
-					return nil, err
-				}
+		scratch := make([]graph.VID, 0, initChunkWords)
+		ids, ws := p.ids[s], p.w[s]
+		for off := 0; off < len(ids); off += initChunkWords / 2 {
+			end := min(off+initChunkWords/2, len(ids))
+			scratch = scratch[:0]
+			for i := off; i < end; i++ {
+				scratch = append(scratch, graph.VID(ids[i]), ws[i])
+			}
+			if err := writeFrame(bw, frameInit, vidsToBytes(scratch)); err != nil {
+				return nil, err
 			}
 		}
 		if err := writeFrame(bw, frameGo, nil); err != nil {
@@ -201,21 +192,16 @@ func (r *Remote) gather(conn net.Conn, p *placement, pos [][]graph.VID, trailer 
 		switch typ {
 		case framePaths:
 			vs, err := bytesToVIDs(payload)
-			if err != nil || len(vs) < 1 || len(vs[1:])%3 != 0 {
+			if err != nil || len(vs)%3 != 0 {
 				return fmt.Errorf("shard: malformed paths frame")
 			}
-			k := int(vs[0])
-			if k < 0 || k >= len(p.resolved) {
-				return fmt.Errorf("shard: paths frame for cohort %d of %d", k, len(p.resolved))
-			}
-			walkers := int(p.resolved[k].Walkers)
-			steps := p.resolved[k].Steps
-			for i := 1; i+3 <= len(vs); i += 3 {
-				step, id, v := int(vs[i]), int(vs[i+1]), vs[i+2]
-				if step < 1 || step > steps || id < 0 || id >= walkers {
+			for i := 0; i < len(vs); i += 3 {
+				step, id, v := uint64(vs[i]), uint64(vs[i+1]), vs[i+2]
+				k := p.cohortOf(id) // len(p.cohorts) past the run's ids
+				if k == len(p.cohorts) || step < 1 || step > uint64(p.cohorts[k].Steps) {
 					return fmt.Errorf("shard: paths frame out of range (step %d, id %d)", step, id)
 				}
-				pos[k][step*walkers+id] = v
+				pos[k][step*p.cohorts[k].Walkers+id-p.starts[k]] = v
 			}
 		case frameDone:
 			return json.Unmarshal(payload, trailer)

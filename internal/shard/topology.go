@@ -16,9 +16,10 @@ import (
 // engine build shared by all shards (each shard only ever samples the
 // partitions it owns, so sharing the immutable build costs nothing and
 // keeps memory flat), per-shard sessions off the engine's pool (each
-// session is its shard's stepper), and a ChanMesh exchange. Safe for concurrent RunMixed calls —
-// each run gets its own mesh and sessions — which is what lets the
-// serving layer drive one Topology from many executors.
+// session is its shard's stepper), and a ChanMesh exchange. Safe for
+// concurrent RunMixed calls — each run gets its own mesh and sessions —
+// which is what lets the serving layer drive one Topology from many
+// executors.
 type Topology struct {
 	eng    *core.Engine
 	smap   *part.ShardMap
@@ -63,14 +64,10 @@ func (t *Topology) RunMixed(ctx context.Context, cohorts []core.Cohort) (*core.M
 		return nil, err
 	}
 
-	// Shared position matrices: pos[k][step*walkers+id]. Shards own
-	// disjoint ids at every step, so the writes never race; the final
-	// Wait orders them before assembly reads.
-	pos := make([][]graph.VID, len(p.resolved))
-	for k, c := range p.resolved {
-		pos[k] = make([]graph.VID, int(c.Walkers)*(c.Steps+1))
-		copy(pos[k][:c.Walkers], p.row0[k])
-	}
+	// Shared position matrices: shards own disjoint ids at every step, so
+	// the writes never race; the final Wait orders them before assembly
+	// reads.
+	pos := p.newPositions()
 
 	mesh := NewChanMesh(t.shards)
 	runCtx, cancel := context.WithCancel(ctx)
@@ -84,20 +81,15 @@ func (t *Topology) RunMixed(ctx context.Context, cohorts []core.Cohort) (*core.M
 	for s := 0; s < t.shards; s++ {
 		r := &shardRun{
 			self: s, eng: t.eng, smap: t.smap, tr: mesh.Bind(s), m: t.m,
-			resolved: p.resolved, channels: p.channels,
-			coh:     make([]*shardCohort, len(p.resolved)),
+			wave: p.wave, ids: p.ids[s], w: p.w[s],
 			vpSteps: make([]uint64, t.eng.Plan().NumVPs()),
 		}
 		vpSteps[s] = r.vpSteps
-		for k, c := range p.resolved {
-			r.coh[k] = newShardCohort(core.AuxChannelsFor(&c.Spec), p.ids[s][k], p.w[s][k])
-		}
-		r.record = func(k, step int, ids []uint32, w []graph.VID) error {
-			row := pos[k][step*int(p.resolved[k].Walkers):]
+		r.record = func(k, step int, ids []uint32, w []graph.VID) {
+			row, first := pos[k][uint64(step)*p.cohorts[k].Walkers:], p.starts[k]
 			for j, id := range ids {
-				row[id] = w[j]
+				row[uint64(id)-first] = w[j]
 			}
-			return nil
 		}
 		wg.Add(1)
 		go func() {
@@ -132,10 +124,10 @@ func (t *Topology) RunMixed(ctx context.Context, cohorts []core.Cohort) (*core.M
 // per-cohort histories, cohorts in caller order.
 func assemble(p *placement, pos [][]graph.VID, nvp int, start time.Time) (*core.MixedResult, error) {
 	res := &core.MixedResult{
-		Cohorts: make([]core.CohortResult, len(p.resolved)),
+		Cohorts: make([]core.CohortResult, len(p.cohorts)),
 		VPSteps: make([]uint64, nvp),
 	}
-	for k, c := range p.resolved {
+	for k, c := range p.cohorts {
 		h := walk.NewHistory(int(c.Walkers))
 		for step := 0; step <= c.Steps; step++ {
 			lo := step * int(c.Walkers)
@@ -143,14 +135,14 @@ func assemble(p *placement, pos [][]graph.VID, nvp int, start time.Time) (*core.
 				return nil, err
 			}
 		}
-		res.Cohorts[k] = core.CohortResult{
+		res.Cohorts[p.order[k]] = core.CohortResult{
 			Walkers:    c.Walkers,
 			Steps:      c.Steps,
 			TotalSteps: c.Walkers * uint64(c.Steps),
 			History:    h,
 		}
 		res.Walkers += c.Walkers
-		res.TotalSteps += res.Cohorts[k].TotalSteps
+		res.TotalSteps += c.Walkers * uint64(c.Steps)
 	}
 	res.Duration = time.Since(start)
 	res.OtherTime = res.Duration

@@ -75,9 +75,12 @@ func historiesMatch(t *testing.T, tag string, a, b interface {
 // TestTopologyBitwiseIdentical is the tentpole's core claim: sharded
 // trajectories are bitwise-identical to the single-engine RunMixed for
 // shard counts {1, 2, 4}, across a mixed cohort batch (first-order,
-// node2vec aux channels, stop-prob restarts, ragged step counts). Shard
-// count 1 is the degenerate topology — still exercising the exchange
-// barrier machinery with zero peers.
+// node2vec aux channels, stop-prob restarts, an order-3 history walk,
+// ragged step counts — so one wave carries 0, 1 and 2 aux channels).
+// Shard count 1 is the degenerate topology — still exercising the
+// exchange barrier machinery with zero peers. The subshard leg shrinks
+// core.SubShardSize so oversized chunks split and the sub-shard item
+// seeds are checked across shards too.
 func TestTopologyBitwiseIdentical(t *testing.T) {
 	g := testGraph(t, 800, 3)
 	e := testEngine(t, g, algo.DeepWalk())
@@ -87,12 +90,29 @@ func TestTopologyBitwiseIdentical(t *testing.T) {
 		{Spec: algo.DeepWalk(), Walkers: 500, Steps: 8, Seed: 41},
 		{Spec: algo.Node2Vec(0.5, 2), Walkers: 300, Steps: 5, Seed: 42},
 		{Spec: algo.PageRankWalk(0.85), Walkers: 200, Steps: 8, Seed: 43},
+		{Spec: algo.SelfAvoiding(2, 6, 0.5), Walkers: 250, Steps: 6, Seed: 44},
 	}
+	for _, leg := range []struct {
+		name     string
+		subShard uint64
+	}{{"default", core.SubShardSize}, {"subshard", 16}} {
+		t.Run(leg.name, func(t *testing.T) {
+			defer func(old uint64) { core.SubShardSize = old }(core.SubShardSize)
+			core.SubShardSize = leg.subShard
+			checkTopologyBitwise(t, e, cohorts)
+		})
+	}
+}
+
+// checkTopologyBitwise runs cohorts on the single engine and on 1, 2 and
+// 4 in-process shards and demands equal histories and VPSteps, and on
+// more than one shard balanced, non-zero emigrant counts.
+func checkTopologyBitwise(t *testing.T, e *core.Engine, cohorts []core.Cohort) {
+	t.Helper()
 	ref, err := e.RunMixed(cohorts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	for _, shards := range []int{1, 2, 4} {
 		topo, err := New(e, shards)
 		if err != nil {
@@ -103,7 +123,7 @@ func TestTopologyBitwiseIdentical(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		for k := range cohorts {
-			historiesMatch(t, "", ref.Cohorts[k].History, res.Cohorts[k].History)
+			historiesMatch(t, cohorts[k].Spec.Name, ref.Cohorts[k].History, res.Cohorts[k].History)
 		}
 		// The per-partition walker-step weights must match too: shards
 		// sampled exactly the partition chunks the single engine did.
@@ -114,23 +134,41 @@ func TestTopologyBitwiseIdentical(t *testing.T) {
 		}
 		rep := topo.MetricsReport()
 		if shards > 1 {
-			var emi, imm uint64
-			for _, v := range rep.Vectors {
-				for _, x := range v.Values {
-					switch v.Desc.Name {
-					case "shard_emigrants_total":
-						emi += x
-					case "shard_immigrants_total":
-						imm += x
-					}
-				}
-			}
+			emi := vecTotal(t, rep, "shard_emigrants_total")
 			if emi == 0 {
 				t.Fatalf("shards=%d: no emigrants on a power-law graph", shards)
 			}
-			if emi != imm {
+			if imm := vecTotal(t, rep, "shard_immigrants_total"); emi != imm {
 				t.Fatalf("shards=%d: emigrants %d != immigrants %d", shards, emi, imm)
 			}
+		}
+	}
+}
+
+// TestOneExchangeRoundPerSuperstep pins the wave superstep: cohorts of
+// 8, 5 and 8 steps make 8 supersteps, and every superstep but the last
+// is one exchange round carrying every cohort's emigrants — one frame
+// per ordered shard pair — so a run sends S·(S−1)·7 frames.
+func TestOneExchangeRoundPerSuperstep(t *testing.T) {
+	g := testGraph(t, 800, 3)
+	e := testEngine(t, g, algo.DeepWalk())
+	defer e.Close()
+	cohorts := []core.Cohort{
+		{Spec: algo.DeepWalk(), Walkers: 200, Steps: 8, Seed: 61},
+		{Spec: algo.Node2Vec(0.5, 2), Walkers: 100, Steps: 5, Seed: 62},
+		{Spec: algo.DeepWalk(), Walkers: 150, Steps: 8, Seed: 63},
+	}
+	for _, shards := range []int{2, 4} {
+		topo, err := New(e, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := topo.RunMixed(context.Background(), cohorts); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(shards * (shards - 1) * 7)
+		if got := vecTotal(t, topo.MetricsReport(), "shard_exchange_frames_total"); got != want {
+			t.Errorf("shards=%d: %d frames per run, want %d", shards, got, want)
 		}
 	}
 }

@@ -16,19 +16,22 @@ const (
 	// frameHello opens a peer mesh connection: payload is one word, the
 	// dialing shard's index.
 	frameHello = byte(0x01)
-	// frameWalkers carries one exchange round's records to a peer:
-	// payload is records × (2+channels) words, [id, vertex, aux...] each.
-	// Empty payloads are the barrier.
+	// frameWalkers carries one superstep's exchange round — every
+	// cohort's emigrants — to a peer: payload is records × (2+channels)
+	// words, [global id, vertex, aux...] each, channels the run's widest
+	// aux count. Empty payloads are the barrier.
 	frameWalkers = byte(0x02)
-	// frameRun opens a run on a worker: payload is the JSON runHeader.
+	// frameRun opens a run on a worker: payload is the JSON runHeader,
+	// cohorts in execution order.
 	frameRun = byte(0x10)
-	// frameInit scatters one cohort's local walkers to a worker: payload
-	// is [cohort, (id, vertex)...] words. May repeat per cohort.
+	// frameInit scatters the worker's initial walkers to it: payload is
+	// (global id, vertex) word pairs, ids ascending across the run's
+	// init frames. May repeat.
 	frameInit = byte(0x11)
 	// frameGo marks the end of init frames; the worker starts stepping.
 	frameGo = byte(0x12)
 	// framePaths streams recorded positions back to the coordinator:
-	// payload is [cohort, (step, id, vertex)...] words.
+	// payload is (step, global id, vertex) word triples.
 	framePaths = byte(0x20)
 	// frameDone ends a worker's run: payload is the JSON doneTrailer.
 	frameDone = byte(0x21)

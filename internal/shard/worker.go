@@ -38,7 +38,8 @@ func (ws wireSpec) spec() algo.Spec {
 
 // runHeader opens one run on a worker: the resolved cohorts (defaults
 // already applied by the coordinator, so every worker steps the same
-// schedule without consulting its own defaults).
+// schedule without consulting its own defaults), sent in execution
+// order; the worker derives the same order and global ids (newWave).
 type runHeader struct {
 	Cohorts []wireCohort `json:"cohorts"`
 }
@@ -188,39 +189,34 @@ func ServeWorker(ctx context.Context, ln net.Listener, eng *core.Engine, self in
 	}
 }
 
-// decodeInit checks one frameInit payload — [cohort, (id, vertex)...]
-// words — against the run's resolved cohorts and this shard's vertex
-// range [lo, hi), and appends its records to ids[k]/ws[k]. Every
-// accepted record has an id below its cohort's walker count, strictly
-// above the cohort's previous id (across frames too), and a vertex the
-// shard owns; so a cohort never receives more records than it has
-// walkers. A rejected frame may leave a partial append behind, which is
-// harmless because the run is abandoned.
-func decodeInit(payload []byte, resolved []core.Cohort, lo, hi graph.VID, ids [][]uint32, ws [][]graph.VID) error {
+// decodeInit checks one frameInit payload — (id, vertex) word pairs
+// under the run's global walker ids — against the run's total walkers
+// and this shard's vertex range [lo, hi), and appends its records to
+// ids/ws. Every accepted record has an id below total, strictly above
+// the previous id (across frames too), and a vertex the shard owns; so
+// a shard never receives more records than the run has walkers. A
+// rejected frame may leave a partial append behind, which is harmless
+// because the run is abandoned.
+func decodeInit(payload []byte, total uint64, lo, hi graph.VID, ids []uint32, ws []graph.VID) ([]uint32, []graph.VID, error) {
 	vs, err := bytesToVIDs(payload)
-	if err != nil || len(vs) < 1 || len(vs[1:])%2 != 0 {
-		return fmt.Errorf("shard: malformed init frame")
+	if err != nil || len(vs)%2 != 0 {
+		return ids, ws, fmt.Errorf("shard: malformed init frame")
 	}
-	k := int(vs[0])
-	if k < 0 || k >= len(resolved) {
-		return fmt.Errorf("shard: init frame for cohort %d of %d", k, len(resolved))
-	}
-	walkers := resolved[k].Walkers
-	for i := 1; i < len(vs); i += 2 {
+	for i := 0; i < len(vs); i += 2 {
 		id, v := uint32(vs[i]), vs[i+1]
-		if uint64(id) >= walkers {
-			return fmt.Errorf("shard: init record for cohort %d has walker id %d of %d", k, id, walkers)
+		if uint64(id) >= total {
+			return ids, ws, fmt.Errorf("shard: init record has walker id %d of %d", id, total)
 		}
-		if n := len(ids[k]); n > 0 && id <= ids[k][n-1] {
-			return fmt.Errorf("shard: init records for cohort %d are not ascending (id %d after %d)", k, id, ids[k][n-1])
+		if n := len(ids); n > 0 && id <= ids[n-1] {
+			return ids, ws, fmt.Errorf("shard: init records are not ascending (id %d after %d)", id, ids[n-1])
 		}
 		if v < lo || v >= hi {
-			return fmt.Errorf("shard: init record for cohort %d puts walker %d on vertex %d, outside this shard's vertices [%d, %d)", k, id, v, lo, hi)
+			return ids, ws, fmt.Errorf("shard: init record puts walker %d on vertex %d, outside this shard's vertices [%d, %d)", id, v, lo, hi)
 		}
-		ids[k] = append(ids[k], id)
-		ws[k] = append(ws[k], v)
+		ids = append(ids, id)
+		ws = append(ws, v)
 	}
-	return nil
+	return ids, ws, nil
 }
 
 // serveRun executes one coordinator run on the worker's shard.
@@ -239,7 +235,7 @@ func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.Sh
 	for i, wc := range hdr.Cohorts {
 		cohorts[i] = core.Cohort{Spec: wc.Spec.spec(), Walkers: wc.Walkers, Steps: wc.Steps, Seed: wc.Seed}
 	}
-	resolved, channels, err := resolveCohorts(eng, cohorts)
+	wv, err := newWave(eng, cohorts)
 	if err != nil {
 		fail(fmt.Errorf("shard: bad run header: %w", err))
 		return
@@ -247,8 +243,8 @@ func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.Sh
 
 	// Collect init frames until GO.
 	lo, hi := smap.Ranges().Range(self)
-	ids := make([][]uint32, len(resolved))
-	ws := make([][]graph.VID, len(resolved))
+	var ids []uint32
+	var ws []graph.VID
 	for {
 		typ, payload, err := readFrame(cc.conn)
 		if err != nil {
@@ -261,29 +257,22 @@ func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.Sh
 			fail(fmt.Errorf("shard: unexpected frame 0x%02x during init", typ))
 			return
 		}
-		if err := decodeInit(payload, resolved, lo, hi, ids, ws); err != nil {
+		if ids, ws, err = decodeInit(payload, wv.total(), lo, hi, ids, ws); err != nil {
 			fail(err)
 			return
 		}
 	}
 
-	frags := make([][]graph.VID, len(resolved))
+	var frags []graph.VID
 	r := &shardRun{
 		self: self, eng: eng, smap: smap, tr: tr, m: m,
-		resolved: resolved, channels: channels,
-		coh:     make([]*shardCohort, len(resolved)),
+		wave: wv, ids: ids, w: ws,
 		vpSteps: make([]uint64, eng.Plan().NumVPs()),
-		record: func(k, step int, ids []uint32, w []graph.VID) error {
-			f := frags[k]
+		record: func(_, step int, ids []uint32, w []graph.VID) {
 			for j, id := range ids {
-				f = append(f, graph.VID(step), graph.VID(id), w[j])
+				frags = append(frags, graph.VID(step), graph.VID(id), w[j])
 			}
-			frags[k] = f
-			return nil
 		},
-	}
-	for k, c := range resolved {
-		r.coh[k] = newShardCohort(core.AuxChannelsFor(&c.Spec), ids[k], ws[k])
 	}
 	before := doneTrailer{
 		Emigrants: m.Emigrants.Value(self), Immigrants: m.Immigrants.Value(self),
@@ -295,18 +284,10 @@ func serveRun(ctx context.Context, cc coordConn, eng *core.Engine, smap *part.Sh
 	}
 
 	bw := bufio.NewWriter(cc.conn)
-	scratch := make([]graph.VID, 0, pathChunkWords+1)
-	for k := range frags {
-		for off := 0; off < len(frags[k]); off += pathChunkWords {
-			end := off + pathChunkWords
-			if end > len(frags[k]) {
-				end = len(frags[k])
-			}
-			scratch = append(scratch[:0], graph.VID(k))
-			scratch = append(scratch, frags[k][off:end]...)
-			if err := writeFrame(bw, framePaths, vidsToBytes(scratch)); err != nil {
-				return
-			}
+	for off := 0; off < len(frags); off += pathChunkWords {
+		end := min(off+pathChunkWords, len(frags))
+		if err := writeFrame(bw, framePaths, vidsToBytes(frags[off:end])); err != nil {
+			return
 		}
 	}
 	trailer := doneTrailer{

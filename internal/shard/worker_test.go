@@ -225,10 +225,10 @@ func hostileRun(t *testing.T, addr string, hdr runHeader, inits ...[]graph.VID) 
 
 // TestWorkerRejectsHostileInit sends a one-worker mesh runs whose
 // header or init records would index past the worker's arrays — a
-// vertex past |V|, an id past the cohort's walkers, descending ids, more
+// vertex past |V|, an id past the run's walkers, descending ids, more
 // records than walkers, a header the engine cannot resolve or whose
-// walkers overflow 32-bit ids — and demands a frameErr for each with the
-// worker still serving. A header naming 2^32-1 walkers of which none
+// walkers, one cohort's or the run's total, overflow 32-bit ids — and
+// demands a frameErr for each with the worker still serving. A header naming 2^32-1 walkers of which none
 // start on this shard is a valid empty run: the worker must answer
 // frameDone without sizing arrays for the header's count. A valid run
 // on the same mesh must then match the single engine bitwise.
@@ -248,13 +248,16 @@ func TestWorkerRejectsHostileInit(t *testing.T) {
 		hdr   runHeader
 		inits [][]graph.VID
 	}{
-		{"vertex-past-V", two, [][]graph.VID{{0, 0, 1 << 30}}},
-		{"id-past-walkers", two, [][]graph.VID{{0, 5, 0}}},
-		{"ids-not-ascending", two, [][]graph.VID{{0, 1, 0}, {0, 0, 1}}},
-		{"too-many-records", two, [][]graph.VID{{0, 0, 0, 1, 1, 2, 2}}},
-		{"unknown-cohort", two, [][]graph.VID{{1, 0, 0}}},
+		{"vertex-past-V", two, [][]graph.VID{{0, 1 << 30}}},
+		{"id-past-walkers", two, [][]graph.VID{{5, 0}}},
+		{"ids-not-ascending", two, [][]graph.VID{{1, 0}, {0, 1}}},
+		{"too-many-records", two, [][]graph.VID{{0, 0, 1, 1, 2, 2}}},
 		{"unresolvable-spec", runHeader{Cohorts: []wireCohort{{Walkers: 2, Steps: 3, Seed: 1, Spec: toWireSpec(&badSpec)}}}, nil},
 		{"ids-past-32-bits", runHeader{Cohorts: []wireCohort{{Walkers: 1 << 33, Steps: 3, Seed: 1, Spec: toWireSpec(&dw)}}}, nil},
+		{"run-past-32-bits", runHeader{Cohorts: []wireCohort{
+			{Walkers: 1 << 31, Steps: 3, Seed: 1, Spec: toWireSpec(&dw)},
+			{Walkers: 1 << 31, Steps: 2, Seed: 2, Spec: toWireSpec(&dw)},
+		}}, nil},
 		{"no-cohorts", runHeader{}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -290,31 +293,46 @@ func TestWorkerRejectsHostileInit(t *testing.T) {
 	}
 }
 
-// TestExchangeRejectsForeignVertex pushes a frame whose record sits on a
-// vertex past |V| through a ChanMesh into a shard's exchange round: the
-// round must fail, naming the peer, instead of handing the vertex to
-// the next step's count pass.
+// TestExchangeRejectsForeignVertex pushes hostile peer frames through a
+// ChanMesh into shard 0's exchange round of a 3-shard, 10-walker run —
+// a record on a vertex past |V|, an id past the run's walkers, ids
+// descending within one frame, one id sent by two peers — and demands
+// the round fail naming the peer instead of handing the record to the
+// next step's segment offsets and count pass.
 func TestExchangeRejectsForeignVertex(t *testing.T) {
-	g := testGraph(t, 600, 3)
+	g := testGraph(t, 800, 3)
 	e := testEngine(t, g, algo.DeepWalk())
 	defer e.Close()
-	smap, err := part.NewShardMap(e.Plan(), 2)
+	smap, err := part.NewShardMap(e.Plan(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mesh := NewChanMesh(2)
-	ex := NewExchange(0, smap, mesh.Bind(0), nil)
-	ctx := context.Background()
-	if err := mesh.Bind(1).Send(ctx, 0, []graph.VID{7, graph.VID(g.NumVertices()) + 5}); err != nil {
-		t.Fatal(err)
-	}
 	lo, _ := smap.Ranges().Range(0)
-	b := batch{
-		ids: []uint32{0}, w: []graph.VID{lo},
-		outIDs: make([]uint32, 0, 4), out: make([]graph.VID, 0, 4),
-	}
-	err = ex.Move(ctx, &b)
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("Move = %v, want an error naming shard 1", err)
+	const total = 10
+	for _, tc := range []struct {
+		name   string
+		frames [3][]graph.VID // frames[s] is peer s's frame to shard 0
+		peer   string
+	}{
+		{"foreign-vertex", [3][]graph.VID{1: {7, graph.VID(g.NumVertices()) + 5}}, "shard 1"},
+		{"id-past-total", [3][]graph.VID{2: {total, lo}}, "shard 2"},
+		{"descending-ids", [3][]graph.VID{1: {6, lo, 4, lo}}, "shard 1"},
+		{"id-from-two-peers", [3][]graph.VID{1: {5, lo}, 2: {5, lo}}, "shard 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mesh := NewChanMesh(3)
+			ex := NewExchange(0, smap, mesh.Bind(0), nil, total, 0)
+			ctx := context.Background()
+			for s := 1; s < 3; s++ {
+				if err := mesh.Bind(s).Send(ctx, 0, tc.frames[s]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := batch{ids: []uint32{0}, w: []graph.VID{lo}}
+			err := ex.Move(ctx, &b)
+			if err == nil || !strings.Contains(err.Error(), tc.peer) {
+				t.Fatalf("Move = %v, want an error naming %s", err, tc.peer)
+			}
+		})
 	}
 }
