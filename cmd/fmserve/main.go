@@ -67,9 +67,8 @@ func main() {
 		executors   = flag.Int("executors", 2, "concurrent batch executions per algorithm")
 		timeout     = flag.Duration("timeout", 2*time.Second, "default request deadline")
 
-		dynamic        = flag.Bool("dynamic", false, "serve a dynamic graph: POST /v1/ingest appends edges, walks run on epoch snapshots (first-order algorithms only)")
-		compactEvery   = flag.Int("compact-every", 4, "dynamic mode: background-compact after this many freezes (0 = explicit only)")
-		driftThreshold = flag.Float64("drift-threshold", 0, "dynamic mode: relative drift before a vertex group's partition decision is re-solved at compaction (0 = always, the deterministic default)")
+		dynamic      = flag.Bool("dynamic", false, "serve a dynamic graph: POST /v1/ingest appends edges, walks run on epoch snapshots (first-order algorithms only)")
+		compactEvery = flag.Int("compact-every", 4, "dynamic mode: background-compact after this many freezes (0 = explicit only)")
 
 		shards       = flag.Int("shards", 0, "run waves on an in-process sharded topology with this many shards (0 = unsharded)")
 		shardWorkers = flag.String("shard-workers", "", "comma-separated shard-worker addresses: serve as the coordinator of a multi-process sharded topology")
@@ -167,14 +166,13 @@ func main() {
 	// admission, mixed-cohort waves) is unchanged.
 	if *dynamic {
 		d, err := flashmob.NewDynamic(g, flashmob.DynamicOptions{
-			Algorithm:      walks[0].spec,
-			Workers:        *workers,
-			Seed:           *seed,
-			Undirected:     true,
-			RecordPaths:    true,
-			Metrics:        *metrics,
-			CompactEvery:   *compactEvery,
-			DriftThreshold: *driftThreshold,
+			Algorithm:    walks[0].spec,
+			Workers:      *workers,
+			Seed:         *seed,
+			Undirected:   true,
+			RecordPaths:  true,
+			Metrics:      *metrics,
+			CompactEvery: *compactEvery,
 		})
 		if err != nil {
 			fatal(fmt.Errorf("build: %w", err))
@@ -184,8 +182,7 @@ func main() {
 			backends = append(backends, serve.Backend{Name: w.name, Dyn: d, Spec: w.spec})
 			fmt.Printf("fmserve: serving %s (dynamic, shared build)\n", w.name)
 		}
-		fmt.Printf("fmserve: dynamic mode (compact every %d freezes, drift threshold %g)\n",
-			*compactEvery, *driftThreshold)
+		fmt.Printf("fmserve: dynamic mode (compact every %d freezes)\n", *compactEvery)
 		runServer(backends, serveConfig(*maxWalkers, *maxRequests, *window, *queueDepth,
 			*executors, *timeout, *seed), *addr)
 		return

@@ -29,12 +29,6 @@ type DynamicOptions struct {
 	// CompactEvery, when positive, runs a background compaction after that
 	// many freezes. Zero leaves compaction to explicit Compact calls.
 	CompactEvery int
-	// DriftThreshold is the relative drift at which a vertex group's
-	// partition decision is re-solved during compaction. The default 0
-	// re-solves every group, keeping compacted builds bitwise-identical to
-	// cold builds of the same edge set; positive thresholds trade that
-	// identity for cheaper replans.
-	DriftThreshold float64
 	// RecordPaths keeps full walk histories so Paths() works.
 	RecordPaths bool
 	// Metrics enables the dyn_* metric set (see docs/OBSERVABILITY.md).
@@ -62,17 +56,16 @@ func NewDynamic(g *Graph, opt DynamicOptions) (*DynamicSystem, error) {
 		}
 	}
 	sys, err := dyn.New(g, dyn.Config{
-		Algorithm:      opt.Algorithm,
-		Workers:        opt.Workers,
-		Seed:           opt.Seed,
-		Undirected:     opt.Undirected,
-		TargetGroups:   opt.TargetGroups,
-		MaxBins:        opt.MaxBins,
-		CompactEvery:   opt.CompactEvery,
-		DriftThreshold: opt.DriftThreshold,
-		RecordHistory:  opt.RecordPaths,
-		Metrics:        opt.Metrics,
-		Model:          opt.CostModel,
+		Algorithm:     opt.Algorithm,
+		Workers:       opt.Workers,
+		Seed:          opt.Seed,
+		Undirected:    opt.Undirected,
+		TargetGroups:  opt.TargetGroups,
+		MaxBins:       opt.MaxBins,
+		CompactEvery:  opt.CompactEvery,
+		RecordHistory: opt.RecordPaths,
+		Metrics:       opt.Metrics,
+		Model:         opt.CostModel,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)

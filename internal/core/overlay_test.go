@@ -116,7 +116,7 @@ func TestOverlayWalksAreUnionWalks(t *testing.T) {
 				t.Fatal("delta batch built an empty overlay")
 			}
 
-			union, err := graph.MergeEdges(g, delta, 0)
+			union, err := graph.MergeEdges(g, delta)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,21 +7,20 @@
 // sessions sample touched partitions over base ∪ delta through a
 // core.Overlay (untouched partitions keep their specialized kernels and
 // stay bitwise-identical to the base build); Compact merges the whole
-// delta into a fresh engine build — block-copying untouched adjacency via
-// graph.MergeEdges and re-solving the MCKP only for drifted vertex groups
-// via part.PlanIncremental — and atomically swaps it in. Walks resolve
-// their epoch at acquisition and run to completion on it: an in-flight
-// session is never invalidated, and superseded epochs retire (their engine
-// closing) once their last reference drains.
+// delta into the base graph (graph.MergeEdges block-copies untouched
+// adjacency), builds the merged graph cold — degree re-sort, full MCKP
+// plan, engine — and atomically swaps it in. Walks resolve their epoch at
+// acquisition and run to completion on it: an in-flight session is never
+// invalidated, and superseded epochs retire (their engine closing) once
+// their last reference drains.
 //
 // Determinism: a compacted epoch's trajectories are bitwise-identical to a
 // cold build of the same edge set (MergeEdges reproduces Build of the
-// union byte for byte, and the default zero drift threshold makes the
-// incremental replan exactly the full MCKP solve). Overlay epochs are
-// deterministic per (epoch, seed) — and identical to the base build on
-// partitions without delta — but not equal to a cold build of the union,
-// whose re-sort renumbers vertices; compaction is the canonicalization
-// point.
+// union byte for byte, and the build over it is the cold build's own).
+// Overlay epochs are deterministic per (epoch, seed) — and identical to
+// the base build on partitions without delta — but not equal to a cold
+// build of the union, whose re-sort renumbers vertices; compaction is the
+// canonicalization point.
 package dyn
 
 import (
@@ -35,7 +34,6 @@ import (
 	"flashmob/internal/algo"
 	"flashmob/internal/core"
 	"flashmob/internal/graph"
-	"flashmob/internal/mem"
 	"flashmob/internal/obs"
 	"flashmob/internal/part"
 	"flashmob/internal/profile"
@@ -64,25 +62,19 @@ type Config struct {
 	// CompactEvery, when positive, triggers a background compaction after
 	// that many freezes. Zero leaves compaction to explicit Compact calls.
 	CompactEvery int
-	// DriftThreshold is the relative drift at which a vertex group's MCKP
-	// decision is re-solved during compaction (see part.PlanIncremental).
-	// The default 0 re-solves every group, which keeps compacted builds
-	// bitwise-identical to cold builds of the same edge set; positive
-	// thresholds trade that identity for cheaper replans.
-	DriftThreshold float64
 	// RecordHistory keeps every W_i array of each walk so paths can be
 	// produced.
 	RecordHistory bool
 	// Metrics enables the dyn_* metric set (see docs/OBSERVABILITY.md).
 	Metrics bool
-	// Model overrides the partition-cost model (default: analytical model
-	// on the paper's cache geometry, same as the engine's default).
+	// Model overrides the partition-cost model of every build; nil takes
+	// core.New's default.
 	Model profile.CostModel
 }
 
-// buildState is one immutable engine build plus the bookkeeping the next
-// incremental replan needs. Builds are shared by every epoch layered on
-// them and close their engine when the last such epoch retires.
+// buildState is one immutable engine build. Builds are shared by every
+// epoch layered on them and close their engine when the last such epoch
+// retires.
 type buildState struct {
 	// ext is the build's graph in the caller's external numbering (the
 	// merge input of the next compaction).
@@ -91,14 +83,6 @@ type buildState struct {
 	// numbering and back.
 	reorder *graph.Reordering
 	eng     *core.Engine
-	plan    *part.Plan
-	// mass is the per-group edge mass recorded when plan was solved — the
-	// drift baseline for PlanIncremental.
-	mass []uint64
-	// vpSteps accumulates observed walker-steps per VP across the build's
-	// walks (guarded by stepsMu), the live load signal for replanning.
-	stepsMu sync.Mutex
-	vpSteps []uint64
 	// refs counts epochs referencing this build; the engine closes when it
 	// reaches zero.
 	refs atomic.Int64
@@ -109,26 +93,6 @@ func (b *buildState) release() {
 	if b.refs.Add(-1) == 0 {
 		b.eng.Close()
 	}
-}
-
-// snapshotSteps copies the accumulated per-VP walker-step counters.
-func (b *buildState) snapshotSteps() []uint64 {
-	b.stepsMu.Lock()
-	defer b.stepsMu.Unlock()
-	out := make([]uint64, len(b.vpSteps))
-	copy(out, b.vpSteps)
-	return out
-}
-
-// addSteps folds one walk's per-VP step counts into the accumulator.
-func (b *buildState) addSteps(vpSteps []uint64) {
-	b.stepsMu.Lock()
-	for i, n := range vpSteps {
-		if i < len(b.vpSteps) {
-			b.vpSteps[i] += n
-		}
-	}
-	b.stepsMu.Unlock()
 }
 
 // epochState is one published snapshot: a build plus an optional frozen
@@ -150,9 +114,8 @@ type epochState struct {
 // safe for concurrent use; walks acquired before an epoch swap run to
 // completion on their snapshot.
 type System struct {
-	cfg   Config
-	model profile.CostModel
-	m     *dynMetrics
+	cfg Config
+	m   *dynMetrics
 
 	mu     sync.Mutex
 	closed bool
@@ -167,7 +130,6 @@ type System struct {
 	// compactions.
 	nextEpoch           uint64
 	freezesSinceCompact int
-	lastReplan          int
 	freezes             uint64
 	compactions         uint64
 
@@ -199,14 +161,11 @@ func New(g *graph.CSR, cfg Config) (*System, error) {
 	if cfg.Algorithm.Weighted {
 		return nil, fmt.Errorf("dyn: weighted algorithms are not supported on dynamic builds")
 	}
-	s := &System{cfg: cfg, model: cfg.Model, nextEpoch: 1}
-	if s.model == nil {
-		s.model = profile.NewAnalyticalModel(mem.PaperGeometry())
-	}
+	s := &System{cfg: cfg, nextEpoch: 1}
 	if cfg.Metrics {
 		s.m = newDynMetrics()
 	}
-	bld, _, err := s.build(g, nil)
+	bld, err := s.build(g)
 	if err != nil {
 		return nil, err
 	}
@@ -220,52 +179,25 @@ func New(g *graph.CSR, cfg Config) (*System, error) {
 	return s, nil
 }
 
-// build constructs one engine build of ext. With a previous build, the
-// plan is solved incrementally against its recorded group masses and live
-// step counters; otherwise the engine plans from scratch (byte-identical
-// to what a cold construction of the same graph would do). Returns the
-// build and the number of groups re-solved.
-func (s *System) build(ext *graph.CSR, prev *buildState) (*buildState, int, error) {
+// build constructs one engine build of ext exactly as a cold construction
+// of the same graph does: degree re-sort, full MCKP plan, engine.
+func (s *System) build(ext *graph.CSR) (*buildState, error) {
 	reorder := graph.SortByDegreeDesc(ext)
-	ccfg := core.Config{
+	eng, err := core.New(reorder.Graph, s.cfg.Algorithm, core.Config{
 		Workers:       s.cfg.Workers,
 		Seed:          s.cfg.Seed,
 		Planner:       core.PlannerMCKP,
-		Model:         s.model,
+		Model:         s.cfg.Model,
 		RecordHistory: s.cfg.RecordHistory,
 		Part: part.Config{
 			TargetGroups: s.cfg.TargetGroups,
 			MaxBins:      s.cfg.MaxBins,
 		},
-	}
-	replanned := 0
-	if prev != nil {
-		// Mirror the engine's own plan-config defaulting exactly, so a
-		// zero drift threshold reproduces the cold build's plan.
-		pcfg := ccfg.Part
-		pcfg.Model = s.model
-		pcfg.Walkers = uint64(reorder.Graph.NumVertices())
-		plan, n, err := part.PlanIncremental(reorder.Graph, pcfg, prev.plan,
-			prev.mass, prev.snapshotSteps(), s.cfg.DriftThreshold)
-		if err != nil {
-			return nil, 0, err
-		}
-		ccfg.Plan = plan
-		replanned = n
-	}
-	eng, err := core.New(reorder.Graph, s.cfg.Algorithm, ccfg)
+	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	plan := eng.Plan()
-	return &buildState{
-		ext:     ext,
-		reorder: reorder,
-		eng:     eng,
-		plan:    plan,
-		mass:    part.GroupEdgeMass(reorder.Graph, plan.GroupSizeLog),
-		vpSteps: make([]uint64, plan.NumVPs()),
-	}, replanned, nil
+	return &buildState{ext: ext, reorder: reorder, eng: eng}, nil
 }
 
 // installLocked publishes ep as the current epoch (caller holds mu, or is
@@ -403,9 +335,8 @@ func (s *System) freezeLocked(bld *buildState) (*epochState, error) {
 
 // Compact merges the whole accumulated delta (frozen and pending alike)
 // into a fresh engine build — new vertices included — and publishes it as
-// a compacted epoch. The merge block-copies untouched adjacency, and the
-// plan is re-solved only for vertex groups whose edge mass or observed
-// walker-step share drifted past Config.DriftThreshold. Ingest, Freeze,
+// a compacted epoch. The merge block-copies untouched adjacency; the build
+// over it plans from scratch, exactly as a cold build does. Ingest, Freeze,
 // and walks proceed concurrently: edges arriving during the build stay
 // in the delta for the next cycle (re-frozen onto the new build if they
 // had already been published). Returns the new epoch's ID.
@@ -430,11 +361,11 @@ func (s *System) Compact() (uint64, error) {
 	s.mu.Unlock()
 
 	start := time.Now()
-	merged, err := graph.MergeEdges(prev.ext, merge, 0)
+	merged, err := graph.MergeEdges(prev.ext, merge)
 	if err != nil {
 		return 0, fmt.Errorf("dyn: compact: %w", err)
 	}
-	bld, replanned, err := s.build(merged, prev)
+	bld, err := s.build(merged)
 	if err != nil {
 		return 0, fmt.Errorf("dyn: compact: %w", err)
 	}
@@ -467,12 +398,10 @@ func (s *System) Compact() (uint64, error) {
 	}
 	s.installLocked(ep)
 	s.freezesSinceCompact = 0
-	s.lastReplan = replanned
 	s.compactions++
 	if s.m != nil {
 		s.m.compactions.Inc()
 		s.m.compactionNS.Observe(uint64(elapsed.Nanoseconds()))
-		s.m.replanGroups.Observe(uint64(replanned))
 		s.m.deltaEdges.Set(int64(ep.ov.DeltaEdges()))
 		s.m.pendingEdges.Set(int64(len(s.delta) - s.frozenLen))
 	}
@@ -585,12 +514,7 @@ func (e *Epoch) WalkMixed(ctx context.Context, cohorts []core.Cohort) (*core.Mix
 		return nil, err
 	}
 	defer sess.Close()
-	res, err := sess.RunMixed(cohorts)
-	if err != nil {
-		return nil, err
-	}
-	e.st.bld.addSteps(res.VPSteps)
-	return res, nil
+	return sess.RunMixed(cohorts)
 }
 
 // WalkSeeded runs the build's primary algorithm against the epoch
@@ -601,12 +525,7 @@ func (e *Epoch) WalkSeeded(ctx context.Context, seed, walkers uint64, steps int)
 		return nil, err
 	}
 	defer sess.Close()
-	res, err := sess.RunSeeded(seed, walkers, steps)
-	if err != nil {
-		return nil, err
-	}
-	e.st.bld.addSteps(res.VPSteps)
-	return res, nil
+	return sess.RunSeeded(seed, walkers, steps)
 }
 
 // Stats is a point-in-time snapshot of the system's dynamic state,
@@ -629,9 +548,6 @@ type Stats struct {
 	DeferredEdges uint64
 	// Freezes and Compactions count completed operations.
 	Freezes, Compactions uint64
-	// LastReplanGroups is how many vertex groups the most recent
-	// compaction re-solved.
-	LastReplanGroups int
 }
 
 // Stats snapshots the system's dynamic state.
@@ -639,13 +555,12 @@ func (s *System) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		EpochsCreated:    s.created.Load(),
-		EpochsRetired:    s.retired.Load(),
-		PendingEdges:     uint64(len(s.delta) - s.frozenLen),
-		FrozenEdges:      uint64(s.frozenLen),
-		Freezes:          s.freezes,
-		Compactions:      s.compactions,
-		LastReplanGroups: s.lastReplan,
+		EpochsCreated: s.created.Load(),
+		EpochsRetired: s.retired.Load(),
+		PendingEdges:  uint64(len(s.delta) - s.frozenLen),
+		FrozenEdges:   uint64(s.frozenLen),
+		Freezes:       s.freezes,
+		Compactions:   s.compactions,
 	}
 	if s.cur != nil {
 		st.Epoch = s.cur.id

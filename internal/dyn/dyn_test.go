@@ -1,6 +1,7 @@
 package dyn
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"flashmob/internal/algo"
 	"flashmob/internal/core"
 	"flashmob/internal/graph"
-	"flashmob/internal/part"
 	"flashmob/internal/rng"
 	"flashmob/internal/walk"
 )
@@ -89,7 +89,59 @@ func TestCompactedMatchesColdBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coldSys, err := New(buildBase(t, append(append([]graph.Edge{}, base...), delta...)), testConfig())
+	assertMatchesCold(t, dynSys, append(append([]graph.Edge{}, base...), delta...))
+
+	// A second leg walks every epoch it passes — base, overlay, compacted —
+	// before compacting twice, so a compaction whose plan depended on
+	// observed walker load would drift from the cold build.
+	walked, err := New(buildBase(t, base), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer walked.Close()
+	delta2 := testEdges(60, 400, 3) // inside the vertex space: plan geometry holds
+	for _, d := range [][]graph.Edge{delta, delta2} {
+		walkCurrent(t, walked)
+		if _, err := walked.Ingest(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := walked.Freeze(); err != nil {
+			t.Fatal(err)
+		}
+		walkCurrent(t, walked)
+		if _, err := walked.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	union := append(append(append([]graph.Edge{}, base...), delta...), delta2...)
+	assertMatchesCold(t, walked, union)
+}
+
+// walkCurrent runs a seeded solo walk and a two-cohort mixed wave on the
+// system's current epoch.
+func walkCurrent(t *testing.T, s *System) {
+	t.Helper()
+	ep, err := s.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Release()
+	if _, err := ep.WalkSeeded(context.Background(), 41, 400, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.WalkMixed(context.Background(), []core.Cohort{
+		{Spec: algo.DeepWalk(), Walkers: 300, Steps: 4, Seed: 7},
+		{Spec: algo.DeepWalk(), Walkers: 50, Steps: 6, Seed: 8},
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertMatchesCold checks that dynSys's current epoch is compacted and
+// walks bitwise like a cold System built over edges.
+func assertMatchesCold(t *testing.T, dynSys *System, edges []graph.Edge) {
+	t.Helper()
+	coldSys, err := New(buildBase(t, edges), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +165,16 @@ func TestCompactedMatchesColdBuild(t *testing.T) {
 		gd.NumEdges() != gc.NumEdges() {
 		t.Fatalf("compacted graph %dv/%de, cold build %dv/%de",
 			gd.NumVertices(), gd.NumEdges(), gc.NumVertices(), gc.NumEdges())
+	}
+	var pd, pc bytes.Buffer
+	if err := epDyn.st.bld.eng.Plan().WriteJSON(&pd); err != nil {
+		t.Fatal(err)
+	}
+	if err := epCold.st.bld.eng.Plan().WriteJSON(&pc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pd.Bytes(), pc.Bytes()) {
+		t.Fatalf("compacted plan differs from cold build's:\n%s\nvs\n%s", pd.Bytes(), pc.Bytes())
 	}
 	a, err := epDyn.WalkSeeded(context.Background(), 99, 500, 6)
 	if err != nil {
@@ -391,38 +453,4 @@ func TestRejects(t *testing.T) {
 		t.Fatalf("Acquire after Close: %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
-}
-
-// TestIncrementalReplanUnderThreshold: with a positive drift threshold and
-// a tiny delta, compaction re-solves only a subset of groups.
-func TestIncrementalReplanUnderThreshold(t *testing.T) {
-	cfg := testConfig()
-	cfg.DriftThreshold = 0.2
-	s, err := New(buildBase(t, testEdges(4000, 600, 8)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Ingest([]graph.Edge{{Src: 0, Dst: 599}, {Src: 1, Dst: 598}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	ep, err := s.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Release()
-	numGroups := len(epPlanGroups(ep))
-	if st.LastReplanGroups >= numGroups {
-		t.Fatalf("threshold 0.2 replanned %d of %d groups; expected partial reuse",
-			st.LastReplanGroups, numGroups)
-	}
-}
-
-// epPlanGroups exposes the epoch build's group decisions for assertions.
-func epPlanGroups(e *Epoch) []part.GroupPlan {
-	return e.st.bld.plan.Groups
 }

@@ -18,7 +18,6 @@ type dynMetrics struct {
 	epochsRetired *obs.Counter
 	compactions   *obs.Counter
 	compactionNS  *obs.Histogram
-	replanGroups  *obs.Histogram
 }
 
 // newDynMetrics registers the dyn_* metric set on a fresh registry. See
@@ -44,8 +43,6 @@ func newDynMetrics() *dynMetrics {
 		compactions: reg.Counter(obs.Desc{Name: "dyn_compactions_total", Unit: "count", Stage: "dyn",
 			Help: "Compactions completed: delta merged into a fresh engine build and swapped in."}),
 		compactionNS: reg.Histogram(obs.Desc{Name: "dyn_compaction_ns", Unit: "ns", Stage: "dyn",
-			Help: "Wall time of each compaction: merge, re-sort, incremental replan, engine build."}),
-		replanGroups: reg.Histogram(obs.Desc{Name: "dyn_replan_groups", Unit: "count", Stage: "dyn",
-			Help: "Vertex groups re-solved by the incremental planner per compaction (group count on full solves)."}),
+			Help: "Wall time of each compaction: merge, re-sort, plan, engine build."}),
 	}
 }

@@ -5,41 +5,25 @@ import (
 	"slices"
 )
 
-// SortAdjacency sorts every adjacency list of g in place by target VID,
-// carrying weights. This is the exact sort pass Build applies before
-// dedup, exported so compaction-style callers can normalize hand-built
-// CSRs without going back through the edge-list Build path.
-func SortAdjacency(g *CSR) { sortAdjacency(g) }
-
-// DedupAdjacency collapses consecutive duplicate targets in each (sorted)
-// adjacency list of g, summing the weights of merged parallel edges, and
-// returns the compacted CSR. This is the exact dedup pass Build applies
-// after sorting, exported alongside SortAdjacency for compaction callers.
-func DedupAdjacency(g *CSR) *CSR { return dedup(g) }
-
 // MergeEdges merges a batch of delta edges into an existing sorted,
 // deduplicated, unweighted CSR, producing the CSR that Build would return
 // for the union edge set (with Dedup on): each touched vertex's adjacency
 // becomes the sorted-unique union of its base list and its delta targets,
 // while untouched vertices' adjacency blocks are copied wholesale —
 // no per-vertex re-sort, no re-dedup, no edge-list materialization of the
-// base graph. numVertices, when nonzero, floors the output vertex count;
-// delta endpoints beyond both it and the base extend the vertex space
-// (the new vertices start with only their delta edges).
+// base graph. Delta endpoints beyond the base extend the vertex space (the
+// new vertices start with only their delta edges).
 //
 // Weighted graphs are rejected: Build's unstable per-vertex sort makes
 // the float32 weight-summing order of merged parallel edges depend on the
 // input permutation, so a merge could not promise bitwise equality with a
 // cold Build of the union. Unweighted sorted-unique unions carry no such
 // order dependence. Delta edge weights are ignored.
-func MergeEdges(base *CSR, delta []Edge, numVertices uint32) (*CSR, error) {
+func MergeEdges(base *CSR, delta []Edge) (*CSR, error) {
 	if base.Weights != nil {
 		return nil, fmt.Errorf("graph: MergeEdges does not support weighted graphs")
 	}
 	n := base.NumVertices()
-	if numVertices > n {
-		n = numVertices
-	}
 	for _, e := range delta {
 		if e.Src == NoVertex || e.Dst == NoVertex {
 			return nil, fmt.Errorf("graph: vertex ID %#x is reserved", NoVertex)

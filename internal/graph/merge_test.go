@@ -61,7 +61,7 @@ func TestMergeEdgesEqualsColdBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged, err := MergeEdges(baseRes.Graph, e2, 0)
+			merged, err := MergeEdges(baseRes.Graph, e2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestMergeEdgesGrowsVertexSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeEdges(baseRes.Graph, e2, 0)
+	merged, err := MergeEdges(baseRes.Graph, e2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMergeEdgesRejectsWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeEdges(res.Graph, []Edge{{Src: 1, Dst: 0}}, 0); err == nil {
+	if _, err := MergeEdges(res.Graph, []Edge{{Src: 1, Dst: 0}}); err == nil {
 		t.Fatal("MergeEdges accepted a weighted base graph")
 	}
 }
@@ -127,7 +127,7 @@ func TestMergeEdgesAllocs(t *testing.T) {
 	}
 	delta := randomEdges(64, 20000, 12)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := MergeEdges(base.Graph, delta, 0); err != nil {
+		if _, err := MergeEdges(base.Graph, delta); err != nil {
 			t.Fatal(err)
 		}
 	})

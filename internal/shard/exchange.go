@@ -40,10 +40,6 @@ type Exchange struct {
 	// advanced a round without it).
 	outbox [2][][]graph.VID
 	parity int
-	// Survivor compaction scratch (records staying local this round).
-	survIDs []uint32
-	survW   []graph.VID
-	survAux [][]graph.VID
 	// in[s] is the frame received from peer s this round; offs[s] the
 	// merge cursor into it.
 	in   [][]graph.VID
@@ -55,7 +51,7 @@ type Exchange struct {
 func NewExchange(self int, smap *part.ShardMap, tr Transport, m *Metrics, total uint64, channels int) *Exchange {
 	S := smap.NumShards()
 	ex := &Exchange{self: self, smap: smap, tr: tr, m: m, total: total, words: 2 + channels,
-		survAux: make([][]graph.VID, channels), in: make([][]graph.VID, S), offs: make([]int, S)}
+		in: make([][]graph.VID, S), offs: make([]int, S)}
 	ex.stage.Resize(S, ex.words)
 	ex.outbox[0] = make([][]graph.VID, S)
 	ex.outbox[1] = make([][]graph.VID, S)
@@ -65,7 +61,9 @@ func NewExchange(self int, smap *part.ShardMap, tr Transport, m *Metrics, total 
 // batch is one exchange round's records. ids/w/aux hold the shard's
 // post-step local records, ascending by id: global walker ids, vertices,
 // and the exchange's aux channels riding with them (each at least len(w)
-// long). outIDs/out/outAux receive the post-exchange set.
+// long). outIDs/out/outAux receive the post-exchange set and must not
+// share backing with the inputs: Move overwrites ids/w/aux, compacting
+// the round's survivors in place at their front.
 type batch struct {
 	ids    []uint32
 	w      []graph.VID
@@ -84,29 +82,26 @@ type batch struct {
 // two peers both sent) fails the round, naming the peer.
 func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 	S := ex.smap.NumShards()
-	channels, words := len(ex.survAux), ex.words
+	channels, words := ex.words-2, ex.words
 	out := ex.outbox[ex.parity]
 	ex.parity ^= 1
 	for d := range out {
 		out[d] = out[d][:0]
 	}
-	ex.survIDs = ex.survIDs[:0]
-	ex.survW = ex.survW[:0]
-	for c := range ex.survAux {
-		ex.survAux[c] = ex.survAux[c][:0]
-	}
 
-	// Route: survivors compact in order; emigrants stage through the
-	// write-combining lines and flush whole lines into the peer outbox.
+	// Route: survivors compact in order to the front of b's inputs;
+	// emigrants stage through the write-combining lines and flush whole
+	// lines into the peer outbox.
 	buf, fill, stride := ex.stage.Buf, ex.stage.Fill, ex.stage.Stride
+	surv := 0
 	for j, v := range b.w {
 		d := ex.smap.ShardOf(v)
 		if d == ex.self {
-			ex.survIDs = append(ex.survIDs, b.ids[j])
-			ex.survW = append(ex.survW, v)
-			for c := range ex.survAux {
-				ex.survAux[c] = append(ex.survAux[c], b.aux[c][j])
+			b.ids[surv], b.w[surv] = b.ids[j], v
+			for c := 0; c < channels; c++ {
+				b.aux[c][surv] = b.aux[c][j]
 			}
+			surv++
 			continue
 		}
 		base := d*stride + int(fill[d])*words
@@ -144,7 +139,7 @@ func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 
 	// Receive one frame from every peer, fixed order.
 	lo, hi := ex.smap.Ranges().Range(ex.self)
-	newN := len(ex.survW)
+	newN := surv
 	for s := 0; s < S; s++ {
 		if s == ex.self {
 			ex.in[s] = nil
@@ -182,8 +177,8 @@ func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 		best := -1 // -1 = survivors, else peer index
 		bestID := uint32(math.MaxUint32)
 		haveBest := false
-		if si < len(ex.survIDs) {
-			bestID = ex.survIDs[si]
+		if si < surv {
+			bestID = b.ids[si]
 			haveBest = true
 		}
 		for s := 0; s < S; s++ {
@@ -196,10 +191,10 @@ func (ex *Exchange) Move(ctx context.Context, b *batch) error {
 			}
 		}
 		if best < 0 {
-			b.outIDs[i] = ex.survIDs[si]
-			b.out[i] = ex.survW[si]
+			b.outIDs[i] = b.ids[si]
+			b.out[i] = b.w[si]
 			for c := range b.outAux {
-				b.outAux[c][i] = ex.survAux[c][si]
+				b.outAux[c][i] = b.aux[c][si]
 			}
 			si++
 			continue
