@@ -524,6 +524,59 @@ func BenchmarkComponentShuffle(b *testing.B) {
 	}
 }
 
+// BenchmarkComponentPaths times path extraction (pathsOf: the tiled
+// transpose of a recorded history, relabelled to original vertex IDs as
+// it goes) in ns per path element, on a synthetic history shaped like a
+// bulk DeepWalk job: walkers × (steps+1) positions skewed toward the
+// low, high-degree IDs of a degree-sorted numbering, and a uniformly
+// random renumbering map twice the walker count. At 2M walkers the rows
+// and the map are well past the LLC of most hosts.
+func BenchmarkComponentPaths(b *testing.B) {
+	for _, shape := range []struct {
+		walkers, rows int
+		vertices      uint32
+	}{
+		{benchV, benchSteps + 1, 2 * benchV},
+		{1 << 21, 6, 1 << 22},
+	} {
+		b.Run(fmt.Sprintf("walkers=%d/rows=%d", shape.walkers, shape.rows), func(b *testing.B) {
+			src := rng.NewXorShift64Star(benchSeed)
+			rows := make([][]graph.VID, shape.rows)
+			for i := range rows {
+				rows[i] = make([]graph.VID, shape.walkers)
+				for j := range rows[i] {
+					r := rng.Float64(src)
+					rows[i][j] = graph.VID(r * r * float64(shape.vertices))
+				}
+			}
+			h, err := walk.NewHistory(rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			newToOld := make([]VID, shape.vertices)
+			for v := range newToOld {
+				newToOld[v] = VID(v)
+			}
+			for i := len(newToOld) - 1; i > 0; i-- {
+				k := rng.Uint32n(src, uint32(i+1))
+				newToOld[i], newToOld[k] = newToOld[k], newToOld[i]
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				paths, err := pathsOf(h, newToOld)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchPaths = paths
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(shape.walkers*shape.rows)), "ns/elem")
+		})
+	}
+}
+
+// benchPaths keeps BenchmarkComponentPaths' result live.
+var benchPaths [][]VID
+
 func BenchmarkComponentMT19937VsXorshift(b *testing.B) {
 	// The §5.2 RNG observation: MT ≫ xorshift* in compute cost.
 	b.Run("MT19937", func(b *testing.B) {

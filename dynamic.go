@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"flashmob/internal/dyn"
-	"flashmob/internal/graph"
 	"flashmob/internal/profile"
 )
 
@@ -137,8 +136,8 @@ func (d *DynamicSystem) MetricsReport() *Report { return d.sys.MetricsReport() }
 // Snapshot is a pinned epoch: its walks run against the epoch's edge set
 // no matter how many freezes or compactions land meanwhile.
 type Snapshot struct {
-	ep      *dyn.Epoch
-	reorder *graph.Reordering
+	ep       *dyn.Epoch
+	newToOld []VID
 }
 
 // Snapshot pins the current epoch for walking (walk-on-snapshot
@@ -149,7 +148,7 @@ func (d *DynamicSystem) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &Snapshot{ep: ep, reorder: ep.Reordering()}, nil
+	return &Snapshot{ep: ep, newToOld: ep.Reordering().NewToOld}, nil
 }
 
 // Release unpins the snapshot. Idempotent.
@@ -173,7 +172,7 @@ func (s *Snapshot) WalkSeeded(seed, walkers uint64, steps int) (*Result, error) 
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &Result{inner: res, reorder: s.reorder}, nil
+	return &Result{inner: res, newToOld: s.newToOld}, nil
 }
 
 // WalkMixed runs cohorts against the snapshot through one shared pipeline
@@ -185,5 +184,5 @@ func (s *Snapshot) WalkMixed(cohorts []CohortSpec) (*MixedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &MixedResult{inner: res, reorder: s.reorder}, nil
+	return &MixedResult{inner: res, newToOld: s.newToOld}, nil
 }

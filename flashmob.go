@@ -107,7 +107,8 @@ type Options struct {
 	// walker order (cur[j] → next[j]): the streaming output mode for
 	// feeding downstream consumers (e.g. embedding training) without
 	// retaining history. Vertex IDs are in the internal degree-sorted
-	// numbering; slices are reused and must be copied if kept.
+	// numbering. Slices are reused and must be copied if kept; with
+	// RecordPaths they are rows of the recorded history and are read-only.
 	EdgeStream func(step int, cur, next []VID)
 	// Metrics enables the observability layer: per-stage and
 	// per-partition counters and latency histograms, pool busy/barrier
@@ -125,8 +126,10 @@ type Options struct {
 // number of goroutines, and concurrent Walks produce the same
 // trajectories the same calls produce serially.
 type System struct {
-	engine  *core.Engine
-	reorder *graph.Reordering
+	engine *core.Engine
+	// newToOld maps the build's degree-sorted vertex IDs back to the
+	// caller's: the one renumbering map a System keeps.
+	newToOld []VID
 }
 
 // New prepares a System for g. The input graph is not modified: New
@@ -164,7 +167,7 @@ func New(g *Graph, opt Options) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &System{engine: engine, reorder: reorder}, nil
+	return &System{engine: engine, newToOld: reorder.NewToOld}, nil
 }
 
 // Close releases the system's persistent worker pool, first waiting for
@@ -184,7 +187,7 @@ func (s *System) Walk(walkers uint64, steps int) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &Result{inner: res, reorder: s.reorder}, nil
+	return &Result{inner: res, newToOld: s.newToOld}, nil
 }
 
 // Session is an explicit run handle on a System: a reserved set of
@@ -196,8 +199,8 @@ func (s *System) Walk(walkers uint64, steps int) (*Result, error) {
 // concurrency comes from multiple sessions (or concurrent System.Walk
 // calls, which manage sessions implicitly).
 type Session struct {
-	inner   *core.Session
-	reorder *graph.Reordering
+	inner    *core.Session
+	newToOld []VID
 }
 
 // NewSession acquires a run handle. A nil ctx means context.Background();
@@ -210,7 +213,7 @@ func (s *System) NewSession(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &Session{inner: inner, reorder: s.reorder}, nil
+	return &Session{inner: inner, newToOld: s.newToOld}, nil
 }
 
 // Walk advances walkers (0 = |V|) for steps steps (0 = the algorithm's
@@ -220,7 +223,7 @@ func (s *Session) Walk(walkers uint64, steps int) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &Result{inner: res, reorder: s.reorder}, nil
+	return &Result{inner: res, newToOld: s.newToOld}, nil
 }
 
 // WalkSeeded is Walk with a per-run seed overriding Options.Seed: walker
@@ -236,7 +239,7 @@ func (s *Session) WalkSeeded(seed uint64, walkers uint64, steps int) (*Result, e
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &Result{inner: res, reorder: s.reorder}, nil
+	return &Result{inner: res, newToOld: s.newToOld}, nil
 }
 
 // Close releases the session's buffers back to the System and folds its

@@ -163,11 +163,13 @@ func runPathAtATime(g *graph.CSR, spec algo.Spec, cfg Config, totalWalkers uint6
 		}
 	}
 
-	// Paths are stored walker-major; converted to step-major history
-	// afterwards so all engines expose the same output shape.
-	var paths [][]graph.VID
+	// Positions are recorded straight into a flat step-major matrix —
+	// walker j's location after step s at s*totalWalkers+j — whose rows
+	// become the history, the output shape every engine exposes. Workers
+	// own disjoint walkers, so their writes never overlap.
+	var positions []graph.VID
 	if cfg.RecordHistory {
-		paths = make([][]graph.VID, totalWalkers)
+		positions = make([]graph.VID, uint64(steps+1)*totalWalkers)
 	}
 
 	workers := cfg.Workers
@@ -185,13 +187,11 @@ func runPathAtATime(g *graph.CSR, spec algo.Spec, cfg Config, totalWalkers uint6
 			// KnightKing uses std::mt19937; keep that cost profile.
 			src := rng.Source(rng.NewMT19937(uint32(cfg.Seed) + uint32(wk)*2654435761 + 1))
 			n := g.NumVertices()
-			var path []graph.VID
 			for j := lo; j < hi; j++ {
 				cur := graph.VID(uint32(j) % n)
 				prev := cur
-				if cfg.RecordHistory {
-					path = make([]graph.VID, 0, steps+1)
-					path = append(path, cur)
+				if positions != nil {
+					positions[j] = cur
 				}
 				// Order-k history window, most recent first.
 				var hist []graph.VID
@@ -219,12 +219,9 @@ func runPathAtATime(g *graph.CSR, spec algo.Spec, cfg Config, totalWalkers uint6
 						next := stepOnce(g, spec, weighted, descs, prev, cur, src)
 						prev, cur = cur, next
 					}
-					if cfg.RecordHistory {
-						path = append(path, cur)
+					if positions != nil {
+						positions[uint64(s+1)*totalWalkers+j] = cur
 					}
-				}
-				if cfg.RecordHistory {
-					paths[j] = path
 				}
 			}
 		}(wk, lo, hi)
@@ -238,17 +235,16 @@ func runPathAtATime(g *graph.CSR, spec algo.Spec, cfg Config, totalWalkers uint6
 		TotalSteps: totalWalkers * uint64(steps),
 		Duration:   dur,
 	}
-	if cfg.RecordHistory {
-		res.History = walk.NewHistory(int(totalWalkers))
-		row := make([]graph.VID, totalWalkers)
-		for s := 0; s <= steps; s++ {
-			for j := range paths {
-				row[j] = paths[j][s]
-			}
-			if err := res.History.Append(row); err != nil {
-				return nil, err
-			}
+	if positions != nil {
+		rows := make([][]graph.VID, steps+1)
+		for s := range rows {
+			rows[s] = positions[uint64(s)*totalWalkers : uint64(s+1)*totalWalkers]
 		}
+		h, err := walk.NewHistory(rows)
+		if err != nil {
+			return nil, err
+		}
+		res.History = h
 	}
 	return res, nil
 }

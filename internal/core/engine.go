@@ -90,7 +90,9 @@ type Config struct {
 	// unlimited. The engine splits a large request into episodes, as the
 	// paper does based on DRAM capacity (§5.1).
 	MemoryBudget uint64
-	// RecordHistory keeps every W_i array so paths can be produced.
+	// RecordHistory keeps every W_i array so paths can be produced: the
+	// run steps its walkers through one step-major buffer of
+	// (steps+1) × walkers VIDs that becomes the result's history.
 	RecordHistory bool
 	// Metrics enables the observability layer (internal/obs): per-stage
 	// and per-partition counters and latency histograms collected on a
@@ -105,9 +107,11 @@ type Config struct {
 	// walker order: cur[j] → next[j] is walker j's transition at the
 	// given step. This is the paper's streaming output mode (§4.3:
 	// "stream the sampled edges to the GPU performing graph embedding
-	// training") — no history is retained for the caller. The slices are
-	// reused across steps; the sink must copy anything it keeps. With
-	// concurrent sessions the sink is called from multiple goroutines.
+	// training") — no history is retained for the caller. Without
+	// RecordHistory the slices are reused across steps, so the sink must
+	// copy anything it keeps; with RecordHistory they are rows of the
+	// run's history and the sink must not write them. With concurrent
+	// sessions the sink is called from multiple goroutines.
 	StepSink func(step int, cur, next []graph.VID)
 }
 

@@ -27,7 +27,8 @@ type psState struct {
 // Session owns the mutable state of runs on an immutable Engine build,
 // and is the engine's one sample→shuffle stepper: the cohort slots (PS
 // buffers and kernel tables, slot 0 serving solo runs), the shuffler and
-// shuffled intermediates, the walker arrays the run driver steps, the
+// shuffled intermediates, the walker arrays the run driver steps when it
+// records no history, the
 // per-step cohort layout, the sample task and per-worker scratches, the
 // per-run counters, and — when metrics are on — a per-session registry
 // whose snapshot becomes a run's Report and which drains into the
@@ -61,9 +62,10 @@ type Session struct {
 	sw       []graph.VID
 	auxSW    [][]graph.VID
 	views    [][]graph.VID
-	// w, wNext, auxW and auxNext are the run driver's walker arrays, and
-	// offs its cohort segment bounds; in and out hold its per-step channel
-	// views.
+	// w and wNext are the walker arrays of runs that record no history
+	// (a recording run steps through its history rows instead), auxW and
+	// auxNext every run's aux channels, and offs the cohort segment
+	// bounds; in and out hold the driver's per-step channel views.
 	w, wNext      []graph.VID
 	auxW, auxNext [][]graph.VID
 	offs          []uint64

@@ -233,6 +233,64 @@ func TestHeldSessionWaveAllocs(t *testing.T) {
 	}
 }
 
+// TestRecordingRunAllocatesOnlyItsHistory bounds what a warm recording
+// run on a held session allocates: its walkers step through the history
+// itself, so beyond the (steps+1) × walkers VIDs of the history rows it
+// may allocate only its result — the VPSteps copy plus 16 KiB of slack
+// for headers, views and the flat buffer's page rounding. A driver that
+// grew its own walker arrays or copied each row into the history would
+// exceed it, and the session must still hold no walker arrays of its
+// own afterwards. The legs are one solo run and one ragged mixed run,
+// whose rows shrink as cohorts retire.
+func TestRecordingRunAllocatesOnlyItsHistory(t *testing.T) {
+	g := undirectedTestGraph(t, 600, 3)
+	cfg := psPlanConfig()
+	cfg.Metrics = false
+	cfg.RecordHistory = true
+	e := newEngine(t, g, algo.DeepWalk(), cfg)
+	defer e.Close()
+	s, err := e.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cohorts := []Cohort{
+		{Spec: algo.DeepWalk(), Walkers: 12000, Steps: 8, Seed: 2},
+		{Spec: algo.Node2Vec(2, 0.5), Walkers: 6000, Steps: 5, Seed: 3},
+		{Spec: algo.DeepWalk(), Walkers: 3000, Steps: 3, Seed: 4},
+	}
+	var mixedRows uint64
+	for _, c := range cohorts {
+		mixedRows += c.Walkers * uint64(c.Steps+1)
+	}
+	for _, leg := range []struct {
+		name string
+		vids uint64 // history size, in VIDs
+		run  func() error
+	}{
+		{"solo", 20000 * 11, func() error { _, err := s.RunSeeded(1, 20000, 10); return err }},
+		{"mixed", mixedRows, func() error { _, err := s.RunMixed(cohorts); return err }},
+	} {
+		if err := leg.run(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := leg.run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bound := leg.vids*4 + 8*uint64(e.plan.NumVPs()) + 16<<10
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > bound {
+			t.Errorf("%s: warm recording run allocated %d B in %d objects; its history holds %d B, bound %d B",
+				leg.name, bytes, after.Mallocs-before.Mallocs, leg.vids*4, bound)
+		}
+		if len(s.w) != 0 || len(s.wNext) != 0 {
+			t.Errorf("%s: recording runs left the session holding walker arrays of %d and %d", leg.name, len(s.w), len(s.wNext))
+		}
+	}
+}
+
 // TestEngineRaceMultiWorker exercises the pooled pipeline — shuffle
 // phases, parallel inner shuffle, sample stage — with many workers and
 // aux channels so `go test -race` can check the barriers. Also serves as

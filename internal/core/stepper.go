@@ -208,11 +208,19 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 // drive is the one run driver: it steps one episode of the cohorts
 // bound to slots [0, len(cohorts)), whose walker and step counts
 // cohorts gives, longest walk first. Cohort k's walkers are segment k of
-// the session's walker array, placed from slot k's seed and the episode
+// the run's walker arrays, placed from slot k's seed and the episode
 // index; each step is one waveStep over the still-active cohorts.
 // Cohorts whose walks are done retire from the sweep: the active cohorts
 // stay a prefix, so the step just shrinks. It returns each cohort's
 // history (nil entries unless Config.RecordHistory).
+//
+// A recording run's walker arrays are its history (§4.3): one flat,
+// step-major buffer whose row 0 holds every start and row i+1 the
+// walkers still active at step i, so rows shrink as cohorts retire. Each
+// step forward-shuffles from row i and reverse-gathers straight into
+// row i+1, and each cohort's history is views of its segment of the
+// rows; no row is copied, and the session's own walker arrays stay
+// untouched. A run that records nothing ping-pongs the session's pair.
 func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) {
 	e := s.e
 	s.offs = append(s.offs[:0], 0)
@@ -223,14 +231,20 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 	}
 	offs := s.offs
 	total := int(offs[len(cohorts)])
-	s.w, s.wNext = grown(s.w, total), grown(s.wNext, total)
+	var rows [][]graph.VID
+	var w, wNext []graph.VID
+	if e.cfg.RecordHistory {
+		rows = historyRows(cohorts, offs)
+		w = rows[0]
+	} else {
+		s.w, s.wNext = grown(s.w, total), grown(s.wNext, total)
+		w, wNext = s.w, s.wNext
+	}
 	s.auxW, s.auxNext = grownChannels(s.auxW, channels, total), grownChannels(s.auxNext, channels, total)
-	w, wNext := s.w, s.wNext
 	auxW, auxNext := s.auxW[:channels], s.auxNext[:channels]
 
 	// Per-cohort init, the solo formula: a cohort's start placement
 	// depends only on its own seed, the episode and its segment length.
-	hist := make([]*walk.History, len(cohorts))
 	for k := range cohorts {
 		seg := w[offs[k]:offs[k+1]]
 		e.initEpisode(s.cohorts[k].seed, episode, seg)
@@ -238,12 +252,6 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 			// Predecessors start as the walker's own start vertex, which
 			// makes the first higher-order step uniform over neighbours.
 			copy(auxW[ch][offs[k]:offs[k+1]], seg)
-		}
-		if e.cfg.RecordHistory {
-			hist[k] = walk.NewHistory(len(seg))
-			if err := hist[k].Append(seg); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if s.m != nil {
@@ -259,7 +267,10 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 		}
 		aw := int(offs[active])
 		if aw == 0 {
-			return hist, nil
+			break
+		}
+		if rows != nil {
+			wNext = rows[step+1]
 		}
 		if err := s.waveStep(episode, step, offs[:active+1], w, wNext, auxW, auxNext); err != nil {
 			return nil, err
@@ -272,14 +283,45 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 		}
 		w, wNext = wNext, w
 		auxW, auxNext = auxNext, auxW
-		if e.cfg.RecordHistory {
-			for k := 0; k < active; k++ {
-				if err := hist[k].Append(w[offs[k]:offs[k+1]]); err != nil {
-					return nil, err
-				}
-			}
-		}
 	}
+	hist := make([]*walk.History, len(cohorts))
+	if rows == nil {
+		return hist, nil
+	}
+	for k, c := range cohorts {
+		views := make([][]graph.VID, c.Steps+1)
+		for i := range views {
+			views[i] = rows[i][offs[k]:offs[k+1]]
+		}
+		h, err := walk.NewHistory(views)
+		if err != nil {
+			return nil, err
+		}
+		hist[k] = h
+	}
+	return hist, nil
+}
+
+// historyRows allocates a recording run's walker arrays as one flat
+// step-major buffer and returns its row views: row 0 holds all of the
+// cohorts' walkers, and row i+1 the prefix still active at step i — the
+// cohorts, longest walk first, whose Steps exceed i.
+func historyRows(cohorts []Cohort, offs []uint64) [][]graph.VID {
+	rows := make([][]graph.VID, cohorts[0].Steps+1)
+	var size uint64
+	for k, c := range cohorts {
+		size += (offs[k+1] - offs[k]) * uint64(c.Steps+1)
+	}
+	flat := make([]graph.VID, size)
+	active := len(cohorts)
+	for i := range rows {
+		for i > 0 && active > 0 && cohorts[active-1].Steps < i {
+			active--
+		}
+		n := offs[active]
+		rows[i], flat = flat[:n:n], flat[n:]
+	}
+	return rows
 }
 
 // begin opens a run: a closed session refuses it, and the per-run

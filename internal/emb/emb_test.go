@@ -51,7 +51,7 @@ func walkCorpus(t *testing.T, g *graph.CSR, walkers uint64, steps int) [][]graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.History.Transpose()
+	return res.History.Transpose(nil)
 }
 
 func TestTrainSeparatesCommunities(t *testing.T) {

@@ -121,19 +121,22 @@ func (t *Topology) RunMixed(ctx context.Context, cohorts []core.Cohort) (*core.M
 }
 
 // assemble folds the position matrices into a core.MixedResult with
-// per-cohort histories, cohorts in caller order.
+// per-cohort histories, cohorts in caller order: cohort k's history is
+// row views of its step-major matrix pos[k], not a copy.
 func assemble(p *placement, pos [][]graph.VID, nvp int, start time.Time) (*core.MixedResult, error) {
 	res := &core.MixedResult{
 		Cohorts: make([]core.CohortResult, len(p.cohorts)),
 		VPSteps: make([]uint64, nvp),
 	}
 	for k, c := range p.cohorts {
-		h := walk.NewHistory(int(c.Walkers))
-		for step := 0; step <= c.Steps; step++ {
-			lo := step * int(c.Walkers)
-			if err := h.Append(pos[k][lo : lo+int(c.Walkers)]); err != nil {
-				return nil, err
-			}
+		n := int(c.Walkers)
+		rows := make([][]graph.VID, c.Steps+1)
+		for step := range rows {
+			rows[step] = pos[k][step*n : (step+1)*n]
+		}
+		h, err := walk.NewHistory(rows)
+		if err != nil {
+			return nil, err
 		}
 		res.Cohorts[p.order[k]] = core.CohortResult{
 			Walkers:    c.Walkers,

@@ -54,14 +54,8 @@ func TestStationaryDegree(t *testing.T) {
 func TestConvergenceSeriesDecreases(t *testing.T) {
 	// Synthetic history: start concentrated on vertex 0, end uniform over
 	// a 2-vertex "graph" with equal degrees.
-	h := walk.NewHistory(4)
-	if err := h.Append([]graph.VID{0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Append([]graph.VID{0, 0, 0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Append([]graph.VID{0, 1, 0, 1}); err != nil {
+	h, err := walk.NewHistory([][]graph.VID{{0, 0, 0, 0}, {0, 0, 0, 1}, {0, 1, 0, 1}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	series, err := ConvergenceSeries(h, []float64{0.5, 0.5})
@@ -77,11 +71,15 @@ func TestConvergenceSeriesDecreases(t *testing.T) {
 }
 
 func TestConvergenceSeriesErrors(t *testing.T) {
-	h := walk.NewHistory(1)
-	if _, err := ConvergenceSeries(h, []float64{1}); err == nil {
+	empty, err := walk.NewHistory(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ConvergenceSeries(empty, []float64{1}); err == nil {
 		t.Error("empty history accepted")
 	}
-	if err := h.Append([]graph.VID{5}); err != nil {
+	h, err := walk.NewHistory([][]graph.VID{{5}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ConvergenceSeries(h, []float64{1, 1}); err == nil {

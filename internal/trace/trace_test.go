@@ -14,11 +14,9 @@ import (
 )
 
 func TestCorpusRoundTrip(t *testing.T) {
-	h := walk.NewHistory(2)
-	for _, step := range [][]graph.VID{{1, 4}, {2, 5}, {3, 6}} {
-		if err := h.Append(step); err != nil {
-			t.Fatal(err)
-		}
+	h, err := walk.NewHistory([][]graph.VID{{1, 4}, {2, 5}, {3, 6}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := WriteCorpus(&buf, h); err != nil {

@@ -6,29 +6,31 @@ import (
 	"flashmob/internal/graph"
 )
 
-// History accumulates the W_i arrays of an n-step walk. Because the engine
-// restores walker order after every iteration (§4.3), Steps[i][j] is the
+// History holds the W_i arrays of an n-step walk. Because the engine
+// restores walker order after every iteration (§4.3), steps[i][j] is the
 // location of walker j after i steps, and transposing yields per-walker
-// paths — the paper's "random walk paths output".
+// paths — the paper's "random walk paths output". The rows are views:
+// the engine's reverse gather writes each step straight into its row, so
+// a history is the walker arrays themselves, never a copy.
 type History struct {
 	steps      [][]graph.VID
 	numWalkers int
 }
 
-// NewHistory creates a history for numWalkers walkers.
-func NewHistory(numWalkers int) *History {
-	return &History{numWalkers: numWalkers}
-}
-
-// Append records one W_i array (copied).
-func (h *History) Append(w []graph.VID) error {
-	if len(w) != h.numWalkers {
-		return fmt.Errorf("walk: history append with %d walkers, want %d", len(w), h.numWalkers)
+// NewHistory wraps rows, one W_i array per recorded step, each holding
+// the same number of walkers. The history keeps the views, not copies:
+// the caller must not write the rows while the history is in use.
+func NewHistory(rows [][]graph.VID) (*History, error) {
+	h := &History{steps: rows}
+	if len(rows) > 0 {
+		h.numWalkers = len(rows[0])
 	}
-	cp := make([]graph.VID, len(w))
-	copy(cp, w)
-	h.steps = append(h.steps, cp)
-	return nil
+	for i, r := range rows {
+		if len(r) != h.numWalkers {
+			return nil, fmt.Errorf("walk: history row %d holds %d walkers, want %d", i, len(r), h.numWalkers)
+		}
+	}
+	return h, nil
 }
 
 // NumSteps returns the number of recorded arrays (walk length + 1 when the
@@ -50,17 +52,41 @@ func (h *History) Path(j int) []graph.VID {
 	return p
 }
 
+// transposeTile is how many path elements one tile of Transpose writes:
+// a tile's slice of the flat output (16 KiB) stays in L1 while every row
+// streams its walkers into it.
+const transposeTile = 4096
+
 // Transpose returns all paths, walker-major — the transposition described
-// at the end of §4.3.
-func (h *History) Transpose() [][]graph.VID {
+// at the end of §4.3 — with every vertex mapped through relabel (nil:
+// unmapped). The paths are windows of one flat buffer. It runs in tiles
+// of walkers: each row's tile is read sequentially and written into a
+// cache-resident window of the output, so neither side strides across
+// memory.
+func (h *History) Transpose(relabel []graph.VID) [][]graph.VID {
+	steps := len(h.steps)
 	out := make([][]graph.VID, h.numWalkers)
-	flat := make([]graph.VID, h.numWalkers*len(h.steps))
-	for j := 0; j < h.numWalkers; j++ {
-		out[j] = flat[j*len(h.steps) : (j+1)*len(h.steps)]
+	flat := make([]graph.VID, h.numWalkers*steps)
+	for j := range out {
+		out[j] = flat[j*steps : (j+1)*steps : (j+1)*steps]
 	}
-	for i, step := range h.steps {
-		for j, v := range step {
-			out[j][i] = v
+	if steps == 0 {
+		return out
+	}
+	tile := max(1, transposeTile/steps)
+	for lo := 0; lo < h.numWalkers; lo += tile {
+		hi := min(lo+tile, h.numWalkers)
+		for i, row := range h.steps {
+			dst := flat[lo*steps+i:]
+			if relabel == nil {
+				for j, v := range row[lo:hi] {
+					dst[j*steps] = v
+				}
+				continue
+			}
+			for j, v := range row[lo:hi] {
+				dst[j*steps] = relabel[v]
+			}
 		}
 	}
 	return out

@@ -33,7 +33,6 @@ import (
 const (
 	phaseCount = iota
 	phaseScatter
-	phaseSlotIdentity
 	phaseInner
 	phaseGather
 )
@@ -70,8 +69,8 @@ type binSpan struct {
 
 // Shuffler rearranges walker arrays according to a partition plan. It owns
 // the scratch state (per-worker bin counters, offsets, gather staging
-// lines, inner-shuffle slot maps) so repeated iterations allocate
-// nothing.
+// lines, the inner level's packed slot map) so repeated iterations
+// allocate nothing.
 //
 // Every per-pass loop after the count visits only the partitions and
 // bins that hold walkers: the count records occupancy in a per-worker
@@ -82,6 +81,7 @@ type binSpan struct {
 type Shuffler struct {
 	plan    *part.Plan
 	lk      *part.Lookup
+	bins    []part.Bin // plan.Bins()
 	pool    *pool.Pool // nil: one worker, every pass inline
 	workers int
 	// active is the worker count the current pass splits across: workers,
@@ -90,7 +90,6 @@ type Shuffler struct {
 	active int
 
 	numWalkers int
-	maxWalkers int     // largest walker count so far (slotFinal/scratch length)
 	vpBin      []int32 // partition → outer bin
 	// counts[w][vp] is worker w's walker count per VP over its walker
 	// range in w's last count pass, and occ[w] has bit vp set exactly
@@ -108,11 +107,15 @@ type Shuffler struct {
 	// passes; only occupied bins' cursors are meaningful.
 	cursors [][]uint64
 
-	// slotFinal maps outer slot → final slot when extra-shuffle bins
-	// exist; nil otherwise (identity).
+	// slotFinal maps an occupied extra bin's outer slot p to its final
+	// slot, and scratch is the inner level's placement buffer; both cover
+	// only the occupied extra bins' slots, packed in bin order, so slot p
+	// of extra bin b sits at index p - slotShift[b]. Forward computes the
+	// shifts and grows both to the largest packed total so far; every
+	// other bin's slots are their own final slots.
 	slotFinal []uint32
 	scratch   []graph.VID
-	hasExtra  bool
+	slotShift []uint64 // per bin; meaningful for this pass's occupied extra bins
 	// vpCur is the inner level's per-partition placement cursor, indexed
 	// by partition; extra bins cover disjoint partitions, so they re-sort
 	// concurrently without sharing a cell.
@@ -163,11 +166,11 @@ func NewShuffler(plan *part.Plan, numWalkers int, p *pool.Pool) (*Shuffler, erro
 	s := &Shuffler{
 		plan:       plan,
 		lk:         plan.Lookup(),
+		bins:       bins,
 		pool:       p,
 		workers:    workers,
 		active:     workers,
 		numWalkers: numWalkers,
-		maxWalkers: numWalkers,
 		vpBin:      make([]int32, nvp),
 		counts:     make([][]uint32, workers),
 		occ:        make([][]uint64, workers),
@@ -190,13 +193,11 @@ func NewShuffler(plan *part.Plan, numWalkers int, p *pool.Pool) (*Shuffler, erro
 			s.vpBin[vp] = int32(bi)
 		}
 		if b.Extra {
-			s.hasExtra = true
 			extraBins++
 		}
 	}
-	if s.hasExtra {
-		s.slotFinal = make([]uint32, numWalkers)
-		s.scratch = make([]graph.VID, numWalkers)
+	if extraBins > 0 {
+		s.slotShift = make([]uint64, len(bins))
 		s.vpCur = make([]uint64, nvp)
 		s.extraSpans = make([]int, 0, extraBins)
 	}
@@ -207,22 +208,14 @@ func NewShuffler(plan *part.Plan, numWalkers int, p *pool.Pool) (*Shuffler, erro
 	return s, nil
 }
 
-// Resize re-targets the shuffler at numWalkers walkers. Everything the
-// shuffler owns is sized by the plan and worker count except the inner
-// level's slot maps, which are walker-sized: a smaller count uses a
-// prefix of them, and a count past the largest so far regrows them, so
-// one shuffler serves any sequence of walker counts with the same
-// permutations a freshly built one would produce.
+// Resize re-targets the shuffler at numWalkers walkers. Nothing the
+// shuffler owns is sized by the walker count — the inner level's slot map
+// follows the occupied extra bins, grown by Forward — so one shuffler
+// serves any sequence of walker counts with the same permutations a
+// freshly built one would produce.
 func (s *Shuffler) Resize(numWalkers int) error {
 	if numWalkers < 0 {
 		return fmt.Errorf("walk: negative walker count")
-	}
-	if numWalkers > s.maxWalkers {
-		if s.hasExtra {
-			s.slotFinal = make([]uint32, numWalkers)
-			s.scratch = make([]graph.VID, numWalkers)
-		}
-		s.maxWalkers = numWalkers
 	}
 	s.numWalkers = numWalkers
 	return nil
@@ -302,11 +295,12 @@ func (s *Shuffler) Forward(w, sw []graph.VID, aux, auxSW [][]graph.VID) error {
 	// §4.3).
 	s.run(phaseScatter)
 
-	// Inner level: extra-shuffle bins get re-ordered by VP within their
-	// outer region, recording the slot mapping for the reverse pass. The
-	// bins have disjoint slot ranges, so they re-sort in parallel.
-	if s.hasExtra {
-		s.run(phaseSlotIdentity)
+	// Inner level: occupied extra-shuffle bins get re-ordered by VP
+	// within their outer region, recording the slot mapping for the
+	// reverse pass. The bins have disjoint slot ranges and disjoint
+	// windows of the packed slot map, so they re-sort in parallel.
+	if len(s.extraSpans) > 0 {
+		s.packExtraSlots()
 		s.run(phaseInner)
 	}
 	s.curW, s.curSW, s.curAux, s.curAuxSW = nil, nil, nil, nil
@@ -324,7 +318,7 @@ func (s *Shuffler) aggregate() {
 			union[i] |= m
 		}
 	}
-	bins := s.plan.Bins()
+	bins := s.bins
 	chunks, spans, extra := s.chunks[:0], s.spans[:0], s.extraSpans[:0]
 	var total uint64
 	for i, m := range union {
@@ -347,6 +341,22 @@ func (s *Shuffler) aggregate() {
 		}
 	}
 	s.chunks, s.spans, s.extraSpans = chunks, spans, extra
+}
+
+// packExtraSlots lays the occupied extra bins' slots out back to back in
+// the slot map, in bin order, and grows the map and the inner level's
+// scratch to hold them.
+func (s *Shuffler) packExtraSlots() {
+	var packed uint64
+	for _, i := range s.extraSpans {
+		sp := s.spans[i]
+		s.slotShift[sp.bin] = sp.lo - packed
+		packed += sp.hi - sp.lo
+	}
+	if packed > uint64(len(s.slotFinal)) {
+		s.slotFinal = make([]uint32, packed)
+		s.scratch = make([]graph.VID, packed)
+	}
 }
 
 // rebuildCursors derives the active workers' cursors for every occupied
@@ -399,11 +409,6 @@ func (s *Shuffler) RunShard(phase, worker, workers int) {
 	case phaseScatter:
 		lo, hi := s.workerRange(worker)
 		s.scatter(worker, lo, hi)
-	case phaseSlotIdentity:
-		lo, hi := s.workerRange(worker)
-		for i := lo; i < hi; i++ {
-			s.slotFinal[i] = uint32(i)
-		}
 	case phaseInner:
 		for i := worker; i < len(s.extraSpans); i += workers {
 			s.innerShuffle(s.spans[s.extraSpans[i]], s.curSW, s.curAuxSW)
@@ -498,10 +503,11 @@ func (s *Shuffler) gather(worker, lo, hi int) {
 }
 
 // flushGather resolves one staged burst of walker indices against bin b's
-// next slots.
+// next slots: an extra bin's through its window of the slot map, any
+// other bin's directly.
 func (s *Shuffler) flushGather(b int, js []uint32, cursors []uint64, swNew, wNext []graph.VID, auxSW, auxNext [][]graph.VID) {
 	pos := cursors[b]
-	if !s.hasExtra {
+	if !s.bins[b].Extra {
 		for i, j := range js {
 			p := pos + uint64(i)
 			wNext[j] = swNew[p]
@@ -510,8 +516,9 @@ func (s *Shuffler) flushGather(b int, js []uint32, cursors []uint64, swNew, wNex
 			}
 		}
 	} else {
+		final := s.slotFinal[pos-s.slotShift[b]:]
 		for i, j := range js {
-			p := uint64(s.slotFinal[pos+uint64(i)])
+			p := uint64(final[i])
 			wNext[j] = swNew[p]
 			for c := range auxSW {
 				auxNext[c][j] = auxSW[c][p]
@@ -522,9 +529,9 @@ func (s *Shuffler) flushGather(b int, js []uint32, cursors []uint64, swNew, wNex
 }
 
 // innerShuffle re-sorts one occupied extra bin's slots of sw by VP index
-// (stable) and records slotFinal for them. Each partition's final range
-// is already its chunk, so the placement cursors start at the chunks'
-// Lo with no counting pass.
+// (stable) and records their final slots in the bin's window of the slot
+// map. Each partition's final range is already its chunk, so the
+// placement cursors start at the chunks' Lo with no counting pass.
 func (s *Shuffler) innerShuffle(sp binSpan, sw []graph.VID, auxSW [][]graph.VID) {
 	lk := s.lk
 	vpCur := s.vpCur
@@ -532,21 +539,24 @@ func (s *Shuffler) innerShuffle(sp binSpan, sw []graph.VID, auxSW [][]graph.VID)
 		vpCur[c.VP] = c.Lo
 	}
 	lo, hi := sp.lo, sp.hi
+	off := lo - s.slotShift[sp.bin]
+	final := s.slotFinal[off : off+hi-lo]
+	scratch := s.scratch[off : off+hi-lo]
 	// Place into scratch, record final slots.
 	for p := lo; p < hi; p++ {
 		vp := lk.VPOf(sw[p])
 		dst := vpCur[vp]
 		vpCur[vp]++
-		s.scratch[dst] = sw[p]
-		s.slotFinal[p] = uint32(dst)
+		scratch[dst-lo] = sw[p]
+		final[p-lo] = uint32(dst)
 	}
-	copy(sw[lo:hi], s.scratch[lo:hi])
+	copy(sw[lo:hi], scratch)
 	for c := range auxSW {
 		// Permute each aux channel with the recorded mapping.
-		for p := lo; p < hi; p++ {
-			s.scratch[s.slotFinal[p]] = auxSW[c][p]
+		for i, dst := range final {
+			scratch[uint64(dst)-lo] = auxSW[c][lo+uint64(i)]
 		}
-		copy(auxSW[c][lo:hi], s.scratch[lo:hi])
+		copy(auxSW[c][lo:hi], scratch)
 	}
 }
 

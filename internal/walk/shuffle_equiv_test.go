@@ -416,6 +416,67 @@ func TestSparseShuffleEquivalence(t *testing.T) {
 	}
 }
 
+// TestExtraBinSlotMapPooled drives one pooled shuffler — every step at
+// or above InlineCutoff, so the inner level's extra bins re-sort in
+// parallel on the workers — through walker counts that Resize grows and
+// shrinks, with walkers split between extra-shuffle bins and plain ones.
+// Every step must match the frozen reference, and the packed slot map
+// must never hold more entries than the most walkers any step so far
+// placed in extra bins: it covers those bins' slots only, never the
+// walker array.
+func TestExtraBinSlotMapPooled(t *testing.T) {
+	// 1,024 partitions of 4 vertices in groups of 64 partitions; the
+	// even groups (partitions [0, 64), [128, 192), …) are extra bins.
+	plan := testPlan(t, 1<<12, 8, 2, true)
+	steps := []struct {
+		n   int
+		vps []int
+	}{
+		{5000, []int{0, 1, 2, 64, 65, 128}},
+		{9000, []int{3, 70, 71, 72, 130, 1000}}, // grow
+		{InlineCutoff, []int{64, 65, 200}},      // shrink, no extra bin occupied
+		{12000, []int{0, 130, 300, 1000}},       // grow past every earlier count
+		{InlineCutoff + 4, []int{5, 64}},        // shrink
+	}
+	for _, workers := range []int{2, 3, 8} {
+		for _, channels := range []int{0, 2} {
+			t.Run(fmt.Sprintf("w%d/ch%d", workers, channels), func(t *testing.T) {
+				s, err := NewShuffler(plan, steps[0].n, testPool(t, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bins := plan.Bins()
+				most := 0
+				for i, st := range steps {
+					if RunsInline(st.n) {
+						t.Fatalf("step %d: %d walkers run inline", i, st.n)
+					}
+					w := confinedWalkers(plan, st.vps, st.n, uint64(i+1))
+					extra := 0
+					for _, v := range w {
+						if bins[plan.BinOf(v)].Extra {
+							extra++
+						}
+					}
+					most = max(most, extra)
+					aux, _, _ := makeAux(channels, st.n)
+					if err := s.Resize(st.n); err != nil {
+						t.Fatal(err)
+					}
+					checkStep(t, fmt.Sprintf("step%d", i), s, w, aux, runRef(plan, w, aux, workers))
+					if len(s.slotFinal) > most || len(s.scratch) != len(s.slotFinal) {
+						t.Fatalf("step %d: slot map %d / scratch %d entries, but at most %d walkers sat in extra bins",
+							i, len(s.slotFinal), len(s.scratch), most)
+					}
+				}
+				if most == 0 || most >= steps[3].n {
+					t.Fatalf("extra bins held at most %d of up to %d walkers: the steps must split walkers between extra and plain bins", most, steps[3].n)
+				}
+			})
+		}
+	}
+}
+
 // TestShuffleSteadyStateAllocs verifies the acceptance criterion that
 // steady-state shuffle steps allocate nothing: after one warm-up step,
 // Forward+Reverse on a pooled

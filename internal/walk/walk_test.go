@@ -309,14 +309,8 @@ func TestShufflerZeroWalkers(t *testing.T) {
 }
 
 func TestHistory(t *testing.T) {
-	h := NewHistory(3)
-	if err := h.Append([]graph.VID{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Append([]graph.VID{4, 5, 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Append([]graph.VID{7, 8, 9}); err != nil {
+	h, err := NewHistory([][]graph.VID{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if h.NumSteps() != 3 || h.NumWalkers() != 3 {
@@ -325,7 +319,7 @@ func TestHistory(t *testing.T) {
 	if got := h.Path(1); got[0] != 2 || got[1] != 5 || got[2] != 8 {
 		t.Fatalf("Path(1) = %v", got)
 	}
-	tr := h.Transpose()
+	tr := h.Transpose(nil)
 	if tr[2][1] != 6 {
 		t.Fatalf("Transpose[2][1] = %d, want 6", tr[2][1])
 	}
@@ -343,22 +337,51 @@ func TestHistory(t *testing.T) {
 	}
 }
 
-func TestHistoryAppendWrongSize(t *testing.T) {
-	h := NewHistory(2)
-	if err := h.Append([]graph.VID{1}); err == nil {
-		t.Fatal("wrong-size append accepted")
+func TestHistoryRaggedRows(t *testing.T) {
+	if _, err := NewHistory([][]graph.VID{{1, 2}, {1}}); err == nil {
+		t.Fatal("ragged rows accepted")
 	}
 }
 
-func TestHistoryAppendCopies(t *testing.T) {
-	h := NewHistory(2)
-	w := []graph.VID{1, 2}
-	if err := h.Append(w); err != nil {
-		t.Fatal(err)
-	}
-	w[0] = 99
-	if h.At(0, 0) != 1 {
-		t.Fatal("history aliased caller's array")
+// TestHistoryTransposeTiles checks the tiled, relabelling transpose
+// against a per-element one on shapes whose walker counts do and do not
+// divide the tile, including a single-step history and a path longer
+// than a tile.
+func TestHistoryTransposeTiles(t *testing.T) {
+	for _, shape := range []struct{ walkers, steps int }{
+		{1, 1}, {5000, 1}, {4097, 3}, {9000, 6}, {3, transposeTile + 5},
+	} {
+		src := rng.NewXorShift64Star(uint64(shape.walkers))
+		rows := make([][]graph.VID, shape.steps)
+		for i := range rows {
+			rows[i] = make([]graph.VID, shape.walkers)
+			for j := range rows[i] {
+				rows[i][j] = graph.VID(rng.Uint32n(src, 1000))
+			}
+		}
+		relabel := make([]graph.VID, 1000)
+		for v := range relabel {
+			relabel[v] = graph.VID(999 - v)
+		}
+		h, err := NewHistory(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, mapped := h.Transpose(nil), h.Transpose(relabel)
+		if len(plain) != shape.walkers || len(mapped) != shape.walkers {
+			t.Fatalf("%v: %d/%d paths", shape, len(plain), len(mapped))
+		}
+		for j := 0; j < shape.walkers; j++ {
+			if len(plain[j]) != shape.steps || cap(mapped[j]) != shape.steps {
+				t.Fatalf("%v: path %d has length %d, capacity %d", shape, j, len(plain[j]), cap(mapped[j]))
+			}
+			for i := range rows {
+				if plain[j][i] != rows[i][j] || mapped[j][i] != relabel[rows[i][j]] {
+					t.Fatalf("%v: walker %d step %d: %d/%d, want %d/%d", shape, j, i,
+						plain[j][i], mapped[j][i], rows[i][j], relabel[rows[i][j]])
+				}
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashmob/internal/core"
-	"flashmob/internal/graph"
 )
 
 // CohortSpec describes one walker cohort of a mixed walk: its own
@@ -35,8 +34,8 @@ type CohortSpec struct {
 // MixedResult reports a completed mixed walk. Vertex IDs in every
 // accessor are the caller's original IDs.
 type MixedResult struct {
-	inner   *core.MixedResult
-	reorder *graph.Reordering
+	inner    *core.MixedResult
+	newToOld []VID
 }
 
 // WalkMixed advances every cohort through one shared pipeline run on a
@@ -46,7 +45,7 @@ func (s *System) WalkMixed(cohorts []CohortSpec) (*MixedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &MixedResult{inner: res, reorder: s.reorder}, nil
+	return &MixedResult{inner: res, newToOld: s.newToOld}, nil
 }
 
 // WalkMixed advances every cohort through one shared pipeline run: all
@@ -64,7 +63,7 @@ func (s *Session) WalkMixed(cohorts []CohortSpec) (*MixedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &MixedResult{inner: res, reorder: s.reorder}, nil
+	return &MixedResult{inner: res, newToOld: s.newToOld}, nil
 }
 
 // coreCohorts maps the public cohort specs onto the engine's.
@@ -82,7 +81,7 @@ func (r *MixedResult) NumCohorts() int { return len(r.inner.Cohorts) }
 // Paths returns cohort c's paths — one per walker, in original vertex
 // IDs, in the caller's cohort order. Requires Options.RecordPaths.
 func (r *MixedResult) Paths(c int) ([][]VID, error) {
-	return pathsOf(r.inner.Cohorts[c].History, r.reorder)
+	return pathsOf(r.inner.Cohorts[c].History, r.newToOld)
 }
 
 // CohortWalkers returns cohort c's walker count.

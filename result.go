@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flashmob/internal/core"
-	"flashmob/internal/graph"
 	"flashmob/internal/obs"
 	"flashmob/internal/stats"
 	"flashmob/internal/walk"
@@ -22,8 +21,8 @@ type Report = obs.Report
 // caller's original IDs (the internal degree-sorted renumbering is
 // translated back transparently).
 type Result struct {
-	inner   *core.Result
-	reorder *graph.Reordering
+	inner    *core.Result
+	newToOld []VID
 }
 
 // PerStepNS returns the headline metric: wall nanoseconds per walker-step.
@@ -31,22 +30,17 @@ func (r *Result) PerStepNS() float64 { return r.inner.PerStepNS() }
 
 // Paths returns one path per walker in original vertex IDs. Requires
 // Options.RecordPaths.
-func (r *Result) Paths() ([][]VID, error) { return pathsOf(r.inner.History, r.reorder) }
+func (r *Result) Paths() ([][]VID, error) { return pathsOf(r.inner.History, r.newToOld) }
 
-// pathsOf transposes a recorded history into one path per walker and
-// relabels it to original vertex IDs: the one path-extraction loop behind
-// Result.Paths and MixedResult.Paths.
-func pathsOf(h *walk.History, reorder *graph.Reordering) ([][]VID, error) {
+// pathsOf transposes a recorded history into one path per walker,
+// relabelling every element to its original vertex ID as it goes: the one
+// path-extraction pass behind Result.Paths and MixedResult.Paths. The
+// paths are windows of one flat walker-major buffer.
+func pathsOf(h *walk.History, newToOld []VID) ([][]VID, error) {
 	if h == nil {
 		return nil, fmt.Errorf("flashmob: paths not recorded; set Options.RecordPaths")
 	}
-	paths := h.Transpose()
-	for _, p := range paths {
-		for i, v := range p {
-			p[i] = reorder.NewToOld[v]
-		}
-	}
-	return paths, nil
+	return h.Transpose(newToOld), nil
 }
 
 // VisitCounts returns walker-step counts per original vertex ID. Requires
@@ -56,10 +50,10 @@ func (r *Result) VisitCounts() ([]uint64, error) {
 	if h == nil {
 		return nil, fmt.Errorf("flashmob: history not recorded; set Options.RecordPaths")
 	}
-	sorted := h.VisitCounts(uint32(len(r.reorder.NewToOld)))
+	sorted := h.VisitCounts(uint32(len(r.newToOld)))
 	out := make([]uint64, len(sorted))
 	for nv, c := range sorted {
-		out[r.reorder.NewToOld[nv]] = c
+		out[r.newToOld[nv]] = c
 	}
 	return out, nil
 }

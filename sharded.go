@@ -76,7 +76,7 @@ func (ss *ShardedSystem) WalkMixed(ctx context.Context, cohorts []CohortSpec) (*
 	if err != nil {
 		return nil, fmt.Errorf("flashmob: %w", err)
 	}
-	return &MixedResult{inner: res, reorder: ss.sys.reorder}, nil
+	return &MixedResult{inner: res, newToOld: ss.sys.newToOld}, nil
 }
 
 // MetricsReport snapshots the topology's exchange counters (emigrants,
