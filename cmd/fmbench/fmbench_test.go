@@ -36,10 +36,10 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	// cmd/fmbench with stray artifacts.
 	t.Chdir(t.TempDir())
 	cfg := tinyConfig()
-	// The serving experiments' variant sets do not depend on size, so
-	// their tiny-config reports must flatten to exactly the keys of the
-	// committed grid report's first cell.
-	schemaPinned := map[string]bool{"serve": true, "mixed": true, "dynamic": true}
+	// The serving sweep's variants and load points do not depend on
+	// size, so its tiny-config report must flatten to exactly the keys
+	// of the committed grid report's first cell.
+	schemaPinned := map[string]bool{"serve": true}
 	for _, e := range experiments {
 		e := e
 		t.Run(e.name, func(t *testing.T) {

@@ -74,11 +74,8 @@ var experiments = []experiment{
 	{"fig12", "NUMA modes: FlashMob-P vs FlashMob-R (time, density, remote accesses)", expFig12},
 	{"shuffle", "§4.3 shuffle stage at DRAM scale: the engine's shuffle per worker count + end-to-end split (writes BENCH_shuffle.json)", expShuffle},
 	{"sample", "§4.2 sample stage at DRAM scale: per-partition kernels across partition classes (writes BENCH_sample.json)", expSample},
-	{"concurrent", "concurrent sessions on one engine build: aggregate walker-steps/s vs session count (writes BENCH_concurrent.json)", expConcurrent},
-	{"serve", "walk-query serving: open-loop load on batch-size-1 vs coalescing windows (writes BENCH_serve.json)", expServe},
-	{"mixed", "mixed-algorithm serving: one mixed-cohort run per wave vs one run per request (MaxBatchRequests 1) (writes BENCH_mixed.json)", expMixed},
+	{"serve", "walk-query serving: open-loop load sweep at 0.5-3x the batch-size-1 capacity, batch-size-1 vs coalescing, seeded three-algorithm mix (writes BENCH_serve.json)", expServe},
 	{"shard", "sharded topology sweep: shard count x transport (chan, TCP pair) vs the single engine on identical cohorts (writes BENCH_shard.json)", expShard},
-	{"dynamic", "ingest-under-load: walk goodput and tail latency while an edge stream freezes epochs and compactions swap the engine (writes BENCH_dynamic.json)", expDynamic},
 	{"prep", "pre-processing overhead: counting sort + MCKP planning", expPrep},
 	{"ooc", "out-of-core streaming: double-buffered block reads across sample workers and the resident tier, beside the in-memory ns/step (§4.5 future work)", expOOC},
 	{"ablate", "design-choice ablations: LLC policy, prefetcher, regular DS indexing (simulated)", expAblate},

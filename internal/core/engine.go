@@ -110,7 +110,9 @@ type Config struct {
 	// training") — no history is retained for the caller. Without
 	// RecordHistory the slices are reused across steps, so the sink must
 	// copy anything it keeps; with RecordHistory they are rows of the
-	// run's history and the sink must not write them. With concurrent
+	// run's history and the sink must not write them, and under a
+	// MemoryBudget every episode records into the same rows, so the sink
+	// must copy anything it keeps past its episode. With concurrent
 	// sessions the sink is called from multiple goroutines.
 	StepSink func(step int, cur, next []graph.VID)
 }

@@ -276,7 +276,7 @@ func (s *Session) RunMixed(cohorts []Cohort) (*MixedResult, error) {
 		ordered[k] = resolved[i]
 		slots[k].bind(s, &resolved[i].Spec, resolved[i].Walkers, resolved[i].Seed)
 	}
-	hist, err := s.drive(ordered, 0)
+	hist, err := s.drive(ordered, 0, nil)
 	if err != nil {
 		return nil, err
 	}

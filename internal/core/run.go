@@ -108,9 +108,12 @@ func (s *Session) Run(totalWalkers uint64, steps int) (*Result, error) {
 // buffers carry from episode to episode. It is then an episode loop over
 // the session's run driver, one cohort per memory-resident episode, with
 // the episode index in both the start placement and the sample-seed
-// schedule; History holds the last episode. Once the session's step
-// state has grown to the run's size, the steps allocate nothing and
-// create no goroutines.
+// schedule; History holds the last episode. A recording run allocates
+// one history buffer per call, sized by its first (largest) episode, and
+// records every episode into it, so History aliases that buffer; a
+// later call never reuses it. Once the session's step state
+// has grown to the run's size, the steps allocate nothing and create no
+// goroutines.
 func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Result, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -132,13 +135,18 @@ func (s *Session) RunSeeded(seed uint64, totalWalkers uint64, steps int) (*Resul
 	}
 	res := &Result{Steps: steps}
 	start := time.Now()
-	s.cohortSlots(1)[0].bind(s, &e.spec, e.EpisodeWalkers(totalWalkers), seed)
+	first := e.EpisodeWalkers(totalWalkers)
+	s.cohortSlots(1)[0].bind(s, &e.spec, first, seed)
+	var hbuf []graph.VID
+	if e.cfg.RecordHistory && first < totalWalkers {
+		hbuf = make([]graph.VID, first*uint64(steps+1))
+	}
 	for remaining := totalWalkers; remaining > 0; {
 		ep := e.EpisodeWalkers(remaining)
 		// Mix the episode index into the init seed so episodes decorrelate
 		// (identical per-episode seeds would replay the same start
 		// placement and walk randomness every round).
-		hist, err := s.drive([]Cohort{{Walkers: ep, Steps: steps}}, res.Episodes)
+		hist, err := s.drive([]Cohort{{Walkers: ep, Steps: steps}}, res.Episodes, hbuf)
 		if err != nil {
 			return nil, err
 		}

@@ -240,8 +240,11 @@ func TestHeldSessionWaveAllocs(t *testing.T) {
 // for headers, views and the flat buffer's page rounding. A driver that
 // grew its own walker arrays or copied each row into the history would
 // exceed it, and the session must still hold no walker arrays of its
-// own afterwards. The legs are one solo run and one ragged mixed run,
-// whose rows shrink as cohorts retire.
+// own afterwards. The legs are one solo run, one ragged mixed run,
+// whose rows shrink as cohorts retire, and one run split into four
+// episodes by a memory budget, whose episodes all record into the first
+// (largest) episode's buffer: its bound is that buffer, not one per
+// episode.
 func TestRecordingRunAllocatesOnlyItsHistory(t *testing.T) {
 	g := undirectedTestGraph(t, 600, 3)
 	cfg := psPlanConfig()
@@ -249,11 +252,20 @@ func TestRecordingRunAllocatesOnlyItsHistory(t *testing.T) {
 	cfg.RecordHistory = true
 	e := newEngine(t, g, algo.DeepWalk(), cfg)
 	defer e.Close()
+	const episodeWalkers = 6000 // 20,000 walkers run as 6,000 ×3 + 2,000
+	cfg.MemoryBudget = episodeWalkers * e.bytesPerWalker()
+	eb := newEngine(t, g, algo.DeepWalk(), cfg)
+	defer eb.Close()
 	s, err := e.NewSession(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	sb, err := eb.NewSession(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
 	cohorts := []Cohort{
 		{Spec: algo.DeepWalk(), Walkers: 12000, Steps: 8, Seed: 2},
 		{Spec: algo.Node2Vec(2, 0.5), Walkers: 6000, Steps: 5, Seed: 3},
@@ -265,11 +277,19 @@ func TestRecordingRunAllocatesOnlyItsHistory(t *testing.T) {
 	}
 	for _, leg := range []struct {
 		name string
-		vids uint64 // history size, in VIDs
+		s    *Session
+		vids uint64 // history buffer size, in VIDs
 		run  func() error
 	}{
-		{"solo", 20000 * 11, func() error { _, err := s.RunSeeded(1, 20000, 10); return err }},
-		{"mixed", mixedRows, func() error { _, err := s.RunMixed(cohorts); return err }},
+		{"solo", s, 20000 * 11, func() error { _, err := s.RunSeeded(1, 20000, 10); return err }},
+		{"mixed", s, mixedRows, func() error { _, err := s.RunMixed(cohorts); return err }},
+		{"budgeted", sb, episodeWalkers * 11, func() error {
+			res, err := sb.RunSeeded(1, 20000, 10)
+			if err == nil && (res.Episodes != 4 || res.History.NumWalkers() != 2000) {
+				t.Fatalf("budgeted run: %d episodes, last of %d walkers; want 4 and 2000", res.Episodes, res.History.NumWalkers())
+			}
+			return err
+		}},
 	} {
 		if err := leg.run(); err != nil {
 			t.Fatal(err)
@@ -280,13 +300,13 @@ func TestRecordingRunAllocatesOnlyItsHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		bound := leg.vids*4 + 8*uint64(e.plan.NumVPs()) + 16<<10
+		bound := leg.vids*4 + 8*uint64(leg.s.e.plan.NumVPs()) + 16<<10
 		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > bound {
-			t.Errorf("%s: warm recording run allocated %d B in %d objects; its history holds %d B, bound %d B",
+			t.Errorf("%s: warm recording run allocated %d B in %d objects; its history buffer holds %d B, bound %d B",
 				leg.name, bytes, after.Mallocs-before.Mallocs, leg.vids*4, bound)
 		}
-		if len(s.w) != 0 || len(s.wNext) != 0 {
-			t.Errorf("%s: recording runs left the session holding walker arrays of %d and %d", leg.name, len(s.w), len(s.wNext))
+		if len(leg.s.w) != 0 || len(leg.s.wNext) != 0 {
+			t.Errorf("%s: recording runs left the session holding walker arrays of %d and %d", leg.name, len(leg.s.w), len(leg.s.wNext))
 		}
 	}
 }

@@ -220,8 +220,11 @@ func (s *Session) step(w, wNext []graph.VID, aux, auxNext [][]graph.VID, cxs []*
 // step forward-shuffles from row i and reverse-gathers straight into
 // row i+1, and each cohort's history is views of its segment of the
 // rows; no row is copied, and the session's own walker arrays stay
-// untouched. A run that records nothing ping-pongs the session's pair.
-func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) {
+// untouched. hbuf, when non-nil, is the flat buffer to record into (a
+// multi-episode run passes its first episode's buffer to every episode);
+// nil allocates one. A run that records nothing ping-pongs the
+// session's pair.
+func (s *Session) drive(cohorts []Cohort, episode int, hbuf []graph.VID) ([]*walk.History, error) {
 	e := s.e
 	s.offs = append(s.offs[:0], 0)
 	channels := 0
@@ -234,7 +237,7 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 	var rows [][]graph.VID
 	var w, wNext []graph.VID
 	if e.cfg.RecordHistory {
-		rows = historyRows(cohorts, offs)
+		rows = historyRows(cohorts, offs, hbuf)
 		w = rows[0]
 	} else {
 		s.w, s.wNext = grown(s.w, total), grown(s.wNext, total)
@@ -302,17 +305,20 @@ func (s *Session) drive(cohorts []Cohort, episode int) ([]*walk.History, error) 
 	return hist, nil
 }
 
-// historyRows allocates a recording run's walker arrays as one flat
-// step-major buffer and returns its row views: row 0 holds all of the
-// cohorts' walkers, and row i+1 the prefix still active at step i — the
-// cohorts, longest walk first, whose Steps exceed i.
-func historyRows(cohorts []Cohort, offs []uint64) [][]graph.VID {
+// historyRows lays a recording run's walker arrays out as one flat
+// step-major buffer, flat when it is non-nil and large enough, else a
+// fresh one, and returns its row views: row 0 holds all of the cohorts'
+// walkers, and row i+1 the prefix still active at step i — the cohorts,
+// longest walk first, whose Steps exceed i.
+func historyRows(cohorts []Cohort, offs []uint64, flat []graph.VID) [][]graph.VID {
 	rows := make([][]graph.VID, cohorts[0].Steps+1)
 	var size uint64
 	for k, c := range cohorts {
 		size += (offs[k+1] - offs[k]) * uint64(c.Steps+1)
 	}
-	flat := make([]graph.VID, size)
+	if uint64(len(flat)) < size {
+		flat = make([]graph.VID, size)
+	}
 	active := len(cohorts)
 	for i := range rows {
 		for i > 0 && active > 0 && cohorts[active-1].Steps < i {

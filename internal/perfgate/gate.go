@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Verdict is the gate's judgement on one gated metric.
@@ -126,10 +128,7 @@ func Compare(base, cur *GridReport, gc GateConfig) (*GateResult, error) {
 		BaselineSHA: base.GitSHA,
 		CurrentSHA:  cur.GitSHA,
 	}
-	if base.Host.OS != cur.Host.OS || base.Host.Arch != cur.Host.Arch || base.Host.CPUs != cur.Host.CPUs {
-		res.HostDrift = fmt.Sprintf("baseline host %s/%s ×%d, current %s/%s ×%d",
-			base.Host.OS, base.Host.Arch, base.Host.CPUs, cur.Host.OS, cur.Host.Arch, cur.Host.CPUs)
-	}
+	res.HostDrift = hostDrift(base.Host, cur.Host)
 	for _, bc := range base.Cells {
 		cc := cur.FindCell(bc.Label())
 		if cc == nil {
@@ -143,6 +142,21 @@ func Compare(base, cur *GridReport, gc GateConfig) (*GateResult, error) {
 		res.Cells = append(res.Cells, cv)
 	}
 	return res, nil
+}
+
+// hostDrift describes how the current host differs from the
+// baseline's in OS, arch, CPU count or caches ("" when it does not). A
+// side that recorded no caches is not a cache difference.
+func hostDrift(base, cur Host) string {
+	var notes []string
+	if base.OS != cur.OS || base.Arch != cur.Arch || base.CPUs != cur.CPUs {
+		notes = append(notes, fmt.Sprintf("baseline host %s/%s ×%d, current %s/%s ×%d",
+			base.OS, base.Arch, base.CPUs, cur.OS, cur.Arch, cur.CPUs))
+	}
+	if len(base.Caches) > 0 && len(cur.Caches) > 0 && !slices.Equal(base.Caches, cur.Caches) {
+		notes = append(notes, fmt.Sprintf("baseline caches %v, current %v", base.Caches, cur.Caches))
+	}
+	return strings.Join(notes, "; ")
 }
 
 // compareCell gates one cell.

@@ -3,7 +3,9 @@ package perfgate
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -25,7 +27,26 @@ type Host struct {
 	Hostname string `json:"hostname,omitempty"`
 	// CPUModel is the /proc/cpuinfo model name on Linux, best-effort.
 	CPUModel string `json:"cpu_model,omitempty"`
+	// Caches lists cpu0's caches as Linux reports them under
+	// /sys/devices/system/cpu/cpu0/cache, best-effort: a file that
+	// cannot be read leaves its field out, and no readable file at all
+	// leaves the list out.
+	Caches []Cache `json:"caches,omitempty"`
 }
+
+// Cache is one CPU cache of the host fingerprint.
+type Cache struct {
+	// Level is the cache level (1, 2, 3).
+	Level int `json:"level,omitempty"`
+	// Type is "Data", "Instruction" or "Unified".
+	Type string `json:"type,omitempty"`
+	// Size is the size as the kernel prints it, e.g. "32K" or "36608K".
+	Size string `json:"size,omitempty"`
+}
+
+// cacheDir is where Linux describes cpu0's caches, one index* directory
+// per cache.
+const cacheDir = "/sys/devices/system/cpu/cpu0/cache"
 
 // Meta is the provenance header stamped into every benchmark artifact:
 // raw per-run reports (cmd/fmbench) and aggregated grid reports
@@ -69,7 +90,32 @@ func HostFingerprint() Host {
 		h.Hostname = name
 	}
 	h.CPUModel = cpuModel()
+	h.Caches = cachesFrom(cacheDir)
 	return h
+}
+
+// cachesFrom reads the level, type and size of every index* cache
+// directory under dir; unreadable files are omitted, not errors.
+func cachesFrom(dir string) []Cache {
+	idx, _ := filepath.Glob(filepath.Join(dir, "index*"))
+	var caches []Cache
+	for _, d := range idx {
+		read := func(name string) string {
+			b, err := os.ReadFile(filepath.Join(d, name))
+			if err != nil {
+				return ""
+			}
+			return strings.TrimSpace(string(b))
+		}
+		var c Cache
+		c.Level, _ = strconv.Atoi(read("level"))
+		c.Type = read("type")
+		c.Size = read("size")
+		if c != (Cache{}) {
+			caches = append(caches, c)
+		}
+	}
+	return caches
 }
 
 // cpuModel reads the first "model name" line of /proc/cpuinfo

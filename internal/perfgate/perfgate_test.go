@@ -2,6 +2,9 @@ package perfgate
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -438,6 +441,72 @@ func TestRenderMentionsRegression(t *testing.T) {
 	for _, want := range []string{"REGRESSED", "variants[0:a].ns_per_step", "+60.0%", "lower-is-better"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCachesFrom reads a fake cpu0 cache tree: complete entries in
+// directory order, missing files omitted from their entry, an entry with
+// no readable file dropped, and a missing tree read as no caches.
+func TestCachesFrom(t *testing.T) {
+	dir := t.TempDir()
+	write := func(index, name, body string) {
+		t.Helper()
+		d := filepath.Join(dir, index)
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(d, name), []byte(body+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("index0", "level", "1")
+	write("index0", "type", "Data")
+	write("index0", "size", "48K")
+	write("index1", "level", "3")
+	write("index1", "size", "307200K")
+	write("index2", "shared_cpu_list", "0-1")
+	got := cachesFrom(dir)
+	want := []Cache{{Level: 1, Type: "Data", Size: "48K"}, {Level: 3, Size: "307200K"}}
+	if !slices.Equal(got, want) {
+		t.Errorf("cachesFrom = %+v, want %+v", got, want)
+	}
+	if got := cachesFrom(filepath.Join(dir, "absent")); got != nil {
+		t.Errorf("missing tree read as %+v, want nil", got)
+	}
+}
+
+// TestGateHostDriftNotes: differing caches are a note beside the CPU
+// note, never a failure, and a side without caches notes nothing.
+func TestGateHostDriftNotes(t *testing.T) {
+	stats := map[string]Stat{"variants[0:a].ns_per_step": {Mean: 50, Std: 1, N: 3}}
+	l3 := func(size string) []Cache { return []Cache{{Level: 3, Type: "Unified", Size: size}} }
+	for _, c := range []struct {
+		name      string
+		base, cur Host
+		want      []string // substrings of the note; none means no note
+	}{
+		{"same", Host{CPUs: 2, Caches: l3("32M")}, Host{CPUs: 2, Caches: l3("32M")}, nil},
+		{"caches", Host{CPUs: 2, Caches: l3("32M")}, Host{CPUs: 2, Caches: l3("300M")}, []string{"caches", "32M", "300M"}},
+		{"cpus and caches", Host{CPUs: 1, Caches: l3("32M")}, Host{CPUs: 2, Caches: l3("300M")}, []string{"×1", "300M"}},
+		{"no baseline caches", Host{CPUs: 2}, Host{CPUs: 2, Caches: l3("300M")}, nil},
+	} {
+		base, cur := report("x", ReportSchemaVersion, stats), report("x", ReportSchemaVersion, stats)
+		base.Host, cur.Host = c.base, c.cur
+		res, err := Compare(base, cur, GateConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Regressions() != 0 {
+			t.Errorf("%s: host drift failed the gate", c.name)
+		}
+		if (len(c.want) == 0) != (res.HostDrift == "") {
+			t.Errorf("%s: HostDrift = %q, want a note: %v", c.name, res.HostDrift, len(c.want) > 0)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(res.HostDrift, w) {
+				t.Errorf("%s: HostDrift = %q, want it to hold %q", c.name, res.HostDrift, w)
+			}
 		}
 	}
 }

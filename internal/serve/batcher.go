@@ -313,7 +313,6 @@ func (g *engineGroup) execute(ws *waveScratch, batch []*pending) {
 	t0 := time.Now()
 	res, epoch, err := g.walkMixed(ws.cohorts)
 	runDur := time.Since(t0)
-	g.s.m.runs.Inc()
 	g.s.m.runNS.Observe(uint64(runDur))
 	g.s.m.runCohorts.Observe(uint64(len(ws.groups)))
 	if err != nil {

@@ -20,12 +20,12 @@ type serveMetrics struct {
 
 	// Batch structure.
 	batches       *obs.Counter
-	runs          *obs.Counter
 	batchRequests *obs.Histogram
 	batchWalkers  *obs.Histogram
 
 	// runCohorts is the cohort count per engine run: 1 for solo runs,
-	// more when a wave mixed algorithms or step counts into one run.
+	// more when a wave mixed algorithms or step counts into one run. Its
+	// count is the number of runs: one per batch not wholly shed.
 	runCohorts *obs.Histogram
 
 	// Latency: queue wait and end-to-end per request, wall time per
@@ -71,10 +71,6 @@ func newServeMetrics() *serveMetrics {
 		batches: reg.Counter(obs.Desc{
 			Name: "serve_batches_total", Unit: "count", Stage: "serve",
 			Help: "scheduling batches executed",
-		}),
-		runs: reg.Counter(obs.Desc{
-			Name: "serve_runs_total", Unit: "count", Stage: "serve",
-			Help: "engine runs executed (coalesced groups plus private seeded runs)",
 		}),
 		batchRequests: reg.Histogram(obs.Desc{
 			Name: "serve_batch_requests", Unit: "count", Stage: "serve",

@@ -185,9 +185,10 @@ func TestMetricsReflectServedWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waves, ok := mr.Server.Counter("serve_runs_total")
+	// Nothing is shed, so every batch is one engine run.
+	waves, ok := mr.Server.Counter("serve_batches_total")
 	if !ok || waves.Value == 0 || waves.Value > walks {
-		t.Fatalf("serve_runs_total = %+v, want 1..%d", waves, walks)
+		t.Fatalf("serve_batches_total = %+v, want 1..%d", waves, walks)
 	}
 	if len(mr.Engines) != 1 || mr.Engines[0].Report == nil {
 		t.Fatalf("/metrics engines = %+v, want one report", mr.Engines)
